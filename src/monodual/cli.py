@@ -223,13 +223,29 @@ def _cmd_simulate(args) -> int:
     # expectation
     if args.x is None or args.y is None:
         raise UsageError("--check expectation requires --x and --y")
-    x = tuple(int(v) for v in args.x.split(","))
-    y = tuple(int(v) for v in args.y.split(","))
+    x = _configuration(args.x, space, "--x")
+    y = _configuration(args.y, lifted.r_space, "--y")
     est = estimate_expectation_duality(
         model, lifted, x, y, args.t_max, args.replicates, seed=args.seed
     )
     _emit(est.to_dict())
     return 0 if est.consistent else COMPUTE_EXIT
+
+
+def _configuration(text: str, space, flag: str) -> tuple[int, ...]:
+    try:
+        config = tuple(int(v) for v in text.split(","))
+        space.index_of(config)
+    except ValueError as exc:
+        raise UsageError(f"{flag} {text!r}: {exc}") from None
+    return config
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _cmd_reproduce(args) -> int:
@@ -257,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     mono = sub.add_parser("monoids", help="enumerate or print small commutative monoids")
     mono_sub = mono.add_subparsers(dest="subcommand", required=True)
     me = mono_sub.add_parser("enumerate", help="all isomorphism classes of one order")
-    me.add_argument("--order", type=int, required=True)
+    # orders above the enumeration cap stay computation errors (OrderTooLarge)
+    me.add_argument("--order", type=_positive_int, required=True)
     me.add_argument("--format", choices=("json", "table"), default="table")
     me.set_defaults(func=_cmd_monoids_enumerate)
     mc = mono_sub.add_parser("catalog", help="print embedded catalog tables")
@@ -275,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     dual = sub.add_parser("dualities", help="the duality-quadruple census")
     dual_sub = dual.add_subparsers(dest="subcommand", required=True)
     df = dual_sub.add_parser("find", help="find all duality quadruples")
-    df.add_argument("--max-order", type=int, default=4)
+    df.add_argument("--max-order", type=int, choices=(2, 3, 4), default=4)
     df.add_argument("--reduce", action="store_true")
     df.add_argument("--format", choices=("json", "table"), default="table")
     df.set_defaults(func=_cmd_dualities_find)
@@ -294,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, required=True)
     sim.add_argument("--check", choices=("pathwise", "expectation"), required=True)
     sim.add_argument("--coverage", choices=("exhaustive", "sampled"), default="exhaustive")
-    sim.add_argument("--replicates", type=int, default=100_000)
+    sim.add_argument("--replicates", type=_positive_int, default=100_000)
     sim.add_argument("--x", help="comma-separated start configuration on the S side")
     sim.add_argument("--y", help="comma-separated configuration on the R side")
     sim.set_defaults(func=_cmd_simulate)
@@ -302,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("reproduce", help="re-derive every cataloged artifact and diff")
     rep.add_argument("--format", choices=("json", "text"), default="text")
     rep.add_argument("--pathwise-seeds", type=int, default=100)
-    rep.add_argument("--replicates", type=int, default=100_000)
+    rep.add_argument("--replicates", type=_positive_int, default=100_000)
     rep.set_defaults(func=_cmd_reproduce)
 
     return p

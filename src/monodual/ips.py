@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .product import LiftedDuality, SiteMap, SiteSpace, dual_map, pair_budget
+from .product import (
+    LiftedDuality, NoRealEmbedding, SiteMap, SiteSpace, dual_map, identity_holds, pair_budget,
+)
 
 MAX_EXACT_STATES = 10 ** 4
 
@@ -79,7 +81,7 @@ class RateModel:
         raise KeyError(map_id)
 
     def index_tables(self) -> dict[str, np.ndarray]:
-        return {e.map_id: np.asarray(e.site_map.index_table()) for e in self.entries}
+        return {e.map_id: e.site_map.index_table() for e in self.entries}
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,6 @@ class Flow:
     model: RateModel
     stream: EventStream
     convention: str = "+"
-    direction: str = "forward"
 
     def __post_init__(self):
         if self.convention not in ("+", "-"):
@@ -250,38 +251,29 @@ def check_pathwise_duality(
     if max(ssp.n_configs, rsp.n_configs) > pair_budget():
         raise StateSpaceTooLarge("one side alone exceeds the pair budget")
 
-    checked = 0
+    if not exhaustive:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 2))))
+        xi = rng.integers(0, ssp.n_configs, size=n_samples)
+        yi = rng.integers(0, rsp.n_configs, size=n_samples)
+        xs, ys = ssp.config_array(xi), rsp.config_array(yi)
     for conv in ("+", "-"):
         other = "-" if conv == "+" else "+"
         X = flow_index_table(Flow(model, stream, conv), s, u)
-        Y = flow_index_table(Flow(dmodel, dstream, other, direction="dual-reversed"), -u, -s)
+        Y = flow_index_table(Flow(dmodel, dstream, other), -u, -s)
         if exhaustive:
-            psi_big = np.array(
-                [[lifted.evaluate(xs, ys) for ys in rsp.configs()] for xs in ssp.configs()]
-            )
-            lhs = psi_big[X]
-            rhs = psi_big[:, Y]
-            if not np.array_equal(lhs, rhs):
-                xi, yi = np.argwhere(lhs != rhs)[0]
-                raise DualityViolation(ssp.config_of(int(xi)), rsp.config_of(int(yi)), stream)
-            checked += n_pairs
+            hit = identity_holds(lifted, X, Y)
         else:
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 2))))
-            xi = rng.integers(0, ssp.n_configs, size=n_samples)
-            yi = rng.integers(0, rsp.n_configs, size=n_samples)
-            for a, b in zip(xi, yi):
-                x_cfg, y_cfg = ssp.config_of(int(a)), rsp.config_of(int(b))
-                lhs = lifted.evaluate(ssp.config_of(int(X[a])), y_cfg)
-                rhs = lifted.evaluate(x_cfg, rsp.config_of(int(Y[b])))
-                if lhs != rhs:
-                    raise DualityViolation(x_cfg, y_cfg, stream)
-            checked += n_samples
+            hit = identity_holds(
+                lifted, ssp.config_array(X[xi]), rsp.config_array(Y[yi]), pairs=(xs, ys)
+            )
+        if hit is not None:
+            raise DualityViolation(*hit, stream)
     return PathwiseReport(
         seed=seed,
         window=stream.window,
         n_events=stream.n_events,
         coverage=coverage,
-        pairs_checked=checked,
+        pairs_checked=2 * (n_pairs if exhaustive else n_samples),
         conventions=("+-", "-+"),
         passed=True,
     )
@@ -312,34 +304,23 @@ class ExpectationEstimate:
         }
 
 
-def _endpoint_sampler(model: RateModel, start_idx: int, t: float, rng) -> int:
-    """Final state index after running the model for time t from one start.
-
-    Conditionally on the event count the time-ordered marks are an iid
-    sequence, so sampling the count and then the marks reproduces the law of
-    the flow endpoint without materialising timestamps.
-    """
-    total = model.total_rate
-    if total == 0.0 or t == 0.0:
-        return start_idx
-    n = rng.poisson(total * t)
-    if n == 0:
-        return start_idx
-    weights = np.array([e.rate for e in model.entries]) / total
-    cum = np.cumsum(weights)
-    marks = np.searchsorted(cum, rng.random(n), side="right")
-    arrs = [np.asarray(e.site_map.index_table()) for e in model.entries]
-    idx = start_idx
-    for m in marks:
-        idx = int(arrs[m][idx])
-    return idx
+def _embedded_values(lifted: LiftedDuality, x, y, evolving: str) -> tuple[np.ndarray, int]:
+    """Embedded Psi(., y) over S^k (evolving "s") or Psi(x, .) over R^k, and the start index."""
+    if lifted.real_embedding is None:
+        raise NoRealEmbedding("expectations need a declared real embedding")
+    ssp, rsp = lifted.s_space, lifted.r_space
+    x_idx, y_idx = ssp.index_of(x), rsp.index_of(y)
+    xs = ssp.config_array(None if evolving == "s" else [x_idx])
+    ys = rsp.config_array([y_idx] if evolving == "s" else None)
+    values = np.asarray(lifted.real_embedding)[lifted.evaluate_pairs(xs, ys)]
+    return values, x_idx if evolving == "s" else y_idx
 
 
 def _mc_side(model, values, start_idx, t, replicates, seed, side) -> tuple[float, float]:
     total = model.total_rate
     weights = np.array([e.rate for e in model.entries])
     cum = np.cumsum(weights / total) if total > 0 else None
-    arrs = [np.asarray(e.site_map.index_table()) for e in model.entries]
+    arrs = [e.site_map.index_table() for e in model.entries]
     out = np.empty(replicates)
     for i in range(replicates):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, side, i))))
@@ -372,19 +353,15 @@ def estimate_expectation_duality(
     replicate seed namespaces; the estimate is flagged consistent when the
     estimates agree within four combined standard errors.
     """
-    if lifted.real_embedding is None:
-        from .product import NoRealEmbedding
-
-        raise NoRealEmbedding("expectation duality needs a declared real embedding")
     if t < 0:
         raise ValueError("time must be nonnegative")
-    ssp, rsp = lifted.s_space, lifted.r_space
-    x, y = tuple(x), tuple(y)
+    if replicates < 1:
+        raise ValueError("replicates must be at least 1")
+    f_lhs, x_idx = _embedded_values(lifted, x, y, "s")
+    f_rhs, y_idx = _embedded_values(lifted, x, y, "r")
     dmodel = dual_model(model, lifted) if dual is None else dual
-    f_lhs = np.array([lifted.evaluate_embedded(xs, y) for xs in ssp.configs()])
-    f_rhs = np.array([lifted.evaluate_embedded(x, ys) for ys in rsp.configs()])
-    lhs, lhs_se = _mc_side(model, f_lhs, ssp.index_of(x), t, replicates, seed, 0)
-    rhs, rhs_se = _mc_side(dmodel, f_rhs, rsp.index_of(y), t, replicates, seed, 1)
+    lhs, lhs_se = _mc_side(model, f_lhs, x_idx, t, replicates, seed, 0)
+    rhs, rhs_se = _mc_side(dmodel, f_rhs, y_idx, t, replicates, seed, 1)
     comb = math.sqrt(lhs_se ** 2 + rhs_se ** 2)
     consistent = abs(lhs - rhs) <= 4.0 * comb if comb > 0 else lhs == rhs
     return ExpectationEstimate(
@@ -413,7 +390,6 @@ def exact_semigroup_expectation(
     certified.  With evolving="r", the model must act on the R side and the
     roles of x and y swap (the second argument evolves from y).
     """
-    x, y = tuple(x), tuple(y)
     if evolving not in ("s", "r"):
         raise ValueError("evolving must be 's' or 'r'")
     space = lifted.s_space if evolving == "s" else lifted.r_space
@@ -421,21 +397,12 @@ def exact_semigroup_expectation(
         raise ValueError("model does not act on the evolving side")
     if space.n_configs > MAX_EXACT_STATES:
         raise StateSpaceTooLarge(f"{space.n_configs} states exceed {MAX_EXACT_STATES}")
-    if lifted.real_embedding is None:
-        from .product import NoRealEmbedding
-
-        raise NoRealEmbedding("exact expectations need a declared real embedding")
-    if evolving == "s":
-        values = np.array([lifted.evaluate_embedded(xs, y) for xs in space.configs()])
-        start = space.index_of(x)
-    else:
-        values = np.array([lifted.evaluate_embedded(x, ys) for ys in space.configs()])
-        start = space.index_of(y)
+    values, start = _embedded_values(lifted, x, y, evolving)
 
     total = model.total_rate
     if total == 0.0 or t == 0.0:
         return float(values[start])
-    arrs = [np.asarray(e.site_map.index_table()) for e in model.entries]
+    arrs = [e.site_map.index_table() for e in model.entries]
     weights = [e.rate / total for e in model.entries]
     fmax = float(np.max(np.abs(values))) or 1.0
     lam = total * float(t)

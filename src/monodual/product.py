@@ -5,6 +5,18 @@ global homomorphism m on S^k is determined by entries M[i][j] in H(S, S) via
 m(x)_j = sum_i M[i][j](x_i), with the sum taken in S.  The matrix form is what
 makes dual maps cheap: the dual of m has matrix entries dual(M[i][j]) placed
 at the transposed position.
+
+Array layout: N configurations of S^k are an (N, k) uint8 digit array, site 0
+the most significant digit, so row r of ``SiteSpace.config_array()`` is the
+configuration with index r under ``SiteSpace.index_of``; ``index_array`` is
+the inverse.  Each kernel is a loop over sites of numpy gathers through the
+small local tables: ``SiteMap.apply_array`` sums M[i][j](x_i) per output site
+through the addition table of S, ``LiftedDuality.evaluate_pairs`` sums
+psi(x_i, y_i) through the addition table of T, and ``LiftedDuality.table``
+builds the whole Psi table (uint8, cached) one site at a time.  Digits and
+tables stay uint8 so no (N, N) or (samples, k) array is ever wider than a
+byte per cell.  The scalar ``SiteMap.apply`` and ``LiftedDuality.evaluate``
+are the reference the tests compare these kernels against.
 """
 
 from __future__ import annotations
@@ -13,6 +25,8 @@ import json
 import os
 from dataclasses import dataclass
 from itertools import product as iproduct
+
+import numpy as np
 
 from .algebra import Lattice, Monoid, Semiring, dual_lattice, lattice_join_monoid
 from .homdual import DualityFunction, VerificationRecord, is_homomorphism, verify_duality
@@ -52,19 +66,31 @@ class SiteSpace:
         return iproduct(range(self.local.order), repeat=self.sites)
 
     def index_of(self, config) -> int:
+        return int(self.index_array([tuple(config)])[0])
+
+    def config_array(self, idx=None) -> np.ndarray:
+        """The configurations with the given indices (all of S^k by default) as (N, k) uint8 digits."""
+        idx = np.arange(self.n_configs) if idx is None else np.asarray(idx, dtype=np.int64)
+        out = np.empty((len(idx), self.sites), dtype=np.uint8)
+        for j in reversed(range(self.sites)):
+            idx, out[:, j] = np.divmod(idx, self.local.order)
+        return out
+
+    def index_array(self, configs) -> np.ndarray:
+        """The indices of an (N, k) array of configurations; ValueError on a malformed one."""
+        c = np.asarray(configs)
         n = self.local.order
-        idx = 0
-        for x in config:
-            idx = idx * n + x
+        if c.ndim != 2 or c.shape[1] != self.sites:
+            raise ValueError(f"a configuration must have {self.sites} sites, got shape {c.shape[1:]}")
+        if c.size and not (0 <= c.min() and c.max() < n):
+            raise ValueError(f"site values must lie in 0..{n - 1}")
+        idx = np.zeros(len(c), dtype=np.int64)
+        for j in range(self.sites):
+            idx = idx * n + c[:, j]
         return idx
 
     def config_of(self, index: int) -> tuple[int, ...]:
-        n = self.local.order
-        out = []
-        for _ in range(self.sites):
-            out.append(index % n)
-            index //= n
-        return tuple(reversed(out))
+        return tuple(self.config_array([index])[0].tolist())
 
     def neutral_config(self) -> tuple[int, ...]:
         return tuple(self.local.neutral for _ in range(self.sites))
@@ -113,10 +139,25 @@ class SiteMap:
             out.append(acc)
         return tuple(out)
 
-    def index_table(self) -> list[int]:
-        """The map as a permutation-style table on configuration indices."""
-        sp = self.space
-        return [sp.index_of(self.apply(c)) for c in sp.configs()]
+    def apply_array(self, configs: np.ndarray) -> np.ndarray:
+        """The map on an (N, k) uint8 configuration array, one gather per matrix entry."""
+        add = np.asarray(self.space.local.rows, dtype=np.uint8)
+        entries = np.asarray(self.matrix, dtype=np.uint8)
+        out = np.empty_like(configs)
+        for j in range(self.space.sites):
+            acc = entries[0, j][configs[:, 0]]
+            for i in range(1, self.space.sites):
+                acc = add[acc, entries[i, j][configs[:, i]]]
+            out[:, j] = acc
+        return out
+
+    def index_table(self) -> np.ndarray:
+        """The map as a read-only table on configuration indices, built once per instance."""
+        if "_index_table" not in self.__dict__:
+            table = self.space.index_array(self.apply_array(self.space.config_array()))
+            table.flags.writeable = False
+            object.__setattr__(self, "_index_table", table)
+        return self._index_table
 
     def to_json(self) -> str:
         return json.dumps([[list(e) for e in row] for row in self.matrix])
@@ -217,6 +258,32 @@ class LiftedDuality:
             acc = t.add(acc, rows[x][y])
         return acc
 
+    def evaluate_pairs(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Psi row by row on paired (N, k) uint8 configuration arrays; a (1, k) array broadcasts."""
+        xs, ys = np.broadcast_arrays(xs, ys)
+        add = np.asarray(self.local.t.rows, dtype=np.uint8)
+        psi = np.asarray(self.local.values, dtype=np.uint8)
+        acc = psi[xs[:, 0], ys[:, 0]]
+        for i in range(1, self.sites):
+            acc = add[acc, psi[xs[:, i], ys[:, i]]]
+        return acc
+
+    def table(self, budget: int | None = None) -> np.ndarray:
+        """The read-only uint8 Psi table over S^k x R^k, built once per instance."""
+        if "_table" not in self.__dict__:
+            budget = pair_budget() if budget is None else budget
+            if self.s_space.n_configs * self.r_space.n_configs > budget:
+                raise SizeBudgetExceeded("product-level table exceeds the pair budget")
+            add = np.asarray(self.local.t.rows, dtype=np.uint8)
+            psi = np.asarray(self.local.values, dtype=np.uint8)
+            table = psi
+            for _ in range(1, self.sites):
+                table = add[table[:, None, :, None], psi[None, :, None, :]]
+                table = table.reshape(len(table) * len(psi), -1)
+            table.flags.writeable = False
+            object.__setattr__(self, "_table", table)
+        return self._table
+
     def evaluate_embedded(self, xs, ys) -> float:
         if self.real_embedding is None:
             raise NoRealEmbedding("no real embedding declared for the value monoid")
@@ -239,15 +306,28 @@ class LiftedDuality:
             out.append(w)
         return tuple(out)
 
-    def big_values(self, budget: int | None = None):
-        """The full product-level table over all configuration pairs."""
-        budget = pair_budget() if budget is None else budget
-        ssp, rsp = self.s_space, self.r_space
-        if ssp.n_configs * rsp.n_configs > budget:
-            raise SizeBudgetExceeded("product-level table exceeds the pair budget")
-        return tuple(
-            tuple(self.evaluate(xs, ys) for ys in rsp.configs()) for xs in ssp.configs()
-        )
+
+def identity_holds(lifted: LiftedDuality, X, Y, pairs=None):
+    """None if Psi(X(x), y) == Psi(x, Y(y)), else the first failing (x, y) as configuration tuples.
+
+    Without ``pairs``, X and Y are index tables of maps on S^k and R^k and
+    every pair is compared through the cached Psi table.  With
+    ``pairs=(xs, ys)``, paired configuration arrays, X and Y are their images
+    as configuration arrays and only those pairs are compared.
+    """
+    if pairs is None:
+        psi = lifted.table()
+        bad = psi[X] != psi[:, Y]
+        if not bad.any():
+            return None
+        xi, yi = divmod(int(bad.argmax()), bad.shape[1])
+        return lifted.s_space.config_of(xi), lifted.r_space.config_of(yi)
+    xs, ys = pairs
+    bad = lifted.evaluate_pairs(X, ys) != lifted.evaluate_pairs(xs, Y)
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    return tuple(xs[i].tolist()), tuple(ys[i].tolist())
 
 
 def lift_duality(
@@ -275,7 +355,7 @@ def lift_duality(
             product_monoid(local.s, sites),
             product_monoid(local.r, sites),
             local.t,
-            lifted.big_values(),
+            tuple(map(tuple, lifted.table().tolist())),
         )
         verify_duality(big)
     return lifted
@@ -302,31 +382,23 @@ def dual_map(
     k = lifted.sites
     if m.space.sites != k or m.space.local.op != lifted.local.s.op:
         raise ValueError("site map does not act on the S side of this duality")
-    duals = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            d = lifted.local_dual(m.matrix[i][j])
-            if d is None:
-                raise NoDual(f"matrix entry ({i},{j}) admits no local dual")
-            duals[i][j] = d
+    duals = [[lifted.local_dual(entry) for entry in row] for row in m.matrix]
+    for i, j in iproduct(range(k), repeat=2):
+        if duals[i][j] is None:
+            raise NoDual(f"matrix entry ({i},{j}) admits no local dual")
     rsp = lifted.r_space
     mhat = SiteMap(rsp, tuple(tuple(duals[i][j] for i in range(k)) for j in range(k)))
     budget = pair_budget() if budget is None else budget
     if m.space.n_configs * rsp.n_configs <= budget:
-        for xs in m.space.configs():
-            mx = m.apply(xs)
-            for ys in rsp.configs():
-                if lifted.evaluate(mx, ys) != lifted.evaluate(xs, mhat.apply(ys)):
-                    raise AssertionError(f"dual-map identity fails at {xs}, {ys}")
+        lifted.table(budget)  # built under this call's budget, then cached
+        hit = identity_holds(lifted, m.index_table(), mhat.index_table())
     else:
-        import numpy as np
-
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0)))
-        for _ in range(samples):
-            xs = m.space.config_of(int(rng.integers(m.space.n_configs)))
-            ys = rsp.config_of(int(rng.integers(rsp.n_configs)))
-            if lifted.evaluate(m.apply(xs), ys) != lifted.evaluate(xs, mhat.apply(ys)):
-                raise AssertionError(f"dual-map identity fails at {xs}, {ys}")
+        xs = m.space.config_array(rng.integers(m.space.n_configs, size=samples))
+        ys = rsp.config_array(rng.integers(rsp.n_configs, size=samples))
+        hit = identity_holds(lifted, m.apply_array(xs), mhat.apply_array(ys), pairs=(xs, ys))
+    if hit is not None:
+        raise AssertionError(f"dual-map identity fails at {hit[0]}, {hit[1]}")
     return mhat
 
 
@@ -379,48 +451,29 @@ def verify_module_duality(lifted: LiftedDuality) -> VerificationRecord:
         raise ValueError("not a semiring-derived pairing")
     add, mul = s.add.rows, s.mul.rows
     sp = lifted.s_space
-    configs = list(sp.configs())
-    big = [[lifted.evaluate(xs, ys) for ys in configs] for xs in configs]
-    rows_distinct = len({tuple(r) for r in big}) == len(configs)
-    cols = {tuple(big[i][j] for i in range(len(configs))) for j in range(len(configs))}
-    cols_distinct = len(cols) == len(configs)
-
-    def config_add(a, b):
-        return tuple(add[x][y] for x, y in zip(a, b))
-
-    def scale(a, ys, left: bool):
-        return tuple(mul[a][y] if left else mul[y][a] for y in ys)
-
+    c = sp.config_array()
+    n = len(c)
+    big = lifted.table()
+    row_tables = set(map(tuple, big.tolist()))
+    col_tables = set(map(tuple, big.T.tolist()))
+    # configuration indices of x + y, a * y and y * a, looked up by the sweep
+    sums = product_monoid(s.add, sp.sites).rows
+    mul_a = np.asarray(mul, dtype=np.uint8)
+    left = [sp.index_array(mul_a[a][c]).tolist() for a in range(s.order)]
+    right = [sp.index_array(mul_a[:, a][c]).tolist() for a in range(s.order)]
     left_maps = set()
     right_maps = set()
-    for vals in iproduct(range(s.order), repeat=len(configs)):
-        additive = all(
-            vals[sp.index_of(config_add(a, b))] == add[vals[i]][vals[j]]
-            for i, a in enumerate(configs)
-            for j, b in enumerate(configs)
-        )
-        if not additive:
+    for vals in iproduct(range(s.order), repeat=n):
+        if not all(vals[sums[i][j]] == add[vals[i]][vals[j]] for i in range(n) for j in range(n)):
             continue
-        if all(
-            vals[sp.index_of(scale(c, ys, True))] == mul[c][vals[i]]
-            for c in range(s.order)
-            for i, ys in enumerate(configs)
-        ):
+        if all(vals[left[a][i]] == mul[a][vals[i]] for a in range(s.order) for i in range(n)):
             left_maps.add(vals)
-        if all(
-            vals[sp.index_of(scale(c, ys, False))] == mul[vals[i]][c]
-            for c in range(s.order)
-            for i, ys in enumerate(configs)
-        ):
+        if all(vals[right[a][i]] == mul[vals[i]][a] for a in range(s.order) for i in range(n)):
             right_maps.add(vals)
-    col_tables = {
-        tuple(big[i][j] for i in range(len(configs))) for j in range(len(configs))
-    }
-    row_tables = {tuple(r) for r in big}
     return VerificationRecord(
-        rows_distinct=rows_distinct,
+        rows_distinct=len(row_tables) == n,
         columns_are_hom_set=col_tables == left_maps,
-        columns_distinct=cols_distinct,
+        columns_distinct=len(col_tables) == n,
         rows_are_hom_set=row_tables == right_maps,
     )
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import product as iproduct
 
 from . import catalog
 from .algebra import (
@@ -314,31 +315,24 @@ def check_dual_map_psi5() -> CheckResult:
         lifted = _psi5_lifted(2)
         space = lifted.s_space
         homs = [h.values for h in hom_set(space.local, space.local).base]
-        ssp_cfgs = list(space.configs())
-        rsp = lifted.r_space
-        rsp_cfgs = list(rsp.configs())
-        column_of = {}
-        for ys in rsp_cfgs:
-            column_of[tuple(lifted.evaluate(xs, ys) for xs in ssp_cfgs)] = ys
-        n_ok = 0
-        from itertools import product as iproduct
+        psi = lifted.table()
+        column_of = {col: j for j, col in enumerate(map(tuple, psi.T.tolist()))}
 
+        def brute_force_dual(image):
+            """Per y, the R index whose Psi column is x -> Psi(image[x], y), or None."""
+            return [column_of.get(col) for col in map(tuple, psi[image].T.tolist())]
+
+        n_ok = 0
         for entries in iproduct(homs, repeat=4):
             matrix = [[entries[0], entries[1]], [entries[2], entries[3]]]
             m = SiteMap.from_matrix(space, matrix)
             mhat = dual_map(lifted, m)  # identity re-checked inside
-            for ys in rsp_cfgs:  # brute-force dual agrees
-                col = tuple(lifted.evaluate(m.apply(xs), ys) for xs in ssp_cfgs)
-                if column_of[col] != mhat.apply(ys):
-                    return {"matrices_verified": n_ok, "non_hom_has_dual": None}
+            if brute_force_dual(m.index_table()) != mhat.index_table().tolist():
+                return {"matrices_verified": n_ok, "non_hom_has_dual": None}
             n_ok += 1
-        # a sampled non-homomorphism must admit no dual for some column
-        bad = lambda xs: (1, 1)  # violates f(0) = 0
-        missing = sum(
-            1
-            for ys in rsp_cfgs
-            if tuple(lifted.evaluate(bad(xs), ys) for xs in ssp_cfgs) not in column_of
-        )
+        # the constant map onto (1, 1) violates f(0) = 0 and must admit no dual
+        bad = [space.index_of((1, 1))] * space.n_configs
+        missing = brute_force_dual(bad).count(None)
         return {"matrices_verified": n_ok, "non_hom_has_dual": missing == 0}
 
     return _check(
@@ -382,9 +376,10 @@ def check_pathwise(name: str, seeds: int = 100, min_events: int = 20) -> CheckRe
     def compute():
         lifted, model = _pathwise_model(name, 3)
         window = (0.0, max(30.0, 4 * min_events / model.total_rate))
+        dual = dual_model(model, lifted)
         events_ok = True
         for seed in range(seeds):
-            rep = check_pathwise_duality(model, lifted, window, seed=(tag, seed))
+            rep = check_pathwise_duality(model, lifted, window, seed=(tag, seed), dual=dual)
             if rep.n_events < min_events:
                 events_ok = False
         return {"seeds_passed": seeds, "all_windows_busy": events_ok}

@@ -201,3 +201,39 @@ def test_golden_outputs(capsys):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out == (golden_dir / name).read_text(), name
+
+
+def _expectation_args(tmp_path, *extra):
+    psi = named_duality("psi5").transposed()
+    homs = [h.values for h in hom_set(psi.s, psi.s).base]
+    rates = [{"id": "m", "matrix": [[list(homs[2]), list(homs[1])],
+                                    [list(homs[0]), list(homs[2])]], "rate": 0.8}]
+    path = tmp_path / "rates.json"
+    path.write_text(json.dumps(rates))
+    return ["simulate", "--psi", "psi5.T", "--sites", "2", "--rates", str(path),
+            "--t-max", "1", "--seed", "4", "--check", "expectation", *extra]
+
+
+def test_simulate_rejects_malformed_start_configurations(tmp_path, capsys):
+    for x, y in [("1", "1,0"), ("1,2,9", "1,0"), ("1,a", "1,0"), ("1,2", "1,3"), ("1,2", "-1,0")]:
+        code, out, err = run(capsys, *_expectation_args(tmp_path, "--replicates", "10",
+                                                         f"--x={x}", f"--y={y}"))
+        assert code == 2 and out == "", (x, y)
+        assert "usage error" in err
+
+
+def test_replicates_below_one_is_usage_error(tmp_path, capsys):
+    code, out, _ = run(capsys, *_expectation_args(tmp_path, "--replicates", "0",
+                                                  "--x", "1,2", "--y", "1,0"))
+    assert code == 2 and out == ""
+    code, out, _ = run(capsys, "reproduce", "--replicates", "0")
+    assert code == 2 and out == ""
+
+
+def test_out_of_range_orders_are_usage_errors(capsys):
+    # orders above the enumeration cap stay computation errors (see above)
+    for argv in (["monoids", "enumerate", "--order", "0"],
+                 ["dualities", "find", "--max-order", "1"],
+                 ["dualities", "find", "--max-order", "9"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2 and out == "", argv

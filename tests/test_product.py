@@ -1,11 +1,23 @@
+import random
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
 
 from monodual import catalog
 from monodual.algebra import validate_semiring
 from monodual.homdual import DualityFunction, DualityError, hom_set, named_duality, verify_duality
+from monodual.ips import (
+    DualityViolation,
+    Flow,
+    RateModel,
+    apply_flow,
+    check_pathwise_duality,
+    dual_model,
+    dualize_stream,
+)
 from monodual.product import (
+    LiftedDuality,
     NoDual,
     SiteMap,
     SiteSpace,
@@ -15,6 +27,7 @@ from monodual.product import (
     lattice_duality_function,
     lift_duality,
     module_maps,
+    pair_budget,
     product_monoid,
     product_monoid_many,
     semiring_inner_duality,
@@ -347,3 +360,80 @@ def test_lattice_duality_values_are_order_indicators():
     for x in range(lat.order):
         for y in range(lat.order):
             assert psi.values[x][y] == (0 if lat.leq[x][y] else 1)
+
+
+def test_psi_table_and_pair_kernel_match_scalar_evaluate_for_every_reduced_class():
+    for name in sorted(catalog.PSI_TABLES):
+        for k in (1, 2, 3):
+            lifted = lift_duality(named_duality(name), k, reverify=False)
+            ssp, rsp = lifted.s_space, lifted.r_space
+            want = [[lifted.evaluate(xs, ys) for ys in rsp.configs()] for xs in ssp.configs()]
+            table = lifted.table()
+            assert table.dtype == np.uint8 and table.tolist() == want, (name, k)
+            xi, yi = np.indices(table.shape).reshape(2, -1)
+            pairs = lifted.evaluate_pairs(ssp.config_array(xi), rsp.config_array(yi))
+            assert pairs.reshape(table.shape).tolist() == want, (name, k)
+
+
+def test_index_table_matches_scalar_apply_on_random_hom_matrices():
+    rng = random.Random(7)
+    for label in ("M2", "M5", "M6", "M11", "M25"):
+        local = catalog.monoid(label)
+        homs = hom_values(label)
+        n = local.order
+        for k in (1, 2, 3):
+            space = SiteSpace(local, k)
+            configs = list(space.configs())
+            assert space.config_array().tolist() == [list(c) for c in configs]
+            assert space.index_array(space.config_array()).tolist() == list(range(len(configs)))
+            for _ in range(5):
+                m = SiteMap.from_matrix(space, [[rng.choice(homs) for _ in range(k)] for _ in range(k)])
+                want = [sum(v * n ** (k - 1 - i) for i, v in enumerate(m.apply(c))) for c in configs]
+                assert m.index_table().tolist() == want, (label, m.matrix)
+
+
+def test_index_of_rejects_malformed_configurations():
+    space = SiteSpace(catalog.monoid("M6"), 2)
+    assert space.index_of((2, 1)) == 7 and space.config_of(7) == (2, 1)
+    for bad in [(1,), (1, 2, 0), (1, 3), (-1, 0)]:
+        with pytest.raises(ValueError):
+            space.index_of(bad)
+
+
+def test_sampled_dual_map_check_rejects_a_corrupted_dual(monkeypatch):
+    # 3^7 x 3^7 pairs exceed the budget, so only the sampled branch can catch it
+    lifted = lift_duality(named_duality("psi5").transposed(), 7, reverify=False)
+    assert lifted.s_space.n_configs * lifted.r_space.n_configs > pair_budget()
+    homs = hom_values("M6")
+    m = SiteMap.from_matrix(
+        lifted.s_space, [[homs[(i + j) % 3] for j in range(7)] for i in range(7)]
+    )
+    true_dual = LiftedDuality.local_dual
+    assert true_dual(lifted, homs[1]) != true_dual(lifted, homs[2])
+
+    def corrupted(self, values):
+        return true_dual(self, homs[2] if values == homs[1] else values)
+
+    monkeypatch.setattr(LiftedDuality, "local_dual", corrupted)
+    with pytest.raises(AssertionError, match="dual-map identity fails"):
+        dual_map(lifted, m, samples=2000)
+
+
+def test_sampled_pathwise_check_reports_a_real_witness():
+    lifted = lift_duality(named_duality("psi5").transposed(), 3)
+    homs = hom_values("M6")
+    m = SiteMap.from_matrix(
+        lifted.s_space, [[homs[(i + j) % 3] for j in range(3)] for i in range(3)]
+    )
+    model = RateModel.build(lifted.s_space, {"m": m}, {"m": 1.0})
+    wrong = RateModel.build(lifted.r_space, {"m": SiteMap.identity(lifted.r_space)}, {"m": 1.0})
+    assert wrong.entries != dual_model(model, lifted).entries
+    with pytest.raises(DualityViolation) as info:
+        check_pathwise_duality(model, lifted, (0.0, 5.0), seed=3, coverage="sampled",
+                               n_samples=500, dual=wrong)
+    exc = info.value
+    s, u = exc.stream.window
+    assert exc.stream.n_events > 0
+    fx = apply_flow(Flow(model, exc.stream, "+"), exc.x, s, u)
+    gy = apply_flow(Flow(wrong, dualize_stream(exc.stream), "-"), exc.y, -u, -s)
+    assert lifted.evaluate(fx, exc.y) != lifted.evaluate(exc.x, gy)

@@ -15,6 +15,7 @@ import sys
 from . import catalog
 from .enumeration import enumerate_commutative_monoids, enumerate_semiring_multiplications
 from .homdual import (
+    QUADRUPLE_ORDERS,
     duality_from_dict,
     find_all_duality_quadruples,
     named_duality,
@@ -292,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     dual = sub.add_parser("dualities", help="the duality-quadruple census")
     dual_sub = dual.add_subparsers(dest="subcommand", required=True)
     df = dual_sub.add_parser("find", help="find all duality quadruples")
-    df.add_argument("--max-order", type=int, choices=(2, 3, 4), default=4)
+    df.add_argument("--max-order", type=int, choices=QUADRUPLE_ORDERS, default=4)
     df.add_argument("--reduce", action="store_true")
     df.add_argument("--format", choices=("json", "table"), default="table")
     df.set_defaults(func=_cmd_dualities_find)

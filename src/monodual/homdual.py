@@ -23,6 +23,8 @@ from . import catalog
 from .algebra import Monoid, automorphisms, iter_isomorphisms
 from .tables import CayleyTable, Rows, transpose
 
+QUADRUPLE_ORDERS = range(2, 5)  # the max_order values the census search accepts
+
 
 class DualityError(ValueError):
     pass
@@ -400,7 +402,7 @@ def find_all_duality_quadruples(max_order: int = 4) -> list[Quadruple]:
     search re-checks each run).  The quadruple recorded for the triple carries
     the lexicographically smallest candidate.
     """
-    if not 2 <= max_order <= 4:
+    if max_order not in QUADRUPLE_ORDERS:
         raise ValueError("max_order must be between 2 and 4")
     labels = [
         lab for lab in catalog.M_LABELS

@@ -6,17 +6,14 @@ m(x)_j = sum_i M[i][j](x_i), with the sum taken in S.  The matrix form is what
 makes dual maps cheap: the dual of m has matrix entries dual(M[i][j]) placed
 at the transposed position.
 
-Array layout: N configurations of S^k are an (N, k) uint8 digit array, site 0
-the most significant digit, so row r of ``SiteSpace.config_array()`` is the
-configuration with index r under ``SiteSpace.index_of``; ``index_array`` is
-the inverse.  Each kernel is a loop over sites of numpy gathers through the
-small local tables: ``SiteMap.apply_array`` sums M[i][j](x_i) per output site
-through the addition table of S, ``LiftedDuality.evaluate_pairs`` sums
-psi(x_i, y_i) through the addition table of T, and ``LiftedDuality.table``
-builds the whole Psi table (uint8, cached) one site at a time.  Digits and
-tables stay uint8 so no (N, N) or (samples, k) array is ever wider than a
-byte per cell.  The scalar ``SiteMap.apply`` and ``LiftedDuality.evaluate``
-are the reference the tests compare these kernels against.
+Array layout: N configurations of S^k are an (N, k) uint8 digit array with
+site 0 the most significant digit, so row r of ``SiteSpace.config_array()``
+has index r under ``SiteSpace.index_of``; ``index_array`` inverts it.  The
+kernels loop over sites, gathering through the small local tables:
+``SiteMap.apply_array`` through the addition table of S,
+``LiftedDuality.evaluate_pairs`` and the cached table of all Psi values,
+``LiftedDuality.table``, through that of T.  All of them stay uint8.  The
+scalar ``SiteMap.apply`` and ``LiftedDuality.evaluate`` are the test oracles.
 """
 
 from __future__ import annotations
@@ -263,21 +260,20 @@ class LiftedDuality:
         xs, ys = np.broadcast_arrays(xs, ys)
         add = np.asarray(self.local.t.rows, dtype=np.uint8)
         psi = np.asarray(self.local.values, dtype=np.uint8)
-        acc = psi[xs[:, 0], ys[:, 0]]
-        for i in range(1, self.sites):
+        acc = np.full(len(xs), self.local.t.neutral, dtype=np.uint8)
+        for i in range(self.sites):
             acc = add[acc, psi[xs[:, i], ys[:, i]]]
         return acc
 
-    def table(self, budget: int | None = None) -> np.ndarray:
+    def table(self) -> np.ndarray:
         """The read-only uint8 Psi table over S^k x R^k, built once per instance."""
         if "_table" not in self.__dict__:
-            budget = pair_budget() if budget is None else budget
-            if self.s_space.n_configs * self.r_space.n_configs > budget:
+            if self.s_space.n_configs * self.r_space.n_configs > pair_budget():
                 raise SizeBudgetExceeded("product-level table exceeds the pair budget")
             add = np.asarray(self.local.t.rows, dtype=np.uint8)
             psi = np.asarray(self.local.values, dtype=np.uint8)
-            table = psi
-            for _ in range(1, self.sites):
+            table = np.full((1, 1), self.local.t.neutral, dtype=np.uint8)
+            for _ in range(self.sites):
                 table = add[table[:, None, :, None], psi[None, :, None, :]]
                 table = table.reshape(len(table) * len(psi), -1)
             table.flags.writeable = False
@@ -318,16 +314,13 @@ def identity_holds(lifted: LiftedDuality, X, Y, pairs=None):
     if pairs is None:
         psi = lifted.table()
         bad = psi[X] != psi[:, Y]
-        if not bad.any():
-            return None
-        xi, yi = divmod(int(bad.argmax()), bad.shape[1])
-        return lifted.s_space.config_of(xi), lifted.r_space.config_of(yi)
-    xs, ys = pairs
-    bad = lifted.evaluate_pairs(X, ys) != lifted.evaluate_pairs(xs, Y)
-    if not bad.any():
-        return None
-    i = int(bad.argmax())
-    return tuple(xs[i].tolist()), tuple(ys[i].tolist())
+        xi, yi = np.unravel_index(bad.argmax(), bad.shape)
+        xs, ys = lifted.s_space.config_array([xi]), lifted.r_space.config_array([yi])
+    else:
+        xs, ys = pairs
+        bad = lifted.evaluate_pairs(X, ys) != lifted.evaluate_pairs(xs, Y)
+        xs, ys = xs[bad], ys[bad]
+    return (tuple(xs[0].tolist()), tuple(ys[0].tolist())) if bad.any() else None
 
 
 def lift_duality(
@@ -390,7 +383,6 @@ def dual_map(
     mhat = SiteMap(rsp, tuple(tuple(duals[i][j] for i in range(k)) for j in range(k)))
     budget = pair_budget() if budget is None else budget
     if m.space.n_configs * rsp.n_configs <= budget:
-        lifted.table(budget)  # built under this call's budget, then cached
         hit = identity_holds(lifted, m.index_table(), mhat.index_table())
     else:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0)))

@@ -364,7 +364,7 @@ def test_lattice_duality_values_are_order_indicators():
 
 def test_psi_table_and_pair_kernel_match_scalar_evaluate_for_every_reduced_class():
     for name in sorted(catalog.PSI_TABLES):
-        for k in (1, 2, 3):
+        for k in (0, 1, 2, 3):
             lifted = lift_duality(named_duality(name), k, reverify=False)
             ssp, rsp = lifted.s_space, lifted.r_space
             want = [[lifted.evaluate(xs, ys) for ys in rsp.configs()] for xs in ssp.configs()]
@@ -373,6 +373,12 @@ def test_psi_table_and_pair_kernel_match_scalar_evaluate_for_every_reduced_class
             xi, yi = np.indices(table.shape).reshape(2, -1)
             pairs = lifted.evaluate_pairs(ssp.config_array(xi), rsp.config_array(yi))
             assert pairs.reshape(table.shape).tolist() == want, (name, k)
+
+
+def test_zero_sites_lift_to_the_one_point_duality():
+    lifted = lift_duality(named_duality("psi5"), 0)  # re-verified on the one-point product
+    assert lifted.table().tolist() == [[lifted.local.t.neutral]]
+    assert dual_map(lifted, SiteMap.identity(lifted.s_space)).matrix == ()
 
 
 def test_index_table_matches_scalar_apply_on_random_hom_matrices():

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import catalog
@@ -249,6 +250,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text}")
+    return value
+
+
 def _cmd_reproduce(args) -> int:
     manifest = reproduce_all(pathwise_seeds=args.pathwise_seeds, replicates=args.replicates)
     if args.format == "json":
@@ -308,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--psi", required=True)
     sim.add_argument("--sites", type=int, required=True)
     sim.add_argument("--rates", required=True, help="JSON list of {id, matrix, rate}")
-    sim.add_argument("--t-max", type=float, required=True)
+    sim.add_argument("--t-max", type=_nonnegative_float, required=True)
     sim.add_argument("--seed", type=int, required=True)
     sim.add_argument("--check", choices=("pathwise", "expectation"), required=True)
     sim.add_argument("--coverage", choices=("exhaustive", "sampled"), default="exhaustive")

@@ -12,8 +12,11 @@ holds exactly for every realisation, not just in expectation; any violation
 is an implementation bug, never noise.
 
 Randomness: a stream generator for (seed) is PCG64 seeded with
-SeedSequence(seed); replicate i of a Monte-Carlo side uses
-SeedSequence((seed, side, i)), so replicates are independent of scheduling.
+SeedSequence(seed).  A Monte-Carlo side splits its replicates into blocks of
+MC_BLOCK; block b of side `side` draws from one PCG64 seeded with
+SeedSequence((seed, side, b)): first every replicate's jump count, then, step
+by step, one mark for each replicate still jumping.  The draws depend only on
+(seed, side, b), so results are independent of scheduling.
 """
 
 from __future__ import annotations
@@ -28,6 +31,12 @@ from .product import (
 )
 
 MAX_EXACT_STATES = 10 ** 4
+# replicates walked in lockstep per generator; fixed on memory grounds, so the
+# sampled values depend on it and it is no option
+MC_BLOCK = 4096
+# largest Poisson mean of one uniformisation step: exp(-50) is far from
+# underflow, and longer times are split by the semigroup property
+MAX_STEP_MEAN = 50.0
 
 
 class WindowViolation(ValueError):
@@ -99,9 +108,7 @@ class EventStream:
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(sorted(self.events, key=lambda e: (e[1], e[0]))))
-        s, u = self.window
-        if s > u:
-            raise WindowViolation(f"empty window {self.window}")
+        s, u = _checked_window(self.window)
         for _, t in self.events:
             if not s <= t <= u:
                 raise WindowViolation(f"event time {t} outside window {self.window}")
@@ -111,11 +118,25 @@ class EventStream:
         return len(self.events)
 
 
-def sample_event_stream(model: RateModel, window: tuple[float, float], seed) -> EventStream:
-    """Marked Poisson sampling: exponential waits at the total rate, marks by rate share."""
+def _checked_window(window) -> tuple[float, float]:
     s, u = float(window[0]), float(window[1])
+    if not (math.isfinite(s) and math.isfinite(u)):
+        raise WindowViolation(f"non-finite window {window}")
     if s > u:
         raise WindowViolation(f"empty window {window}")
+    return s, u
+
+
+def _checked_time(t: float) -> float:
+    t = float(t)
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
+    return t
+
+
+def sample_event_stream(model: RateModel, window: tuple[float, float], seed) -> EventStream:
+    """Marked Poisson sampling: exponential waits at the total rate, marks by rate share."""
+    s, u = _checked_window(window)
     total = model.total_rate
     events = []
     if total > 0.0:
@@ -316,22 +337,29 @@ def _embedded_values(lifted: LiftedDuality, x, y, evolving: str) -> tuple[np.nda
     return values, x_idx if evolving == "s" else y_idx
 
 
-def _mc_side(model, values, start_idx, t, replicates, seed, side) -> tuple[float, float]:
+def _mc_endpoints(model, start_idx, t, replicates, seed, side) -> np.ndarray:
+    """Final configuration index of every replicate, walked in lockstep blocks."""
+    active = [e for e in model.entries if e.rate > 0.0]
+    out = np.full(replicates, start_idx, dtype=np.intp)
+    if not active or t == 0.0:
+        return out
     total = model.total_rate
-    weights = np.array([e.rate for e in model.entries])
-    cum = np.cumsum(weights / total) if total > 0 else None
-    arrs = [e.site_map.index_table() for e in model.entries]
-    out = np.empty(replicates)
-    for i in range(replicates):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, side, i))))
-        idx = start_idx
-        if total > 0.0 and t > 0.0:
-            n = rng.poisson(total * t)
-            if n:
-                marks = np.searchsorted(cum, rng.random(n), side="right")
-                for m in marks:
-                    idx = arrs[m][idx]
-        out[i] = values[idx]
+    # mark i is drawn for u in [bounds[i-1], bounds[i]); the last mark takes the rest
+    bounds = np.cumsum([e.rate for e in active])[:-1] / total
+    tables = np.stack([e.site_map.index_table() for e in active])
+    for b, lo in enumerate(range(0, replicates, MC_BLOCK)):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, side, b))))
+        idx = out[lo:lo + MC_BLOCK]  # a view: the walk writes into out
+        n = rng.poisson(total * t, size=idx.size)
+        for j in range(int(n.max())):
+            live = np.flatnonzero(n > j)
+            marks = np.searchsorted(bounds, rng.random(live.size), side="right")
+            idx[live] = tables[marks, idx[live]]
+    return out
+
+
+def _mc_side(model, values, start_idx, t, replicates, seed, side) -> tuple[float, float]:
+    out = values[_mc_endpoints(model, start_idx, t, replicates, seed, side)]
     mean = float(out.mean())
     se = float(out.std(ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0
     return mean, se
@@ -353,8 +381,7 @@ def estimate_expectation_duality(
     replicate seed namespaces; the estimate is flagged consistent when the
     estimates agree within four combined standard errors.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    t = _checked_time(t)
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
     f_lhs, x_idx = _embedded_values(lifted, x, y, "s")
@@ -374,6 +401,30 @@ def estimate_expectation_duality(
     )
 
 
+def _uniformisation_step(v, arrs, weights, lam, fmax, tol) -> np.ndarray:
+    """E[v(X)] from every state after a Poisson(lam) number of jump-chain steps.
+
+    The series over jump counts stops once the remaining Poisson tail mass
+    times fmax (a bound on |v|) drops below tol.
+    """
+    w = math.exp(-lam)
+    acc = w * v
+    mass = w
+    k = 0
+    while (1.0 - mass) * fmax >= tol:
+        k += 1
+        if k > 10 ** 7:
+            raise RuntimeError("uniformisation failed to converge")
+        nv = np.zeros_like(v)
+        for arr, wt in zip(arrs, weights):
+            nv += wt * v[arr]
+        v = nv
+        w *= lam / k
+        acc += w * v
+        mass += w
+    return acc
+
+
 def exact_semigroup_expectation(
     model: RateModel,
     lifted: LiftedDuality,
@@ -385,13 +436,17 @@ def exact_semigroup_expectation(
 ) -> float:
     """E[Psi(X_t, y)] by uniformisation of the finite-state jump chain.
 
-    The series over jump counts is truncated as soon as the remaining Poisson
-    tail mass times max|f| drops below tol, so the truncation error is
-    certified.  With evolving="r", the model must act on the R side and the
-    roles of x and y swap (the second argument evolves from y).
+    Time is split by the semigroup property, P_t = (P_{t/m})^m, with the
+    smallest m that keeps each step's Poisson mean at most MAX_STEP_MEAN.
+    Each step's series over jump counts is truncated as soon as its remaining
+    Poisson tail mass times max|f| drops below tol/m; the steps are sup-norm
+    contractions, so the total truncation error is certified below tol.  With
+    evolving="r", the model must act on the R side and the roles of x and y
+    swap (the second argument evolves from y).
     """
     if evolving not in ("s", "r"):
         raise ValueError("evolving must be 's' or 'r'")
+    t = _checked_time(t)
     space = lifted.s_space if evolving == "s" else lifted.r_space
     if model.space != space:
         raise ValueError("model does not act on the evolving side")
@@ -405,21 +460,9 @@ def exact_semigroup_expectation(
     arrs = [e.site_map.index_table() for e in model.entries]
     weights = [e.rate / total for e in model.entries]
     fmax = float(np.max(np.abs(values))) or 1.0
-    lam = total * float(t)
+    lam = total * t
+    steps = max(1, math.ceil(lam / MAX_STEP_MEAN))
     v = values
-    w = math.exp(-lam)
-    acc = w * v[start]
-    mass = w
-    k = 0
-    while (1.0 - mass) * fmax >= tol:
-        k += 1
-        if k > 10 ** 7:
-            raise RuntimeError("uniformisation failed to converge")
-        nv = np.zeros_like(v)
-        for arr, wt in zip(arrs, weights):
-            nv += wt * v[arr]
-        v = nv
-        w *= lam / k
-        acc += w * v[start]
-        mass += w
-    return float(acc)
+    for _ in range(steps):
+        v = _uniformisation_step(v, arrs, weights, lam / steps, fmax, tol / steps)
+    return float(v[start])

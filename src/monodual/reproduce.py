@@ -8,6 +8,7 @@ catalog entry fails exactly the checks that use it.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -155,9 +156,15 @@ def check_catalog_rendering() -> CheckResult:
     return _check("catalog-rendering", (), len(labels), compute)
 
 
-def check_duality_census() -> CheckResult:
+def _census():
+    return tuple(find_all_duality_quadruples(4))
+
+
+def check_duality_census(census=_census) -> CheckResult:
+    """`census` returns the quadruple census; `reproduce_all` passes one shared per run."""
+
     def compute():
-        quads = find_all_duality_quadruples(4)
+        quads = census()
         same_cardinality = all(
             catalog.ENTRIES[q.s_label].table.order == catalog.ENTRIES[q.r_label].table.order
             for q in quads
@@ -172,9 +179,9 @@ def check_duality_census() -> CheckResult:
     )
 
 
-def check_duality_reduction() -> CheckResult:
+def check_duality_reduction(census=_census) -> CheckResult:
     def compute():
-        classes = reduce_duality_quadruples(find_all_duality_quadruples(4))
+        classes = reduce_duality_quadruples(census())
         return {
             "classes": len(classes),
             "names": sorted(c.matched_name for c in classes),
@@ -273,7 +280,7 @@ def check_f4_nonlinear_count() -> CheckResult:
     )
 
 
-def check_lattice_bridge() -> CheckResult:
+def check_lattice_bridge(census=_census) -> CheckResult:
     lattices = {
         "2-chain": (chain(2), "psi1"),
         "3-chain": (chain(3), "psi4"),
@@ -286,7 +293,7 @@ def check_lattice_bridge() -> CheckResult:
             name: match_named_duality(lattice_duality_function(lat))
             for name, (lat, _) in lattices.items()
         }
-        classes = reduce_duality_quadruples(find_all_duality_quadruples(4))
+        classes = reduce_duality_quadruples(census())
         into_m1 = sorted(
             c.matched_name for c in classes if c.representative.t_label == "M1"
         )
@@ -441,12 +448,13 @@ def check_expectation_psi5(replicates: int = 100_000) -> CheckResult:
 
 def reproduce_all(pathwise_seeds: int = 100, replicates: int = 100_000) -> ReproductionManifest:
     """Run every reproduction check and collect the manifest."""
+    census = functools.cache(_census)  # computed once per run, by the first check that needs it
     checks = [check_monoid_counts()]
     checks += [check_catalog_bijection(n) for n in (1, 2, 3, 4)]
     checks += [check_catalog_rendering()]
-    checks += [check_duality_census(), check_duality_reduction()]
+    checks += [check_duality_census(census), check_duality_reduction(census)]
     checks += [check_semiring_census(lab) for lab in catalog.M_LABELS if lab != "M0"]
-    checks += [check_absorbing_monoids(), check_f4_nonlinear_count(), check_lattice_bridge()]
+    checks += [check_absorbing_monoids(), check_f4_nonlinear_count(), check_lattice_bridge(census)]
     checks += [check_dual_map_psi5()]
     checks += [check_pathwise(name, seeds=pathwise_seeds) for name in ("psi1", "psi2", "psi5")]
     checks += [check_expectation_psi5(replicates=replicates)]

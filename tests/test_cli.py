@@ -1,4 +1,9 @@
+import contextlib
+import io
 import json
+import math
+
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from monodual import catalog
 from monodual.cli import main
@@ -237,3 +242,60 @@ def test_out_of_range_orders_are_usage_errors(capsys):
                  ["dualities", "find", "--max-order", "9"]):
         code, out, _ = run(capsys, *argv)
         assert code == 2 and out == "", argv
+
+
+def test_non_finite_or_negative_t_max_is_usage_error(tmp_path, capsys):
+    for t_max in ("-1", "nan", "inf", "-inf"):
+        for check in ("expectation", "pathwise"):
+            argv = _expectation_args(tmp_path, "--replicates", "10", "--x", "1,2", "--y", "1,0")
+            argv[argv.index("--t-max") + 1] = t_max
+            argv[argv.index("--check") + 1] = check
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", (t_max, check)
+            assert "--t-max" in err
+
+
+def _psi5_rates_file(tmp_path, sites: int) -> str:
+    psi = named_duality("psi5").transposed()
+    homs = [h.values for h in hom_set(psi.s, psi.s).base]
+    matrix = [[list(homs[(i + j) % 3]) for j in range(sites)] for i in range(sites)]
+    path = tmp_path / f"rates{sites}.json"
+    path.write_text(json.dumps([{"id": "m", "matrix": matrix, "rate": 0.8}]))
+    return str(path)
+
+
+def _config_text(sites: int):
+    """Comma-separated configurations: half valid for psi5.T on `sites` sites, half not."""
+    valid = st.lists(st.integers(0, 2), min_size=sites, max_size=sites)
+    malformed = st.one_of(
+        st.lists(st.integers(-1, 3), max_size=3).map(lambda v: ",".join(map(str, v))),
+        st.text(alphabet="0123,a -.", max_size=6),
+    )
+    return st.one_of(valid.map(lambda v: ",".join(map(str, v))), malformed)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    check=st.sampled_from(["expectation", "pathwise"]),
+    sites=st.integers(1, 2),
+    t_max=st.one_of(st.floats(-5.0, 20.0), st.sampled_from([math.nan, math.inf, -math.inf])),
+    replicates=st.integers(1, 50),
+    seed=st.integers(0, 2 ** 32),
+    data=st.data(),
+)
+def test_simulate_fuzz_exit_codes_and_json(tmp_path, check, sites, t_max, replicates, seed, data):
+    x = data.draw(_config_text(sites), label="x")
+    y = data.draw(_config_text(sites), label="y")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["simulate", "--psi", "psi5.T", "--sites", str(sites),
+                     "--rates", _psi5_rates_file(tmp_path, sites), f"--t-max={t_max!r}",
+                     "--seed", str(seed), "--check", check, "--replicates", str(replicates),
+                     f"--x={x}", f"--y={y}"])
+    assert code in (0, 2, 3, 4)
+    if out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from monodual import catalog
 from monodual.homdual import hom_set, named_duality
 from monodual.ips import (
+    MC_BLOCK,
     DualityViolation,
     EventStream,
     Flow,
@@ -20,7 +22,9 @@ from monodual.ips import (
     exact_semigroup_expectation,
     sample_event_stream,
 )
+from monodual.ips import _mc_endpoints
 from monodual.product import NoRealEmbedding, SiteMap, lift_duality
+from monodual.reproduce import _pathwise_model
 
 
 def hom_values(label):
@@ -289,3 +293,107 @@ def test_mc_replicates_are_scheduling_independent():
     a = estimate_expectation_duality(model, lifted, x, y, 1.0, 500, seed=5)
     b = estimate_expectation_duality(model, lifted, x, y, 1.0, 500, seed=5)
     assert a == b
+
+
+@pytest.mark.parametrize("window", [(0.0, math.nan), (0.0, math.inf), (math.nan, 1.0), (-math.inf, 0.0)])
+def test_non_finite_windows_are_rejected(window):
+    _, model = psi1_model(rates=(1.0,))
+    with pytest.raises(WindowViolation):
+        sample_event_stream(model, window, seed=1)
+    with pytest.raises(WindowViolation):
+        EventStream(window=window, events=())
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
+def test_expectations_reject_a_non_finite_or_negative_time(t):
+    lifted, model = psi5_model(2)
+    x, y = (1, 2), (1, 0)
+    with pytest.raises(ValueError):
+        estimate_expectation_duality(model, lifted, x, y, t, 10, seed=7)
+    with pytest.raises(ValueError):
+        exact_semigroup_expectation(model, lifted, x, y, t)
+
+
+def test_uniformisation_closed_form_at_large_lambda_t():
+    # lambda t = 1000: exp(-1000) underflows, so time is split into steps
+    lifted, _ = psi5_model(2)
+    space = lifted.s_space
+    idem = hom_values("M6")[2]
+    lam, t = 1000.0, 1.0
+    model = RateModel.build(space, {"i": SiteMap.diagonal(space, idem)}, {"i": lam})
+    m = model.entries[0].site_map
+    x, y = (0, 1), (1, 1)
+    assert lifted.evaluate_embedded(x, y) != lifted.evaluate_embedded(m.apply(x), y)
+    p = math.exp(-lam * t)
+    want = p * lifted.evaluate_embedded(x, y) + (1 - p) * lifted.evaluate_embedded(m.apply(x), y)
+    got = exact_semigroup_expectation(model, lifted, x, y, t, tol=1e-12)
+    assert abs(got - want) <= 1e-9
+
+
+def _scalar_endpoints(model, x, t, replicates, seed, side):
+    """The block kernel's draws replayed replicate by replicate through SiteMap.apply."""
+    active = [e for e in model.entries if e.rate > 0.0]
+    shares = np.cumsum([e.rate for e in active]) / model.total_rate
+    ends = []
+    for b, lo in enumerate(range(0, replicates, MC_BLOCK)):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, side, b))))
+        n = rng.poisson(model.total_rate * t, size=min(MC_BLOCK, replicates - lo))
+        paths = [[] for _ in n]
+        for j in range(int(n.max())):
+            live = [i for i in range(len(n)) if n[i] > j]
+            for i, u in zip(live, rng.random(len(live))):
+                paths[i].append(next((e for e, c in zip(active, shares[:-1]) if u < c), active[-1]))
+        for path in paths:
+            cfg = tuple(x)
+            for e in path:
+                cfg = e.site_map.apply(cfg)
+            ends.append(model.space.index_of(cfg))
+    return ends
+
+
+def test_lockstep_walk_matches_scalar_replay():
+    _, model = _pathwise_model("psi5", 2)
+    space = model.space
+    maps = {e.map_id: e.site_map for e in model.entries}
+    maps["idle"] = SiteMap.identity(space)  # a zero-rate map must never be drawn
+    model = RateModel.build(space, maps, {"spread": 1.5, "cycle": 1.0, "idle": 0.0})
+    x = (1, 2)
+    replicates = 2 * MC_BLOCK + 17
+    got = _mc_endpoints(model, space.index_of(x), 1.2, replicates, 11, 0)
+    assert got.tolist() == _scalar_endpoints(model, x, 1.2, replicates, 11, 0)
+
+
+def test_partial_last_block_is_deterministic():
+    lifted, model = psi5_model(2)
+    x, y = (1, 2), (1, 0)
+    replicates = 2 * MC_BLOCK + 17
+    a = estimate_expectation_duality(model, lifted, x, y, 1.0, replicates, seed=5)
+    b = estimate_expectation_duality(model, lifted, x, y, 1.0, replicates, seed=5)
+    assert a == b
+    # whole blocks do not depend on how many replicates follow them
+    start = lifted.s_space.index_of(x)
+    full = _mc_endpoints(model, start, 1.0, replicates, 5, 0)
+    assert (full[:MC_BLOCK] == _mc_endpoints(model, start, 1.0, MC_BLOCK, 5, 0)).all()
+
+
+def test_mc_on_a_multi_map_model_matches_uniformisation():
+    # at this start pair, swapping the two maps' rates moves the exact value by 0.28
+    lifted, model = _pathwise_model("psi5", 3)
+    x, y, t = (1, 1, 2), (1, 1, 0), 1.0
+    est = estimate_expectation_duality(model, lifted, x, y, t, 20_000, seed=3141)
+    exact = exact_semigroup_expectation(model, lifted, x, y, t, tol=1e-12)
+    assert est.consistent
+    assert abs(est.lhs - exact) <= 1e-9 + 4 * est.lhs_stderr
+    assert abs(est.rhs - exact) <= 1e-9 + 4 * est.rhs_stderr
+
+
+def test_mc_at_large_lambda_t_matches_certified_uniformisation():
+    lifted, model = psi5_model(2, rate=1000.0)
+    x, y, t = (1, 2), (1, 0), 1.0
+    est = estimate_expectation_duality(model, lifted, x, y, t, 300, seed=41)
+    exact = exact_semigroup_expectation(model, lifted, x, y, t, tol=1e-12)
+    dm = dual_model(model, lifted)
+    exact_r = exact_semigroup_expectation(dm, lifted, x, y, t, tol=1e-12, evolving="r")
+    assert abs(exact - exact_r) <= 2e-12
+    assert abs(est.lhs - exact) <= 1e-9 + 4 * est.lhs_stderr
+    assert abs(est.rhs - exact_r) <= 1e-9 + 4 * est.rhs_stderr

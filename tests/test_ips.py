@@ -14,6 +14,7 @@ from monodual.ips import (
     RateModel,
     StateSpaceTooLarge,
     WindowViolation,
+    _mc_endpoints,
     apply_flow,
     check_pathwise_duality,
     dual_model,
@@ -22,7 +23,6 @@ from monodual.ips import (
     exact_semigroup_expectation,
     sample_event_stream,
 )
-from monodual.ips import _mc_endpoints
 from monodual.product import NoRealEmbedding, SiteMap, lift_duality
 from monodual.reproduce import _pathwise_model
 

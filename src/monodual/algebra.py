@@ -254,25 +254,16 @@ def automorphisms(m: Monoid):
 def are_isomorphic_semirings(a: Semiring, b: Semiring, include_opposite: bool = False):
     """Bijection preserving both tables (and hence zero and unit), or None.
 
-    With include_opposite, a witness onto the opposite multiplication of b is
-    also accepted; the returned permutation is then tagged ("op", perm).
+    The candidates are the additive isomorphisms, in lex order.  With
+    include_opposite, a witness onto the opposite multiplication of b is also
+    accepted; the returned permutation is then tagged ("op", perm).
     """
-    n = a.order
-    if b.order != n:
-        return None
-    ra, rm = a.add.rows, a.mul.rows
-    variants = [("id", b.mul.rows)]
-    if include_opposite:
-        variants.append(("op", transpose(b.mul.rows)))
-    rng = range(n)
+    rm = a.mul.rows
+    rng = range(a.order)
+    variants = [("id", b.mul.rows)] + ([("op", transpose(b.mul.rows))] if include_opposite else [])
     for tag, bm in variants:
-        ba = b.add.rows
-        for p in permutations(rng):
-            if p[a.zero] != b.zero or p[a.one] != b.one:
-                continue
-            if all(p[ra[x][y]] == ba[p[x]][p[y]] for x in rng for y in rng) and all(
-                p[rm[x][y]] == bm[p[x]][p[y]] for x in rng for y in rng
-            ):
+        for p in iter_isomorphisms(a.add, b.add):
+            if all(p[rm[x][y]] == bm[p[x]][p[y]] for x in rng for y in rng):
                 return p if tag == "id" else ("op", p)
     return None
 

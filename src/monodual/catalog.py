@@ -18,9 +18,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 
-from .algebra import Monoid, Semiring, iter_isomorphisms, validate_semiring
-from .tables import CayleyTable, Rows, absorbing_of, almost_absorbing_of, is_commutative, neutral_of, render_table
+from .algebra import Monoid, Semiring, are_isomorphic, validate_semiring
+from .tables import (
+    CayleyTable, Rows, absorbing_of, almost_absorbing_of, canonical_form, is_commutative, neutral_of,
+    render_table,
+)
 
 MONOID_TABLES: dict[str, Rows] = {
     "M0": ((0,),),
@@ -170,6 +174,17 @@ class CatalogEntry:
     def monoid(self) -> Monoid:
         return Monoid(self.table, self.neutral)
 
+    def to_dict(self) -> dict:
+        return {
+            "label": self.label,
+            "order": self.table.order,
+            "table": [list(r) for r in self.table.rows],
+            "neutral": self.neutral,
+            "commutative": self.commutative,
+            "absorbing": self.absorbing,
+            "almost_absorbing": self.almost_absorbing,
+        }
+
 
 def _build_entries() -> dict[str, CatalogEntry]:
     entries = {}
@@ -212,42 +227,33 @@ def semiring(add_label: str, mult_label: str) -> Semiring:
     return hits[0]
 
 
-def catalog_lookup(m: Monoid, include_opposite: bool = False):
-    """Locate the catalog class of a monoid.
+# keyed by table contents, so it follows ENTRIES even when they are replaced
+_entry_form = cache(canonical_form)
 
-    Returns (entry, bijection) where the bijection maps m's elements onto the
-    entry's table; None if the catalog has no isomorphic entry (orders > 4 and
+
+def catalog_lookup(m: Monoid, include_opposite: bool = False):
+    """Locate the catalog class of a monoid by comparing canonical forms.
+
+    Returns (entry, bijection) for the first M/N entry with m's canonical
+    form, the bijection being the lexicographically smallest isomorphism of m
+    onto the entry's table.  With include_opposite, a monoid matching no entry
+    is looked up again through its opposite, and the bijection then carries
+    the opposite onto the entry.  None if nothing matches (orders > 4 and
     non-commutative classes other than N1/N2 up to opposite).  F4-mult is a
     named table, not a separate class, and is never returned here.
     """
-    labels = [lab for lab in M_LABELS + N_LABELS if ENTRIES[lab].table.order == m.order]
-    for lab in labels:
-        target = ENTRIES[lab].monoid()
-        for p in iter_isomorphisms(m, target):
-            return ENTRIES[lab], p
-    if include_opposite:
-        opp = m.opposite()
-        for lab in labels:
-            target = ENTRIES[lab].monoid()
-            for p in iter_isomorphisms(opp, target):
-                return ENTRIES[lab], p
+    for cand in (m, m.opposite()) if include_opposite else (m,):
+        form = canonical_form(cand.rows, cand.neutral)
+        for lab in M_LABELS + N_LABELS:
+            e = ENTRIES[lab]
+            if e.table.order == m.order and _entry_form(e.table.rows, e.neutral) == form:
+                return e, are_isomorphic(cand, e.monoid())
     return None
 
 
 def catalog_to_json() -> str:
     """The monoid catalog as a JSON array of labeled entries."""
-    out = []
-    for label in M_LABELS + N_LABELS + ("F4-mult",):
-        e = ENTRIES[label]
-        out.append({
-            "label": e.label,
-            "order": e.table.order,
-            "table": [list(r) for r in e.table.rows],
-            "neutral": e.neutral,
-            "commutative": e.commutative,
-            "absorbing": e.absorbing,
-            "almost_absorbing": e.almost_absorbing,
-        })
+    out = [ENTRIES[label].to_dict() for label in M_LABELS + N_LABELS + ("F4-mult",)]
     return json.dumps(out, indent=2, sort_keys=True)
 
 

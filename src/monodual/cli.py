@@ -14,7 +14,11 @@ import math
 import sys
 
 from . import catalog
-from .enumeration import enumerate_commutative_monoids, enumerate_semiring_multiplications
+from .enumeration import (
+    MONOID_ORDER_CAP,
+    enumerate_commutative_monoids,
+    enumerate_semiring_multiplications,
+)
 from .homdual import (
     QUADRUPLE_ORDERS,
     duality_from_dict,
@@ -95,16 +99,7 @@ def _cmd_monoids_catalog(args) -> int:
             raise KeyError(f"unknown catalog label {lab!r}")
     if args.format == "json":
         if args.label:
-            entry = catalog.ENTRIES[args.label]
-            _emit({
-                "label": entry.label,
-                "order": entry.table.order,
-                "table": [list(r) for r in entry.table.rows],
-                "neutral": entry.neutral,
-                "commutative": entry.commutative,
-                "absorbing": entry.absorbing,
-                "almost_absorbing": entry.almost_absorbing,
-            })
+            _emit(catalog.ENTRIES[args.label].to_dict())
         else:
             print(catalog.catalog_to_json())
     else:
@@ -282,8 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     mono = sub.add_parser("monoids", help="enumerate or print small commutative monoids")
     mono_sub = mono.add_subparsers(dest="subcommand", required=True)
     me = mono_sub.add_parser("enumerate", help="all isomorphism classes of one order")
-    # orders above the enumeration cap stay computation errors (OrderTooLarge)
-    me.add_argument("--order", type=_positive_int, required=True)
+    me.add_argument("--order", type=int, choices=range(1, MONOID_ORDER_CAP + 1), required=True)
     me.add_argument("--format", choices=("json", "table"), default="table")
     me.set_defaults(func=_cmd_monoids_enumerate)
     mc = mono_sub.add_parser("catalog", help="print embedded catalog tables")

@@ -54,16 +54,43 @@ class EnumerationReport:
         }
 
 
+def _completions(t, cells, ok):
+    """Depth-first completions of the partial table t (None marks a free entry).
+
+    Each cell is a tuple of positions that take one value together, so a
+    commutative mirror is one cell.  Branches where ``ok()`` fails on the
+    partial table are pruned; complete tables are re-checked for
+    associativity in full before they are yielded.
+    """
+    n = len(t)
+
+    def rec(k: int):
+        if k == len(cells):
+            rows = tuple(tuple(row) for row in t)
+            if is_associative(rows):
+                yield rows
+            return
+        for v in range(n):
+            for i, j in cells[k]:
+                t[i][j] = v
+            if ok():
+                yield from rec(k + 1)
+        for i, j in cells[k]:
+            t[i][j] = None
+
+    yield from rec(0)
+
+
 def _fill_monoid_tables(n: int, commutative: bool):
-    """Yield all monoid tables on 0..n-1 with neutral 0 (upper triangle only if commutative)."""
+    """Yield all monoid tables on 0..n-1 with neutral 0 (mirrored cells if commutative)."""
     t = [[None] * n for _ in range(n)]
     for x in range(n):
         t[0][x] = x
         t[x][0] = x
     if commutative:
-        cells = [(i, j) for i in range(1, n) for j in range(i, n)]
+        cells = [((i, j), (j, i)) for i in range(1, n) for j in range(i, n)]
     else:
-        cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+        cells = [((i, j),) for i in range(1, n) for j in range(1, n)]
 
     def partial_ok() -> bool:
         rng = range(n)
@@ -84,24 +111,7 @@ def _fill_monoid_tables(n: int, commutative: bool):
                         return False
         return True
 
-    def rec(k: int):
-        if k == len(cells):
-            rows = tuple(tuple(row) for row in t)
-            if is_associative(rows):
-                yield rows
-            return
-        i, j = cells[k]
-        for v in range(n):
-            t[i][j] = v
-            if commutative:
-                t[j][i] = v
-            if partial_ok():
-                yield from rec(k + 1)
-        t[i][j] = None
-        if commutative:
-            t[j][i] = None
-
-    yield from rec(0)
+    yield from _completions(t, cells, partial_ok)
 
 
 def _labels_for(reps, include_opposite: bool):
@@ -189,19 +199,17 @@ def _semiring_multiplications(add_rows: Rows):
     if n == 1:
         yield ((0,),)
         return
+    rng = range(n)
     for unit in range(1, n):
         t = [[None] * n for _ in range(n)]
-        for x in range(n):
+        for x in rng:
             t[0][x] = 0
             t[x][0] = 0
             t[unit][x] = x
             t[x][unit] = x
-        free = [
-            (i, j) for i in range(1, n) for j in range(1, n) if i != unit and j != unit
-        ]
+        free = [((i, j),) for i in range(1, n) for j in range(1, n) if unit not in (i, j)]
 
         def distrib_ok() -> bool:
-            rng = range(n)
             for x in rng:
                 for y in rng:
                     for z in rng:
@@ -215,20 +223,7 @@ def _semiring_multiplications(add_rows: Rows):
                             return False
             return True
 
-        def rec(k: int):
-            if k == len(free):
-                rows = tuple(tuple(row) for row in t)
-                if is_associative(rows):
-                    yield rows
-                return
-            i, j = free[k]
-            for v in range(n):
-                t[i][j] = v
-                if distrib_ok():
-                    yield from rec(k + 1)
-            t[i][j] = None
-
-        yield from rec(0)
+        yield from _completions(t, free, distrib_ok)
 
 
 def enumerate_semiring_multiplications(add: Monoid) -> list[SemiringClass]:
@@ -247,18 +242,12 @@ def enumerate_semiring_multiplications(add: Monoid) -> list[SemiringClass]:
         add = add.normalized()
     add_rows = add.op.rows
     auts = automorphisms(add)
-    muls = sorted(set(_semiring_multiplications(add_rows)))
-    seen = set()
+
+    def least_of_orbit(m: Rows) -> Rows:
+        return min(min(q, transpose(q)) for q in (relabel(m, p) for p in auts))
+
     out = []
-    for m in muls:
-        if m in seen:
-            continue
-        orbit = set()
-        for p in auts:
-            q = relabel(m, list(p))
-            orbit.add(q)
-            orbit.add(transpose(q))
-        seen |= orbit
+    for m in sorted({least_of_orbit(m) for m in _semiring_multiplications(add_rows)}):
         s = validate_semiring(add_rows, m)
         hit = catalog.catalog_lookup(s.mul_monoid(), include_opposite=True)
         out.append(SemiringClass(semiring=s, mult_label=hit[0].label if hit else None))

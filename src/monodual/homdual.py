@@ -371,10 +371,7 @@ def match_named_duality(psi: DualityFunction) -> str | None:
         for y in range(nr):
             values[s_p[x]][r_p[y]] = t_p[psi.values[x][y]]
     key = _class_key(s_e.label, r_e.label, t_e.label, tuple(tuple(r) for r in values))
-    for name, (s_lab, r_lab, t_lab, tab) in catalog.PSI_TABLES.items():
-        if _class_key(s_lab, r_lab, t_lab, tab) == key:
-            return name
-    return None
+    return _named_classes().get(key)
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +481,14 @@ def _class_key(s_label: str, r_label: str, t_label: str, values: Rows):
     return min(cands)
 
 
+def _named_classes() -> dict:
+    """{class key: name} over the named catalog tables; the first name of a class wins."""
+    named = {}
+    for name, (s_lab, r_lab, t_lab, values) in catalog.PSI_TABLES.items():
+        named.setdefault(_class_key(s_lab, r_lab, t_lab, values), name)
+    return named
+
+
 @dataclass(frozen=True)
 class ReducedClass:
     representative: Quadruple
@@ -499,9 +504,7 @@ def reduce_duality_quadruples(quads) -> list[ReducedClass]:
     carrier automorphism and under transposition.  Every class must match a
     named catalog table under the same moves, else UnmatchedClass is raised.
     """
-    named = {}
-    for name, (s_lab, r_lab, t_lab, values) in catalog.PSI_TABLES.items():
-        named[_class_key(s_lab, r_lab, t_lab, values)] = name
+    named = _named_classes()
     groups: dict = {}
     for q in quads:
         if not is_minimal(q):

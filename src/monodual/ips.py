@@ -134,6 +134,17 @@ def _checked_time(t: float) -> float:
     return t
 
 
+def _mark_lookup(model: RateModel):
+    """The positive-rate entries and a map from uniforms in [0, 1) to indices into them.
+
+    Entry i takes u in [bounds[i-1], bounds[i]) and the last one everything
+    above, so rounding in the cumulative rates can never index past the end.
+    """
+    active = [e for e in model.entries if e.rate > 0.0]
+    bounds = np.cumsum([e.rate for e in active])[:-1] / model.total_rate
+    return active, lambda u: np.searchsorted(bounds, u, side="right")
+
+
 def sample_event_stream(model: RateModel, window: tuple[float, float], seed) -> EventStream:
     """Marked Poisson sampling: exponential waits at the total rate, marks by rate share."""
     s, u = _checked_window(window)
@@ -141,16 +152,13 @@ def sample_event_stream(model: RateModel, window: tuple[float, float], seed) -> 
     events = []
     if total > 0.0:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        ids = [e.map_id for e in model.entries]
-        weights = np.array([e.rate for e in model.entries]) / total
-        cum = np.cumsum(weights)
+        active, lookup = _mark_lookup(model)
         t = s
         while True:
             t += rng.exponential(1.0 / total)
             if t >= u:
                 break
-            mark = ids[int(np.searchsorted(cum, rng.random(), side="right"))]
-            events.append((mark, t))
+            events.append((active[int(lookup(rng.random()))].map_id, t))
     return EventStream(window=(s, u), events=tuple(events), seed=seed)
 
 
@@ -339,13 +347,11 @@ def _embedded_values(lifted: LiftedDuality, x, y, evolving: str) -> tuple[np.nda
 
 def _mc_endpoints(model, start_idx, t, replicates, seed, side) -> np.ndarray:
     """Final configuration index of every replicate, walked in lockstep blocks."""
-    active = [e for e in model.entries if e.rate > 0.0]
+    active, lookup = _mark_lookup(model)
     out = np.full(replicates, start_idx, dtype=np.intp)
     if not active or t == 0.0:
         return out
     total = model.total_rate
-    # mark i is drawn for u in [bounds[i-1], bounds[i]); the last mark takes the rest
-    bounds = np.cumsum([e.rate for e in active])[:-1] / total
     tables = np.stack([e.site_map.index_table() for e in active])
     for b, lo in enumerate(range(0, replicates, MC_BLOCK)):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, side, b))))
@@ -353,8 +359,7 @@ def _mc_endpoints(model, start_idx, t, replicates, seed, side) -> np.ndarray:
         n = rng.poisson(total * t, size=idx.size)
         for j in range(int(n.max())):
             live = np.flatnonzero(n > j)
-            marks = np.searchsorted(bounds, rng.random(live.size), side="right")
-            idx[live] = tables[marks, idx[live]]
+            idx[live] = tables[lookup(rng.random(live.size)), idx[live]]
     return out
 
 

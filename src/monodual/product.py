@@ -26,7 +26,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .algebra import Lattice, Monoid, Semiring, dual_lattice, lattice_join_monoid
-from .homdual import DualityFunction, VerificationRecord, is_homomorphism, verify_duality
+from .homdual import DualityFunction, VerificationRecord, hom_set, is_homomorphism, verify_duality
 from .tables import CayleyTable
 
 DEFAULT_PAIR_BUDGET = 10 ** 6
@@ -164,18 +164,17 @@ class SiteMap:
         return cls.from_matrix(space, json.loads(text))
 
 
-def product_monoid(local: Monoid, k: int, budget: int | None = None) -> Monoid:
+def product_monoid(local: Monoid, k: int) -> Monoid:
     """The k-fold product with componentwise addition, as an explicit table."""
-    return product_monoid_many([local] * k, budget)
+    return product_monoid_many([local] * k)
 
 
-def product_monoid_many(locals_, budget: int | None = None) -> Monoid:
+def product_monoid_many(locals_) -> Monoid:
     """Componentwise product of possibly different monoids."""
-    budget = pair_budget() if budget is None else budget
     size = 1
     for m in locals_:
         size *= m.order
-    if size * size > budget:
+    if size * size > pair_budget():
         raise SizeBudgetExceeded(f"product table needs {size * size} cells")
     states = list(iproduct(*(range(m.order) for m in locals_)))
     index = {s: i for i, s in enumerate(states)}
@@ -363,9 +362,7 @@ def _check_real_embedding(t: Monoid, emb) -> None:
                 raise NoRealEmbedding(f"embedding not multiplicative at ({a},{b})")
 
 
-def dual_map(
-    lifted: LiftedDuality, m: SiteMap, budget: int | None = None, samples: int = 100_000
-) -> SiteMap:
+def dual_map(lifted: LiftedDuality, m: SiteMap, samples: int = 100_000) -> SiteMap:
     """The unique site map with Psi(m(x), y) = Psi(x, mhat(y)) for all pairs.
 
     Built entrywise from local duals and transposed; the defining identity is
@@ -381,8 +378,7 @@ def dual_map(
             raise NoDual(f"matrix entry ({i},{j}) admits no local dual")
     rsp = lifted.r_space
     mhat = SiteMap(rsp, tuple(tuple(duals[i][j] for i in range(k)) for j in range(k)))
-    budget = pair_budget() if budget is None else budget
-    if m.space.n_configs * rsp.n_configs <= budget:
+    if m.space.n_configs * rsp.n_configs <= pair_budget():
         hit = identity_holds(lifted, m.index_table(), mhat.index_table())
     else:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0)))
@@ -405,7 +401,7 @@ def semiring_inner_duality(
     This is generally not a monoid duality function (the dualizable maps are
     the left-module maps, which may be a proper subset of the additive
     homomorphisms); for small instances its four module-level separation and
-    surjectivity properties are verified by brute force over all functions.
+    surjectivity properties are checked against the module-map sets.
     """
     add = s.add
     local = DualityFunction(add, add, add, s.mul.rows)
@@ -419,54 +415,47 @@ def semiring_inner_duality(
     return lifted
 
 
+def _module_maps(s: Semiring, sites: int, side: str) -> list[tuple[int, ...]]:
+    """The additive maps S^k -> S commuting with scalars on one side, as sorted value tables.
+
+    A value table is indexed like ``SiteSpace.config_array``.  The candidates
+    are hom_set(S^k, S); "left" keeps f(a x) == a f(x), "right" keeps
+    f(x a) == f(x) a, for every scalar a and every configuration x.
+    """
+    space = SiteSpace(s.add, sites)
+    homs = np.array(hom_set(product_monoid(s.add, sites), s.add).values(), dtype=np.uint8)
+    mul = np.asarray(s.mul.rows, dtype=np.uint8)
+    configs = space.config_array()
+    keep = np.ones(len(homs), dtype=bool)
+    for a in range(s.order):
+        scale = mul[a] if side == "left" else mul[:, a]
+        keep &= (homs[:, space.index_array(scale[configs])] == scale[homs]).all(axis=1)
+    return [tuple(h) for h in homs[keep].tolist()]
+
+
 def module_maps(s: Semiring, side: str = "left") -> list[tuple[int, ...]]:
     """All maps S -> S that are additive and commute with scalars on one side."""
-    add, mul = s.add.rows, s.mul.rows
-    n = s.order
-    out = []
-    for vals in iproduct(range(n), repeat=n):
-        if not is_homomorphism(s.add, s.add, vals):
-            continue
-        if side == "left":
-            ok = all(vals[mul[a][x]] == mul[a][vals[x]] for a in range(n) for x in range(n))
-        else:
-            ok = all(vals[mul[x][a]] == mul[vals[x]][a] for a in range(n) for x in range(n))
-        if ok:
-            out.append(vals)
-    return out
+    return _module_maps(s, 1, side)
 
 
 def verify_module_duality(lifted: LiftedDuality) -> VerificationRecord:
-    """Brute-force check of the four module-level pairing properties."""
+    """Exact check of the four module-level pairing properties.
+
+    The rows and columns of the Psi table are compared with the right- and
+    left-module maps S^k -> S.
+    """
     s = lifted.module_source
     if s is None:
         raise ValueError("not a semiring-derived pairing")
-    add, mul = s.add.rows, s.mul.rows
-    sp = lifted.s_space
-    c = sp.config_array()
-    n = len(c)
     big = lifted.table()
     row_tables = set(map(tuple, big.tolist()))
     col_tables = set(map(tuple, big.T.tolist()))
-    # configuration indices of x + y, a * y and y * a, looked up by the sweep
-    sums = product_monoid(s.add, sp.sites).rows
-    mul_a = np.asarray(mul, dtype=np.uint8)
-    left = [sp.index_array(mul_a[a][c]).tolist() for a in range(s.order)]
-    right = [sp.index_array(mul_a[:, a][c]).tolist() for a in range(s.order)]
-    left_maps = set()
-    right_maps = set()
-    for vals in iproduct(range(s.order), repeat=n):
-        if not all(vals[sums[i][j]] == add[vals[i]][vals[j]] for i in range(n) for j in range(n)):
-            continue
-        if all(vals[left[a][i]] == mul[a][vals[i]] for a in range(s.order) for i in range(n)):
-            left_maps.add(vals)
-        if all(vals[right[a][i]] == mul[vals[i]][a] for a in range(s.order) for i in range(n)):
-            right_maps.add(vals)
+    n = len(big)
     return VerificationRecord(
         rows_distinct=len(row_tables) == n,
-        columns_are_hom_set=col_tables == left_maps,
+        columns_are_hom_set=col_tables == set(_module_maps(s, lifted.sites, "left")),
         columns_distinct=len(col_tables) == n,
-        rows_are_hom_set=row_tables == right_maps,
+        rows_are_hom_set=row_tables == set(_module_maps(s, lifted.sites, "right")),
     )
 
 

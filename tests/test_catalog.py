@@ -1,12 +1,13 @@
 import json
+from itertools import permutations
 
 import pytest
 
 from monodual import catalog
-from monodual.algebra import are_isomorphic, validate_monoid, validate_semiring
+from monodual.algebra import Monoid, are_isomorphic, iter_isomorphisms, validate_monoid, validate_semiring
 from monodual.homdual import named_duality
 from monodual.product import _check_real_embedding
-from monodual.tables import CayleyTable
+from monodual.tables import CayleyTable, relabel, transpose
 
 
 def test_every_m_entry_is_a_commutative_monoid_with_neutral_zero():
@@ -119,3 +120,43 @@ def test_catalog_json_export_is_stable_and_complete():
     assert [e["label"] for e in data] == list(catalog.M_LABELS + catalog.N_LABELS + ("F4-mult",))
     for e in data:
         assert CayleyTable.from_rows(e["table"]).order == e["order"]
+
+
+def _lookup_by_label_scan(m, include_opposite=False):
+    """Oracle: the first M/N label with an isomorphism, and its lex-first witness."""
+    labels = [lab for lab in catalog.M_LABELS + catalog.N_LABELS
+              if catalog.ENTRIES[lab].table.order == m.order]
+    for cand in (m, m.opposite()) if include_opposite else (m,):
+        for lab in labels:
+            for p in iter_isomorphisms(cand, catalog.ENTRIES[lab].monoid()):
+                return lab, p
+    return None
+
+
+def _relabelings(rows, neutral):
+    """Every relabeling of a table, the neutral element moving with it."""
+    for perm in permutations(range(len(rows))):
+        yield Monoid(CayleyTable(relabel(rows, perm)), perm[neutral])
+
+
+def test_catalog_lookup_matches_label_scan_under_every_relabeling():
+    moved = 0
+    for lab in catalog.M_LABELS + catalog.N_LABELS:
+        e = catalog.ENTRIES[lab]
+        for m in _relabelings(e.table.rows, e.neutral):
+            moved += m.neutral != 0
+            for include_opposite in (False, True):
+                entry, perm = catalog.catalog_lookup(m, include_opposite)
+                assert (entry.label, perm) == _lookup_by_label_scan(m, include_opposite)
+                assert entry.label == lab
+    assert moved > 0
+
+
+def test_transposed_n_entries_are_found_only_with_include_opposite():
+    for lab in catalog.N_LABELS:
+        e = catalog.ENTRIES[lab]
+        for m in _relabelings(transpose(e.table.rows), e.neutral):
+            assert catalog.catalog_lookup(m) is None
+            entry, perm = catalog.catalog_lookup(m, include_opposite=True)
+            assert (entry.label, perm) == _lookup_by_label_scan(m, include_opposite=True)
+            assert entry.label == lab

@@ -36,6 +36,15 @@ def test_monoids_catalog_json_matches_export(capsys):
     assert out.strip() == catalog.catalog_to_json().strip()
 
 
+def test_monoids_catalog_label_json_matches_export(capsys):
+    exported = {e["label"]: e for e in json.loads(catalog.catalog_to_json())}
+    assert list(exported) == list(catalog.M_LABELS + catalog.N_LABELS + ("F4-mult",))
+    for lab, want in exported.items():
+        code, out, _ = run(capsys, "monoids", "catalog", "--label", lab, "--format", "json")
+        assert code == 0
+        assert json.loads(out) == want, lab
+
+
 def test_monoids_enumerate_order_three(capsys):
     code, out, _ = run(capsys, "monoids", "enumerate", "--order", "3")
     assert code == 0
@@ -151,8 +160,6 @@ def test_computation_error_exit_code(capsys):
     code, _, err = run(capsys, "monoids", "catalog", "--label", "M99")
     assert code == 3
     assert json.loads(err)["error"] == "KeyError"
-    code, _, _ = run(capsys, "monoids", "enumerate", "--order", "9")
-    assert code == 3
 
 
 def test_wrong_shaped_matrix_is_a_computation_error(tmp_path, capsys):
@@ -236,8 +243,8 @@ def test_replicates_below_one_is_usage_error(tmp_path, capsys):
 
 
 def test_out_of_range_orders_are_usage_errors(capsys):
-    # orders above the enumeration cap stay computation errors (see above)
     for argv in (["monoids", "enumerate", "--order", "0"],
+                 ["monoids", "enumerate", "--order", "9"],
                  ["dualities", "find", "--max-order", "1"],
                  ["dualities", "find", "--max-order", "9"]):
         code, out, _ = run(capsys, *argv)

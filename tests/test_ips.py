@@ -14,6 +14,7 @@ from monodual.ips import (
     RateModel,
     StateSpaceTooLarge,
     WindowViolation,
+    _mark_lookup,
     _mc_endpoints,
     apply_flow,
     check_pathwise_duality,
@@ -397,3 +398,26 @@ def test_mc_at_large_lambda_t_matches_certified_uniformisation():
     assert abs(exact - exact_r) <= 2e-12
     assert abs(est.lhs - exact) <= 1e-9 + 4 * est.lhs_stderr
     assert abs(est.rhs - exact_r) <= 1e-9 + 4 * est.rhs_stderr
+
+
+def test_mark_lookup_stays_in_range_where_cumulative_shares_fall_short_of_one():
+    _, model = psi1_model(2, rates=(2.2, 0.7))
+    u = 1.0 - 2.0 ** -53
+    # the shares sum to u, the largest float below one, so looking u up in their
+    # plain cumsum gives an index past the last map
+    shares = np.cumsum(np.array([2.2, 0.7]) / model.total_rate)
+    assert np.searchsorted(shares, u, side="right") == 2
+    active, lookup = _mark_lookup(model)
+    assert [e.map_id for e in active] == ["spread", "still"]
+    assert lookup(u) == 1 and lookup(0.0) == 0
+    assert lookup(np.array([0.0, 0.5, u])).tolist() == [0, 0, 1]
+
+
+def test_zero_rate_maps_are_never_drawn():
+    _, model = psi1_model(2, rates=(1.0, 0.0))
+    active, lookup = _mark_lookup(model)
+    assert [e.map_id for e in active] == ["spread"]
+    assert lookup(np.linspace(0.0, 1.0, 101, endpoint=False)).max() == 0
+    stream = sample_event_stream(model, (0.0, 50.0), seed=9)
+    assert stream.n_events > 0
+    assert {mid for mid, _ in stream.events} == {"spread"}

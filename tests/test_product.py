@@ -22,6 +22,7 @@ from monodual.product import (
     SiteMap,
     SiteSpace,
     SizeBudgetExceeded,
+    _module_maps,
     dual_map,
     global_hom_set_matrix_check,
     lattice_duality_function,
@@ -442,3 +443,45 @@ def test_sampled_pathwise_check_reports_a_real_witness():
     fx = apply_flow(Flow(model, exc.stream, "+"), exc.x, s, u)
     gy = apply_flow(Flow(wrong, dualize_stream(exc.stream), "-"), exc.y, -u, -s)
     assert lifted.evaluate(fx, exc.y) != lifted.evaluate(exc.x, gy)
+
+
+def _module_maps_by_filter(s, sites, side):
+    """Oracle: filter all |S|^(|S|^k) functions S^k -> S for additivity and scalar commutation."""
+    add, mul = s.add.rows, s.mul.rows
+    sp = SiteSpace(s.add, sites)
+    cfgs = list(sp.configs())
+    idx = sp.index_of
+    out = []
+    for vals in iproduct(range(s.order), repeat=len(cfgs)):
+        if vals[idx(sp.neutral_config())] != s.zero:
+            continue
+        if any(vals[idx(tuple(add[a][b] for a, b in zip(x, y)))] != add[vals[i]][vals[j]]
+               for i, x in enumerate(cfgs) for j, y in enumerate(cfgs)):
+            continue
+        if side == "left":
+            ok = all(vals[idx(tuple(mul[a][v] for v in x))] == mul[a][vals[i]]
+                     for a in range(s.order) for i, x in enumerate(cfgs))
+        else:
+            ok = all(vals[idx(tuple(mul[v][a] for v in x))] == mul[vals[i]][a]
+                     for a in range(s.order) for i, x in enumerate(cfgs))
+        if ok:
+            out.append(vals)
+    return out
+
+
+@pytest.mark.parametrize("add_label, mult_label, sites", [
+    ("M2", "M1", 2),   # F2
+    ("M1", "M1", 2),   # the Boolean semiring
+    ("M25", "M18", 1),  # F4
+    ("M15", "N1", 1),  # non-commutative multiplication: the two sides differ
+])
+def test_module_maps_match_a_filter_over_all_functions(add_label, mult_label, sites):
+    s = catalog.semiring(add_label, mult_label)
+    found = {side: _module_maps(s, sites, side) for side in ("left", "right")}
+    for side, got in found.items():
+        assert got == _module_maps_by_filter(s, sites, side), side
+    if sites == 1:
+        assert module_maps(s, "left") == found["left"]
+        assert module_maps(s, "right") == found["right"]
+    if mult_label == "N1":
+        assert found["left"] != found["right"]

@@ -69,6 +69,8 @@ def _resolve_psi(selector: str):
 
 
 def _lifted_for(selector: str, sites: int):
+    if sites < 0:
+        raise UsageError(f"--sites must be at least 0, got {sites}")
     psi = _resolve_psi(selector)
     hit = catalog.catalog_lookup(psi.t)
     emb = catalog.REAL_EMBEDDINGS.get(hit[0].label) if hit else None
@@ -321,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("reproduce", help="re-derive every cataloged artifact and diff")
     rep.add_argument("--format", choices=("json", "text"), default="text")
-    rep.add_argument("--pathwise-seeds", type=int, default=100)
+    rep.add_argument("--pathwise-seeds", type=_positive_int, default=100)
     rep.add_argument("--replicates", type=_positive_int, default=100_000)
     rep.set_defaults(func=_cmd_reproduce)
 

@@ -80,17 +80,30 @@ def is_homomorphism(source: Monoid, target: Monoid, values) -> bool:
 
 @dataclass(frozen=True)
 class AdjointMonoid:
-    """H(S, T) with its pointwise-addition table; the neutral is the constant map."""
+    """H(S, T) as its sorted maps; the pointwise-addition table ``op`` is built on first read."""
 
     source: Monoid
     target: Monoid
     base: tuple[Hom, ...]
-    op: CayleyTable
-    index_of_zero: int
 
     @property
     def size(self) -> int:
         return len(self.base)
+
+    @property
+    def op(self) -> CayleyTable:
+        if "_op" not in self.__dict__:
+            homs, t = self.values(), self.target.rows
+            index = {h: i for i, h in enumerate(homs)}
+            sums = [[tuple(t[a][b] for a, b in zip(f, g)) for g in homs] for f in homs]
+            if any(h not in index for row in sums for h in row):
+                raise AssertionError("hom set not closed under pointwise addition")
+            object.__setattr__(self, "_op", CayleyTable(tuple(tuple(index[h] for h in row) for row in sums)))
+        return self._op
+
+    @property
+    def index_of_zero(self) -> int:
+        return self.values().index((self.target.neutral,) * self.source.order)
 
     def monoid(self) -> Monoid:
         return Monoid(self.op, self.index_of_zero)
@@ -160,29 +173,10 @@ def _all_homs(source: Monoid, target: Monoid):
 
 
 def hom_set(source: Monoid, target: Monoid) -> AdjointMonoid:
-    """Every homomorphism source -> target, with the induced pointwise addition."""
+    """Every homomorphism source -> target; the addition table is built on first read."""
     if not target.is_commutative():
         raise ValueError("the target monoid must be commutative")
-    n, t_rows = source.order, target.rows
-    homs = _all_homs(source, target)
-    index = {h: i for i, h in enumerate(homs)}
-    rows = []
-    for f in homs:
-        row = []
-        for g in homs:
-            h = tuple(t_rows[f[x]][g[x]] for x in range(n))
-            if h not in index:
-                raise AssertionError("hom set not closed under pointwise addition")
-            row.append(index[h])
-        rows.append(tuple(row))
-    zero = index[tuple(target.neutral for _ in range(n))]
-    return AdjointMonoid(
-        source=source,
-        target=target,
-        base=tuple(Hom(source, target, h) for h in homs),
-        op=CayleyTable(tuple(rows)),
-        index_of_zero=zero,
-    )
+    return AdjointMonoid(source, target, tuple(Hom(source, target, h) for h in _all_homs(source, target)))
 
 
 def adjoint_embedding(source: Monoid, target: Monoid) -> Hom:
@@ -203,9 +197,13 @@ def adjoint_embedding(source: Monoid, target: Monoid) -> Hom:
 
 
 def is_reflexive(source: Monoid, target: Monoid) -> bool:
-    """Whether the evaluation embedding into the double adjoint is a bijection."""
-    emb = adjoint_embedding(source, target)
-    return len(set(emb.values)) == source.order == emb.target.order
+    """Whether the evaluation embedding into the double adjoint is a bijection.
+
+    Decided by counting, without the double adjoint's table: the evaluation
+    map x -> (h -> h(x)) is injective and H(H(S,T),T) has exactly |S| maps.
+    """
+    adj = hom_set(source, target)
+    return len(set(zip(*adj.values()))) == source.order == len(_all_homs(adj.monoid(), target))
 
 
 @dataclass(frozen=True)
@@ -279,10 +277,7 @@ def verify_duality(psi: DualityFunction) -> VerificationRecord:
 def evaluation_duality(source: Monoid, target: Monoid) -> DualityFunction:
     """The table psi(x, h) = h(x) on S x H(S,T); a duality whenever S is T-reflexive."""
     adj = hom_set(source, target)
-    values = tuple(
-        tuple(h.values[x] for h in adj.base) for x in range(source.order)
-    )
-    psi = DualityFunction(source, adj.monoid(), target, values)
+    psi = DualityFunction(source, adj.monoid(), target, tuple(zip(*adj.values())))
     return DualityFunction(psi.s, psi.r, psi.t, psi.values, verify_duality(psi))
 
 
@@ -304,11 +299,7 @@ def candidate_duality(source: Monoid, target: Monoid, r: Monoid, iso) -> Duality
                 raise NotIsomorphism(f"addition not preserved at ({x},{y})")
     if iso[r.neutral] != adj.index_of_zero:
         raise NotIsomorphism("neutral element not mapped to the constant map")
-    values = tuple(
-        tuple(adj.base[iso[y]].values[x] for y in range(r.order))
-        for x in range(source.order)
-    )
-    psi = DualityFunction(source, r, target, values)
+    psi = DualityFunction(source, r, target, tuple(zip(*(adj.base[i].values for i in iso))))
     rows_distinct = len(set(psi.values)) == source.order
     if not rows_distinct:
         return psi

@@ -223,6 +223,21 @@ def global_hom_set_matrix_check(space: SiteSpace, f):
     return sm
 
 
+def _sitewise_sums(t: Monoid, local: np.ndarray, sites: int) -> np.ndarray:
+    """The table of sum_i local[a_i, b_i] in T over index k-tuples a, b, ordered like configurations.
+
+    ``local`` is a uint8 matrix over T; SizeBudgetExceeded past the pair budget.
+    """
+    if local.size ** sites > pair_budget():
+        raise SizeBudgetExceeded(f"a table of {local.size ** sites} sitewise sums exceeds the pair budget")
+    add = np.asarray(t.rows, dtype=np.uint8)
+    table = np.full((1, 1), t.neutral, dtype=np.uint8)
+    for _ in range(sites):
+        table = add[table[:, None, :, None], local[None, :, None, :]]
+        table = table.reshape(len(table) * len(local), -1)
+    return table
+
+
 @dataclass(frozen=True)
 class LiftedDuality:
     """A local duality table summed sitewise over a product space.
@@ -267,14 +282,7 @@ class LiftedDuality:
     def table(self) -> np.ndarray:
         """The read-only uint8 Psi table over S^k x R^k, built once per instance."""
         if "_table" not in self.__dict__:
-            if self.s_space.n_configs * self.r_space.n_configs > pair_budget():
-                raise SizeBudgetExceeded("product-level table exceeds the pair budget")
-            add = np.asarray(self.local.t.rows, dtype=np.uint8)
-            psi = np.asarray(self.local.values, dtype=np.uint8)
-            table = np.full((1, 1), self.local.t.neutral, dtype=np.uint8)
-            for _ in range(self.sites):
-                table = add[table[:, None, :, None], psi[None, :, None, :]]
-                table = table.reshape(len(table) * len(psi), -1)
+            table = _sitewise_sums(self.local.t, np.asarray(self.local.values, dtype=np.uint8), self.sites)
             table.flags.writeable = False
             object.__setattr__(self, "_table", table)
         return self._table
@@ -284,12 +292,9 @@ class LiftedDuality:
             raise NoRealEmbedding("no real embedding declared for the value monoid")
         return self.real_embedding[self.evaluate(xs, ys)]
 
-    def column_index(self) -> dict[tuple[int, ...], int]:
-        return {self.local.column(y): y for y in range(self.local.r.order)}
-
     def local_dual(self, values):
         """The unique local map with psi(M(x), y) = psi(x, Mhat(y)), or None."""
-        cols = self.column_index()
+        cols = {self.local.column(y): y for y in range(self.local.r.order)}
         rows = self.local.values
         ns = self.local.s.order
         out = []
@@ -400,15 +405,16 @@ def semiring_inner_duality(
 
     This is generally not a monoid duality function (the dualizable maps are
     the left-module maps, which may be a proper subset of the additive
-    homomorphisms); for small instances its four module-level separation and
-    surjectivity properties are checked against the module-map sets.
+    homomorphisms).  With ``reverify`` its four module-level separation and
+    surjectivity properties are checked against the module-map sets, raising
+    SizeBudgetExceeded past the pair budget.
     """
     add = s.add
     local = DualityFunction(add, add, add, s.mul.rows)
     if real_embedding is not None:
         _check_real_embedding(add, real_embedding)
     lifted = LiftedDuality(local, sites, real_embedding, module_source=s)
-    if reverify and s.order ** (s.order ** sites) <= 10 ** 6:
+    if reverify:
         rec = verify_module_duality(lifted)
         if not rec.all_passed:
             raise AssertionError("module duality conditions failed")
@@ -418,19 +424,18 @@ def semiring_inner_duality(
 def _module_maps(s: Semiring, sites: int, side: str) -> list[tuple[int, ...]]:
     """The additive maps S^k -> S commuting with scalars on one side, as sorted value tables.
 
-    A value table is indexed like ``SiteSpace.config_array``.  The candidates
-    are hom_set(S^k, S); "left" keeps f(a x) == a f(x), "right" keeps
-    f(x a) == f(x) a, for every scalar a and every configuration x.
+    A value table is indexed like ``SiteSpace.config_array``.  "left" keeps
+    f(a x) == a f(x), "right" keeps f(x a) == f(x) a, for every scalar a.  S^k
+    is the coproduct of k copies of S among such modules, so these maps are
+    the sitewise sums x -> sum_i h_i(x_i) of local ones, built site by site.
     """
-    space = SiteSpace(s.add, sites)
-    homs = np.array(hom_set(product_monoid(s.add, sites), s.add).values(), dtype=np.uint8)
+    homs = np.array(hom_set(s.add, s.add).values(), dtype=np.uint8)
     mul = np.asarray(s.mul.rows, dtype=np.uint8)
-    configs = space.config_array()
     keep = np.ones(len(homs), dtype=bool)
     for a in range(s.order):
         scale = mul[a] if side == "left" else mul[:, a]
-        keep &= (homs[:, space.index_array(scale[configs])] == scale[homs]).all(axis=1)
-    return [tuple(h) for h in homs[keep].tolist()]
+        keep &= (homs[:, scale] == scale[homs]).all(axis=1)
+    return sorted(map(tuple, _sitewise_sums(s.add, homs[keep], sites).tolist()))
 
 
 def module_maps(s: Semiring, side: str = "left") -> list[tuple[int, ...]]:

@@ -264,12 +264,12 @@ def check_f4_nonlinear_count() -> CheckResult:
     def compute():
         add = catalog.monoid("M25")
         field = validate_semiring(catalog.MONOID_TABLES["M25"], catalog.MONOID_TABLES["F4-mult"])
-        homs = hom_set(add, add)
+        homs = hom_set(add, add).values()
         linear = set(module_maps(field, side="left"))
         assert set(module_maps(field, side="right")) == linear
         return {
-            "additive_endomorphisms": homs.size,
-            "not_linear": sum(1 for h in homs.base if h.values not in linear),
+            "additive_endomorphisms": len(homs),
+            "not_linear": sum(1 for h in homs if h not in linear),
         }
 
     return _check(
@@ -321,7 +321,7 @@ def check_dual_map_psi5() -> CheckResult:
     def compute():
         lifted = _psi5_lifted(2)
         space = lifted.s_space
-        homs = [h.values for h in hom_set(space.local, space.local).base]
+        homs = hom_set(space.local, space.local).values()
         psi = lifted.table()
         column_of = {col: j for j, col in enumerate(map(tuple, psi.T.tolist()))}
 
@@ -359,7 +359,7 @@ def _pathwise_model(name: str, sites: int):
             named_duality(name), sites, real_embedding=catalog.REAL_EMBEDDINGS.get(emb_label)
         )
     space = lifted.s_space
-    homs = [h.values for h in hom_set(space.local, space.local).base]
+    homs = hom_set(space.local, space.local).values()
     k = space.sites
     zero = homs[0]
     nontrivial = [h for h in homs if len(set(h)) > 1]
@@ -376,6 +376,8 @@ def _pathwise_model(name: str, sites: int):
 
 
 def check_pathwise(name: str, seeds: int = 100, min_events: int = 20) -> CheckResult:
+    if seeds < 1:
+        raise ValueError(f"seeds must be at least 1, got {seeds}")
     labels = set(catalog.PSI_TABLES[name][:3])
 
     tag = int(name.removeprefix("psi"))
@@ -403,7 +405,7 @@ def check_expectation_psi5(replicates: int = 100_000) -> CheckResult:
     def compute():
         lifted = _psi5_lifted(2)
         space = lifted.s_space
-        homs = [h.values for h in hom_set(space.local, space.local).base]
+        homs = hom_set(space.local, space.local).values()
         m = SiteMap.from_matrix(space, [[homs[2], homs[1]], [homs[0], homs[2]]])
         model = RateModel.build(space, {"m": m}, {"m": 0.8})
         x, y, t = (1, 2), (1, 0), 1.0

@@ -306,3 +306,20 @@ def test_simulate_fuzz_exit_codes_and_json(tmp_path, check, sites, t_max, replic
     assert code in (0, 2, 3, 4)
     if out.getvalue():
         json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+def test_pathwise_seeds_below_one_is_usage_error(capsys):
+    for seeds in ("0", "-3"):
+        code, out, err = run(capsys, "reproduce", "--pathwise-seeds", seeds)
+        assert code == 2 and out == "" and "--pathwise-seeds" in err, seeds
+
+
+def test_negative_sites_is_usage_error(tmp_path, capsys):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text("[]")
+    code, out, err = run(capsys, "dual-map", "--psi", "psi2", "--sites", "-1", "--map", str(matrix))
+    assert code == 2 and out == "" and "--sites" in err
+    argv = _expectation_args(tmp_path, "--replicates", "10", "--x", "1,2", "--y", "1,0")
+    argv[argv.index("--sites") + 1] = "-1"
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "--sites" in err

@@ -24,7 +24,7 @@ from monodual.homdual import (
     verify_duality,
 )
 from monodual.product import module_maps
-from monodual.tables import relabel
+from monodual.tables import CayleyTable, relabel
 
 
 def brute_force_homs(source, target):
@@ -97,6 +97,54 @@ def test_is_reflexive_examples():
     assert is_reflexive(catalog.monoid("M2"), catalog.monoid("M2"))
     assert not is_reflexive(catalog.monoid("M1"), catalog.monoid("M2"))
     assert is_reflexive(catalog.monoid("M4"), catalog.monoid("M1"))
+
+
+CATALOG_PAIRS = [(a, b) for a in catalog.M_LABELS for b in catalog.M_LABELS]
+
+
+def test_reflexivity_sweep_over_all_catalog_pairs():
+    reflexive = {(a, b) for a, b in CATALOG_PAIRS if is_reflexive(catalog.monoid(a), catalog.monoid(b))}
+    assert len(reflexive) == 140
+
+
+def test_reflexive_pairs_with_small_adjoints_are_the_census_pairs():
+    census = {(q.s_label, q.t_label) for q in find_all_duality_quadruples(4)}
+    reflexive = set()
+    for a, b in CATALOG_PAIRS:
+        s, t = catalog.monoid(a), catalog.monoid(b)
+        if 2 <= hom_set(s, t).size <= 4 and is_reflexive(s, t):
+            reflexive.add((a, b))
+    assert len(census) == 110 and reflexive == census
+
+
+def test_is_reflexive_matches_the_adjoint_embedding_definition():
+    checked = 0
+    for a, b in CATALOG_PAIRS:
+        s, t = catalog.monoid(a), catalog.monoid(b)
+        if hom_set(s, t).size > 9:
+            continue
+        emb = adjoint_embedding(s, t)
+        assert is_reflexive(s, t) == (len(set(emb.values)) == s.order == emb.target.order), (a, b)
+        checked += 1
+    assert checked == 709
+
+
+def _reversed(m):
+    """m with element i renamed n-1-i, so that its neutral element leaves 0."""
+    perm = tuple(reversed(range(m.order)))
+    return Monoid(CayleyTable(relabel(m.rows, perm)), perm[m.neutral])
+
+
+def test_adjoint_table_is_the_pointwise_sum_of_the_maps():
+    for a, b in CATALOG_PAIRS:
+        s = catalog.monoid(a)
+        for t in (catalog.monoid(b), _reversed(catalog.monoid(b))):
+            adj = hom_set(s, t)
+            values = adj.values()
+            for i, f in enumerate(values):
+                for j, g in enumerate(values):
+                    assert values[adj.op.rows[i][j]] == tuple(t.add(x, y) for x, y in zip(f, g)), (a, b)
+            assert values[adj.index_of_zero] == (t.neutral,) * s.order
 
 
 def test_verify_duality_rejects_constant_table():

@@ -276,6 +276,23 @@ def test_semiring_inner_duality_boolean():
             assert lifted.evaluate(xs, ys) == lifted_psi1.evaluate(xs, ys)
 
 
+def test_semiring_inner_duality_verifies_f4_at_two_sites():
+    f4 = validate_semiring(catalog.MONOID_TABLES["M25"], catalog.MONOID_TABLES["F4-mult"])
+    lifted = semiring_inner_duality(f4, 2)
+    assert verify_module_duality(lifted).all_passed
+    assert len(_module_maps(f4, 2, "left")) == 16
+
+
+def test_semiring_inner_duality_honours_the_pair_budget(monkeypatch):
+    f4 = validate_semiring(catalog.MONOID_TABLES["M25"], catalog.MONOID_TABLES["F4-mult"])
+    monkeypatch.setenv("MONODUAL_PAIR_BUDGET", "256")  # the 16 x 16 Psi table at k=2
+    semiring_inner_duality(f4, 2)
+    monkeypatch.setenv("MONODUAL_PAIR_BUDGET", "255")
+    with pytest.raises(SizeBudgetExceeded):
+        semiring_inner_duality(f4, 2)
+    semiring_inner_duality(f4, 2, reverify=False)
+
+
 def test_f4_inner_pairing_is_no_monoid_duality_and_nonlinear_maps_lack_duals():
     f4 = validate_semiring(catalog.MONOID_TABLES["M25"], catalog.MONOID_TABLES["F4-mult"])
     lifted = semiring_inner_duality(f4, 1)
@@ -473,6 +490,7 @@ def _module_maps_by_filter(s, sites, side):
     ("M2", "M1", 2),   # F2
     ("M1", "M1", 2),   # the Boolean semiring
     ("M25", "M18", 1),  # F4
+    ("M7", "M5", 2),   # F3
     ("M15", "N1", 1),  # non-commutative multiplication: the two sides differ
 ])
 def test_module_maps_match_a_filter_over_all_functions(add_label, mult_label, sites):

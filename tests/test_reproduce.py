@@ -1,7 +1,9 @@
 import dataclasses
 
+import pytest
+
 from monodual import catalog
-from monodual.reproduce import ReproductionManifest, reproduce_all
+from monodual.reproduce import ReproductionManifest, check_pathwise, reproduce_all
 from monodual.tables import CayleyTable
 
 
@@ -43,3 +45,9 @@ def test_corrupting_one_catalog_entry_fails_exactly_its_checks(monkeypatch):
     m6_dependent = {c.name for c in manifest.checks if "M6" in c.depends}
     assert failing == m6_dependent
     assert failing  # the corruption is actually detected
+
+
+def test_pathwise_check_needs_at_least_one_seed():
+    for seeds in (0, -3):
+        with pytest.raises(ValueError):
+            check_pathwise("psi1", seeds=seeds)

@@ -220,8 +220,6 @@ def _cmd_simulate(args) -> int:
         _emit(report.to_dict())
         return 0 if report.passed else COMPUTE_EXIT
     # expectation
-    if args.x is None or args.y is None:
-        raise UsageError("--check expectation requires --x and --y")
     x = _configuration(args.x, space, "--x")
     y = _configuration(args.y, lifted.r_space, "--y")
     est = estimate_expectation_duality(
@@ -231,7 +229,9 @@ def _cmd_simulate(args) -> int:
     return 0 if est.consistent else COMPUTE_EXIT
 
 
-def _configuration(text: str, space, flag: str) -> tuple[int, ...]:
+def _configuration(text, space, flag: str) -> tuple[int, ...]:
+    if not isinstance(text, str):  # absent, or [] where argparse drops a bare "--" value
+        raise UsageError(f"--check expectation requires a configuration for {flag}")
     try:
         config = tuple(int(v) for v in text.split(","))
         space.index_of(config)

@@ -16,7 +16,7 @@ holds this against the plain filter over all |T|^|S| value tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 from . import catalog
@@ -202,8 +202,12 @@ def is_reflexive(source: Monoid, target: Monoid) -> bool:
     Decided by counting, without the double adjoint's table: the evaluation
     map x -> (h -> h(x)) is injective and H(H(S,T),T) has exactly |S| maps.
     """
-    adj = hom_set(source, target)
-    return len(set(zip(*adj.values()))) == source.order == len(_all_homs(adj.monoid(), target))
+    return _reflexive(hom_set(source, target))
+
+
+def _reflexive(adj: AdjointMonoid) -> bool:
+    """``is_reflexive`` for the source and target of an adjoint already computed."""
+    return len(set(zip(*adj.values()))) == adj.source.order == len(_all_homs(adj.monoid(), adj.target))
 
 
 @dataclass(frozen=True)
@@ -242,6 +246,10 @@ class DualityFunction:
     def transposed(self) -> "DualityFunction":
         return DualityFunction(self.r, self.s, self.t, transpose(self.values), self.verified)
 
+    def checked(self) -> "DualityFunction":
+        """This table with the record of ``verify_duality``, which raises on the first failed condition."""
+        return replace(self, verified=verify_duality(self))
+
 
 def verify_duality(psi: DualityFunction) -> VerificationRecord:
     """Exhaustively check the four duality conditions, raising on the first failure."""
@@ -277,8 +285,7 @@ def verify_duality(psi: DualityFunction) -> VerificationRecord:
 def evaluation_duality(source: Monoid, target: Monoid) -> DualityFunction:
     """The table psi(x, h) = h(x) on S x H(S,T); a duality whenever S is T-reflexive."""
     adj = hom_set(source, target)
-    psi = DualityFunction(source, adj.monoid(), target, tuple(zip(*adj.values())))
-    return DualityFunction(psi.s, psi.r, psi.t, psi.values, verify_duality(psi))
+    return DualityFunction(source, adj.monoid(), target, tuple(zip(*adj.values()))).checked()
 
 
 def candidate_duality(source: Monoid, target: Monoid, r: Monoid, iso) -> DualityFunction:
@@ -300,10 +307,7 @@ def candidate_duality(source: Monoid, target: Monoid, r: Monoid, iso) -> Duality
     if iso[r.neutral] != adj.index_of_zero:
         raise NotIsomorphism("neutral element not mapped to the constant map")
     psi = DualityFunction(source, r, target, tuple(zip(*(adj.base[i].values for i in iso))))
-    rows_distinct = len(set(psi.values)) == source.order
-    if not rows_distinct:
-        return psi
-    return DualityFunction(psi.s, psi.r, psi.t, psi.values, verify_duality(psi))
+    return psi.checked() if len(set(psi.values)) == source.order else psi
 
 
 def named_duality(name: str) -> DualityFunction:
@@ -311,8 +315,7 @@ def named_duality(name: str) -> DualityFunction:
     if name not in catalog.PSI_TABLES:
         raise KeyError(f"unknown duality name {name!r}")
     s_lab, r_lab, t_lab, values = catalog.PSI_TABLES[name]
-    psi = DualityFunction(catalog.monoid(s_lab), catalog.monoid(r_lab), catalog.monoid(t_lab), values)
-    return DualityFunction(psi.s, psi.r, psi.t, psi.values, verify_duality(psi))
+    return DualityFunction(catalog.monoid(s_lab), catalog.monoid(r_lab), catalog.monoid(t_lab), values).checked()
 
 
 def duality_to_dict(psi: DualityFunction) -> dict:
@@ -336,13 +339,12 @@ def duality_from_dict(obj: dict) -> DualityFunction:
             raise DualityError("declared neutral element is wrong")
         return m
 
-    psi = DualityFunction(
+    return DualityFunction(
         mono(obj["s"]),
         mono(obj["r"]),
         mono(obj["t"]),
         tuple(tuple(int(v) for v in row) for row in obj["values"]),
-    )
-    return DualityFunction(psi.s, psi.r, psi.t, psi.values, verify_duality(psi))
+    ).checked()
 
 
 def match_named_duality(psi: DualityFunction) -> str | None:
@@ -383,12 +385,13 @@ class Quadruple:
 def find_all_duality_quadruples(max_order: int = 4) -> list[Quadruple]:
     """Every (R, S, T, psi) with carriers of order 2..max_order, one per triple.
 
-    For each ordered pair (S, T) of catalog monoids the adjoint H(S, T) is
-    computed; when it is a catalog monoid R of admissible order with
-    S ~ H(R, T), every isomorphism of R onto the adjoint produces a candidate
-    table, all of which are required to verify (a census-wide sanity law this
-    search re-checks each run).  The quadruple recorded for the triple carries
-    the lexicographically smallest candidate.
+    The census is the T-reflexive pairs: for each catalog monoid S (one per
+    catalog class) and T, the adjoint H(S, T) is computed once, and the pair
+    is kept when 2 <= |H(S, T)| <= max_order and S is T-reflexive.  R is the
+    adjoint's catalog class.  Every isomorphism of R onto the adjoint
+    produces a candidate table, all of which are required to verify (a
+    census-wide sanity law this search re-checks each run).  The quadruple
+    recorded for the triple carries the lexicographically smallest candidate.
     """
     if max_order not in QUADRUPLE_ORDERS:
         raise ValueError("max_order must be between 2 and 4")
@@ -399,43 +402,24 @@ def find_all_duality_quadruples(max_order: int = 4) -> list[Quadruple]:
     out = []
     for s_lab in labels:
         s = catalog.monoid(s_lab)
+        if catalog.catalog_lookup(s)[0].label != s_lab:
+            continue  # one S per catalog class
         for t_lab in labels:
             t = catalog.monoid(t_lab)
             adj = hom_set(s, t)
-            if not 2 <= adj.size <= max_order:
+            if not 2 <= adj.size <= max_order or not _reflexive(adj):
                 continue
             hit = catalog.catalog_lookup(adj.monoid())
             if hit is None:
                 continue
-            r_entry, _ = hit
-            r = r_entry.monoid()
-            back = hom_set(r, t)
-            if back.size != s.order:
-                continue
-            if catalog.catalog_lookup(back.monoid())[0].label != s_lab:
-                continue
-            best = None
-            count = 0
-            for p in iter_isomorphisms(r, adj.monoid()):
-                cand = candidate_duality(s, t, r, p)
-                if cand.verified is None or not cand.verified.all_passed:
-                    raise AssertionError(
-                        f"candidate failed for ({r_entry.label},{s_lab},{t_lab})"
-                    )
-                count += 1
-                if best is None or cand.values < best.values:
-                    best = cand
-            if count == 0:
+            r_lab, r = hit[0].label, hit[0].monoid()
+            cands = [candidate_duality(s, t, r, p) for p in iter_isomorphisms(r, adj.monoid())]
+            if not cands:
                 raise AssertionError("no isomorphism found onto the adjoint")
-            out.append(
-                Quadruple(
-                    r_label=r_entry.label,
-                    s_label=s_lab,
-                    t_label=t_lab,
-                    psi=best,
-                    isomorphism_count=count,
-                )
-            )
+            if any(c.verified is None or not c.verified.all_passed for c in cands):
+                raise AssertionError(f"candidate failed for ({r_lab},{s_lab},{t_lab})")
+            out.append(Quadruple(r_label=r_lab, s_label=s_lab, t_label=t_lab,
+                                 psi=min(cands, key=lambda c: c.values), isomorphism_count=len(cands)))
     out.sort(key=Quadruple.key)
     return out
 

@@ -263,6 +263,8 @@ def check_pathwise_duality(
     """
     if coverage not in ("exhaustive", "sampled"):
         raise ValueError("coverage must be 'exhaustive' or 'sampled'")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     ssp, rsp = lifted.s_space, lifted.r_space
     if model.space != ssp:
         raise ValueError("model does not act on the S side of this duality")
@@ -451,6 +453,8 @@ def exact_semigroup_expectation(
     """
     if evolving not in ("s", "r"):
         raise ValueError("evolving must be 's' or 'r'")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     t = _checked_time(t)
     space = lifted.s_space if evolving == "s" else lifted.r_space
     if model.space != space:

@@ -331,23 +331,19 @@ def lift_duality(
     local: DualityFunction,
     sites: int,
     real_embedding: tuple[float, ...] | None = None,
-    reverify: bool = True,
 ) -> LiftedDuality:
-    """Lift a verified local duality to S^k x R^k.
+    """Lift a local duality to S^k x R^k, verifying it first if it carries no passing record.
 
-    For small instances (k <= 3 with carriers of order <= 3) the four duality
-    conditions are re-checked exhaustively at the product level instead of
-    being taken on faith from the local verification.
+    Small instances (k <= 3 with carriers of order <= 3) are always re-checked
+    exhaustively at the product level instead of being taken on faith from
+    the local verification.
     """
     if local.verified is None or not local.verified.all_passed:
-        verify_duality(local)
-        local = DualityFunction(local.s, local.r, local.t, local.values,
-                                VerificationRecord(True, True, True, True))
+        local = local.checked()
     if real_embedding is not None:
         _check_real_embedding(local.t, real_embedding)
     lifted = LiftedDuality(local, sites, real_embedding)
-    small = sites <= 3 and max(local.s.order, local.r.order, local.t.order) <= 3
-    if reverify and small:
+    if sites <= 3 and max(local.s.order, local.r.order, local.t.order) <= 3:
         big = DualityFunction(
             product_monoid(local.s, sites),
             product_monoid(local.r, sites),
@@ -377,6 +373,8 @@ def dual_map(lifted: LiftedDuality, m: SiteMap, samples: int = 100_000) -> SiteM
     k = lifted.sites
     if m.space.sites != k or m.space.local.op != lifted.local.s.op:
         raise ValueError("site map does not act on the S side of this duality")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     duals = [[lifted.local_dual(entry) for entry in row] for row in m.matrix]
     for i, j in iproduct(range(k), repeat=2):
         if duals[i][j] is None:
@@ -481,5 +479,4 @@ def lattice_duality_function(lat: Lattice) -> DualityFunction:
     values = tuple(
         tuple(0 if lat.leq[x][y] else 1 for y in range(n)) for x in range(n)
     )
-    psi = DualityFunction(s, r, t, values)
-    return DualityFunction(s, r, t, values, verify_duality(psi))
+    return DualityFunction(s, r, t, values).checked()

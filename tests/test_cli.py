@@ -202,6 +202,7 @@ GOLDEN = {
     "catalog_N1.txt": ("monoids", "catalog", "--label", "N1"),
     "reduced_classes.json": ("dualities", "find", "--reduce", "--format", "json"),
     "enumerate_order3.json": ("monoids", "enumerate", "--order", "3", "--format", "json"),
+    "dualities_find.json": ("dualities", "find", "--format", "json"),
 }
 
 
@@ -231,6 +232,14 @@ def test_simulate_rejects_malformed_start_configurations(tmp_path, capsys):
         code, out, err = run(capsys, *_expectation_args(tmp_path, "--replicates", "10",
                                                          f"--x={x}", f"--y={y}"))
         assert code == 2 and out == "", (x, y)
+        assert "usage error" in err
+
+
+def test_simulate_without_a_start_configuration_is_a_usage_error(tmp_path, capsys):
+    # argparse reads the value "--" of --x=-- as an empty list
+    for extra in (["--x=--", "--y=1,0"], ["--x=1,2", "--y=--"], ["--y=1,0"]):
+        code, out, err = run(capsys, *_expectation_args(tmp_path, "--replicates", "10", *extra))
+        assert code == 2 and out == "", extra
         assert "usage error" in err
 
 

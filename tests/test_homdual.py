@@ -295,6 +295,36 @@ def test_unmatched_class_is_reported(monkeypatch):
         reduce_duality_quadruples(find_all_duality_quadruples(4))
 
 
+def test_census_keeps_one_source_per_catalog_class(monkeypatch):
+    # M6 carrying M4's table is a second label for M4's class
+    import dataclasses
+
+    patched = dict(catalog.ENTRIES)
+    patched["M6"] = dataclasses.replace(patched["M6"], table=CayleyTable(catalog.MONOID_TABLES["M4"]))
+    monkeypatch.setitem(catalog.__dict__, "ENTRIES", patched)
+    quads = find_all_duality_quadruples(4)
+    assert len(quads) == 99
+    assert all(q.s_label != "M6" for q in quads)
+
+
+def test_census_looks_up_each_source_and_adjoint_once_and_verifies_every_candidate(monkeypatch):
+    import monodual.homdual as homdual
+
+    calls = {"lookup": 0, "verify": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(catalog, "catalog_lookup", counted("lookup", catalog.catalog_lookup))
+    monkeypatch.setattr(homdual, "verify_duality", counted("verify", homdual.verify_duality))
+    quads = find_all_duality_quadruples(4)
+    assert calls["lookup"] <= 136
+    assert calls["verify"] == sum(q.isomorphism_count for q in quads) == 164
+
+
 def test_f4_has_twelve_nonlinear_additive_endomorphisms():
     add = catalog.monoid("M25")
     field = validate_semiring(catalog.MONOID_TABLES["M25"], catalog.MONOID_TABLES["F4-mult"])

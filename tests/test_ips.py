@@ -315,6 +315,20 @@ def test_expectations_reject_a_non_finite_or_negative_time(t):
         exact_semigroup_expectation(model, lifted, x, y, t)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+def test_uniformisation_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    lifted, model = psi5_model(2)
+    with pytest.raises(ValueError):
+        exact_semigroup_expectation(model, lifted, (1, 2), (1, 0), 1.0, tol=tol)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_sampled_pathwise_check_needs_at_least_one_pair(n):
+    lifted, model = psi5_model(2)
+    with pytest.raises(ValueError):
+        check_pathwise_duality(model, lifted, (0.0, 1.0), seed=9, coverage="sampled", n_samples=n)
+
+
 def test_uniformisation_closed_form_at_large_lambda_t():
     # lambda t = 1000: exp(-1000) underflows, so time is split into steps
     lifted, _ = psi5_model(2)

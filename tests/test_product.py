@@ -223,7 +223,7 @@ def test_dual_map_sampled_verification_above_budget():
     # 3^7 x 3^7 configuration pairs exceed the default budget, so the
     # identity check falls back to deterministic sampling
     psi = named_duality("psi5").transposed()
-    lifted = lift_duality(psi, 7, reverify=False)
+    lifted = lift_duality(psi, 7)
     homs = hom_values("M6")
     m = SiteMap.from_matrix(
         lifted.s_space, [[homs[(i + j) % 3] for j in range(7)] for i in range(7)]
@@ -383,7 +383,7 @@ def test_lattice_duality_values_are_order_indicators():
 def test_psi_table_and_pair_kernel_match_scalar_evaluate_for_every_reduced_class():
     for name in sorted(catalog.PSI_TABLES):
         for k in (0, 1, 2, 3):
-            lifted = lift_duality(named_duality(name), k, reverify=False)
+            lifted = lift_duality(named_duality(name), k)
             ssp, rsp = lifted.s_space, lifted.r_space
             want = [[lifted.evaluate(xs, ys) for ys in rsp.configs()] for xs in ssp.configs()]
             table = lifted.table()
@@ -423,9 +423,18 @@ def test_index_of_rejects_malformed_configurations():
             space.index_of(bad)
 
 
+def test_sampled_dual_map_check_needs_at_least_one_pair():
+    lifted = lift_duality(named_duality("psi5").transposed(), 7)
+    assert lifted.s_space.n_configs * lifted.r_space.n_configs > pair_budget()
+    m = SiteMap.identity(lifted.s_space)
+    for samples in (0, -3):
+        with pytest.raises(ValueError):
+            dual_map(lifted, m, samples=samples)
+
+
 def test_sampled_dual_map_check_rejects_a_corrupted_dual(monkeypatch):
     # 3^7 x 3^7 pairs exceed the budget, so only the sampled branch can catch it
-    lifted = lift_duality(named_duality("psi5").transposed(), 7, reverify=False)
+    lifted = lift_duality(named_duality("psi5").transposed(), 7)
     assert lifted.s_space.n_configs * lifted.r_space.n_configs > pair_budget()
     homs = hom_values("M6")
     m = SiteMap.from_matrix(

@@ -208,10 +208,17 @@ def _cmd_simulate(args) -> int:
     space = lifted.s_space
     with open(args.rates, encoding="utf-8") as fh:
         entries = json.load(fh)
+    if not isinstance(entries, list) or not all(
+        isinstance(item, dict) and isinstance(item.get("id"), str) for item in entries
+    ):
+        raise ValueError("--rates must hold a JSON list of {id, matrix, rate} objects")
     maps, rates = {}, {}
     for item in entries:
         maps[item["id"]] = SiteMap.from_matrix(space, item["matrix"])
-        rates[item["id"]] = float(item["rate"])
+        try:
+            rates[item["id"]] = float(item["rate"])
+        except (TypeError, OverflowError):
+            raise ValueError(f"the rate of {item['id']!r} is not a float") from None
     model = RateModel.build(space, maps, rates)
     if args.check == "pathwise":
         report = check_pathwise_duality(

@@ -16,6 +16,7 @@ holds this against the plain filter over all |T|^|S| value tables.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from itertools import product
 
@@ -333,18 +334,23 @@ def duality_to_dict(psi: DualityFunction) -> dict:
 def duality_from_dict(obj: dict) -> DualityFunction:
     from .algebra import validate_monoid
 
+    def grid(rows) -> tuple[tuple[int, ...], ...]:
+        try:
+            return tuple(tuple(map(operator.index, row)) for row in rows)
+        except TypeError:
+            raise DualityError("tables and values must be lists of lists of integers") from None
+
     def mono(d: dict) -> Monoid:
-        m = validate_monoid(d["table"])
+        if not isinstance(d, dict):
+            raise DualityError("each carrier must be an object with a table")
+        m = validate_monoid(grid(d["table"]))
         if d.get("neutral") not in (None, m.neutral):
             raise DualityError("declared neutral element is wrong")
         return m
 
-    return DualityFunction(
-        mono(obj["s"]),
-        mono(obj["r"]),
-        mono(obj["t"]),
-        tuple(tuple(int(v) for v in row) for row in obj["values"]),
-    ).checked()
+    if not isinstance(obj, dict):
+        raise DualityError("a duality must be an object with keys s, r, t and values")
+    return DualityFunction(mono(obj["s"]), mono(obj["r"]), mono(obj["t"]), grid(obj["values"])).checked()
 
 
 def match_named_duality(psi: DualityFunction) -> str | None:

@@ -11,12 +11,18 @@ the dual flow, and the defining identity
 holds exactly for every realisation, not just in expectation; any violation
 is an implementation bug, never noise.
 
-Randomness: a stream generator for (seed) is PCG64 seeded with
-SeedSequence(seed).  A Monte-Carlo side splits its replicates into blocks of
-MC_BLOCK; block b of side `side` draws from one PCG64 seeded with
-SeedSequence((seed, side, b)): first every replicate's jump count, then, step
-by step, one mark for each replicate still jumping.  The draws depend only on
-(seed, side, b), so results are independent of scheduling.
+Randomness: every draw comes from ``np.random.default_rng(key)``, and there
+are three kinds.  The event stream of a pathwise check uses key ``seed``: a
+Poisson jump count, then that many sorted uniform times and uniform marks.
+Its sampled configuration pairs use key ``(seed, 2)`` (``dual_map`` uses key
+``0``), drawn by ``product.sample_pairs``.  A Monte-Carlo side splits its
+replicates into blocks of MC_BLOCK; block b of side `side` uses key
+``(seed, side, b)``: first every replicate's jump count, then, step by step,
+one mark for each replicate still jumping.  The draws depend only on their
+key, so results are independent of scheduling.  A path whose expected jump
+count (total rate times time span) exceeds the pair budget raises
+SizeBudgetExceeded before anything is drawn, since the work and memory of
+every path grow with that count.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .product import (
-    LiftedDuality, NoRealEmbedding, SiteMap, SiteSpace, dual_map, identity_holds, pair_budget,
+    LiftedDuality, NoRealEmbedding, SiteMap, SiteSpace, SizeBudgetExceeded, dual_map,
+    identity_holds, pair_budget, sample_pairs,
 )
 
 MAX_EXACT_STATES = 10 ** 4
@@ -77,7 +84,10 @@ class RateModel:
             if maps[map_id].space != space:
                 raise ValueError(f"map {map_id!r} acts on a different space")
             entries.append(RateEntry(map_id, maps[map_id], rate))
-        return cls(space, tuple(entries))
+        model = cls(space, tuple(entries))
+        if not math.isfinite(model.total_rate):
+            raise ValueError("the total rate overflows")
+        return model
 
     @property
     def total_rate(self) -> float:
@@ -120,7 +130,7 @@ class EventStream:
 
 def _checked_window(window) -> tuple[float, float]:
     s, u = float(window[0]), float(window[1])
-    if not (math.isfinite(s) and math.isfinite(u)):
+    if not math.isfinite(u - s):  # also when the ends are finite but their distance is not
         raise WindowViolation(f"non-finite window {window}")
     if s > u:
         raise WindowViolation(f"empty window {window}")
@@ -145,21 +155,29 @@ def _mark_lookup(model: RateModel):
     return active, lambda u: np.searchsorted(bounds, u, side="right")
 
 
+def _expected_jumps(model: RateModel, span: float) -> float:
+    """lambda * span, the mean jump count of one path; SizeBudgetExceeded past the pair budget."""
+    lam = model.total_rate * span
+    if lam > pair_budget():
+        raise SizeBudgetExceeded(f"{lam:.6g} expected jumps exceed the budget of {pair_budget()}")
+    return lam
+
+
 def sample_event_stream(model: RateModel, window: tuple[float, float], seed) -> EventStream:
-    """Marked Poisson sampling: exponential waits at the total rate, marks by rate share."""
+    """Marked Poisson sampling, count first.
+
+    The number of events is Poisson with mean total rate times window length;
+    given the count, the times are i.i.d. uniform on the window (sorted) and
+    each mark picks a map with probability its share of the total rate.
+    """
     s, u = _checked_window(window)
-    total = model.total_rate
-    events = []
-    if total > 0.0:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        active, lookup = _mark_lookup(model)
-        t = s
-        while True:
-            t += rng.exponential(1.0 / total)
-            if t >= u:
-                break
-            events.append((active[int(lookup(rng.random()))].map_id, t))
-    return EventStream(window=(s, u), events=tuple(events), seed=seed)
+    lam = _expected_jumps(model, u - s)
+    rng = np.random.default_rng(seed)
+    n = rng.poisson(lam)
+    times = np.sort(rng.uniform(s, u, n))
+    active, lookup = _mark_lookup(model)
+    ids = [active[i].map_id for i in lookup(rng.random(n)).tolist()]
+    return EventStream(window=(s, u), events=tuple(zip(ids, times.tolist())), seed=seed)
 
 
 @dataclass(frozen=True)
@@ -283,9 +301,7 @@ def check_pathwise_duality(
         raise StateSpaceTooLarge("one side alone exceeds the pair budget")
 
     if not exhaustive:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 2))))
-        xi = rng.integers(0, ssp.n_configs, size=n_samples)
-        yi = rng.integers(0, rsp.n_configs, size=n_samples)
+        xi, yi = sample_pairs((seed, 2), n_samples, ssp, rsp)
         xs, ys = ssp.config_array(xi), rsp.config_array(yi)
     for conv in ("+", "-"):
         other = "-" if conv == "+" else "+"
@@ -349,16 +365,16 @@ def _embedded_values(lifted: LiftedDuality, x, y, evolving: str) -> tuple[np.nda
 
 def _mc_endpoints(model, start_idx, t, replicates, seed, side) -> np.ndarray:
     """Final configuration index of every replicate, walked in lockstep blocks."""
-    active, lookup = _mark_lookup(model)
+    lam = _expected_jumps(model, t)
     out = np.full(replicates, start_idx, dtype=np.intp)
-    if not active or t == 0.0:
+    if lam == 0.0:
         return out
-    total = model.total_rate
+    active, lookup = _mark_lookup(model)
     tables = np.stack([e.site_map.index_table() for e in active])
     for b, lo in enumerate(range(0, replicates, MC_BLOCK)):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, side, b))))
+        rng = np.random.default_rng((seed, side, b))
         idx = out[lo:lo + MC_BLOCK]  # a view: the walk writes into out
-        n = rng.poisson(total * t, size=idx.size)
+        n = rng.poisson(lam, size=idx.size)
         for j in range(int(n.max())):
             live = np.flatnonzero(n > j)
             idx[live] = tables[lookup(rng.random(live.size)), idx[live]]
@@ -463,13 +479,12 @@ def exact_semigroup_expectation(
         raise StateSpaceTooLarge(f"{space.n_configs} states exceed {MAX_EXACT_STATES}")
     values, start = _embedded_values(lifted, x, y, evolving)
 
-    total = model.total_rate
-    if total == 0.0 or t == 0.0:
+    lam = _expected_jumps(model, t)
+    if lam == 0.0:
         return float(values[start])
     arrs = [e.site_map.index_table() for e in model.entries]
-    weights = [e.rate / total for e in model.entries]
+    weights = [e.rate / model.total_rate for e in model.entries]
     fmax = float(np.max(np.abs(values))) or 1.0
-    lam = total * t
     steps = max(1, math.ceil(lam / MAX_STEP_MEAN))
     v = values
     for _ in range(steps):

@@ -19,6 +19,7 @@ scalar ``SiteMap.apply`` and ``LiftedDuality.evaluate`` are the test oracles.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass
 from itertools import product as iproduct
@@ -102,12 +103,17 @@ class SiteMap:
 
     @classmethod
     def from_matrix(cls, space: SiteSpace, matrix) -> "SiteMap":
-        k = space.sites
-        rows = tuple(tuple(tuple(entry) for entry in row) for row in matrix)
+        k, n = space.sites, space.local.order
+        try:
+            rows = tuple(tuple(tuple(map(operator.index, entry)) for entry in row) for row in matrix)
+        except TypeError:
+            raise ValueError("matrix must be a list of rows of integer value tables") from None
         if len(rows) != k or any(len(row) != k for row in rows):
             raise ValueError(f"matrix must be {k}x{k}")
         for i, row in enumerate(rows):
             for j, entry in enumerate(row):
+                if len(entry) != n or not all(0 <= v < n for v in entry):
+                    raise ValueError(f"matrix entry ({i},{j}) must list {n} values in 0..{n - 1}")
                 if not is_homomorphism(space.local, space.local, entry):
                     raise ValueError(f"matrix entry ({i},{j}) is not a local homomorphism")
         return cls(space, rows)
@@ -363,6 +369,12 @@ def _check_real_embedding(t: Monoid, emb) -> None:
                 raise NoRealEmbedding(f"embedding not multiplicative at ({a},{b})")
 
 
+def sample_pairs(key, n: int, x_space: SiteSpace, y_space: SiteSpace) -> tuple[np.ndarray, np.ndarray]:
+    """n configuration index pairs drawn from default_rng(key): all x indices, then all y indices."""
+    rng = np.random.default_rng(key)
+    return rng.integers(x_space.n_configs, size=n), rng.integers(y_space.n_configs, size=n)
+
+
 def dual_map(lifted: LiftedDuality, m: SiteMap, samples: int = 100_000) -> SiteMap:
     """The unique site map with Psi(m(x), y) = Psi(x, mhat(y)) for all pairs.
 
@@ -384,9 +396,8 @@ def dual_map(lifted: LiftedDuality, m: SiteMap, samples: int = 100_000) -> SiteM
     if m.space.n_configs * rsp.n_configs <= pair_budget():
         hit = identity_holds(lifted, m.index_table(), mhat.index_table())
     else:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0)))
-        xs = m.space.config_array(rng.integers(m.space.n_configs, size=samples))
-        ys = rsp.config_array(rng.integers(rsp.n_configs, size=samples))
+        xi, yi = sample_pairs(0, samples, m.space, rsp)
+        xs, ys = m.space.config_array(xi), rsp.config_array(yi)
         hit = identity_holds(lifted, m.apply_array(xs), mhat.apply_array(ys), pairs=(xs, ys))
     if hit is not None:
         raise AssertionError(f"dual-map identity fails at {hit[0]}, {hit[1]}")

@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import math
+import time
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from monodual import catalog
@@ -294,11 +296,25 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")
 
 
+def _is_config(text: str, sites: int) -> bool:
+    """Whether the CLI reads text as a configuration of psi5.T on `sites` sites."""
+    try:
+        values = [int(v) for v in text.split(",")]
+    except ValueError:
+        return False
+    return len(values) == sites and all(0 <= v <= 2 for v in values)
+
+
+# finite times whose expected jump count (rate 0.8) is far past the default budget
+HUGE_T_MAX = [1e9, 1e300]
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     check=st.sampled_from(["expectation", "pathwise"]),
     sites=st.integers(1, 2),
-    t_max=st.one_of(st.floats(-5.0, 20.0), st.sampled_from([math.nan, math.inf, -math.inf])),
+    t_max=st.one_of(st.floats(-5.0, 20.0), st.sampled_from([math.nan, math.inf, -math.inf]),
+                    st.sampled_from(HUGE_T_MAX)),
     replicates=st.integers(1, 50),
     seed=st.integers(0, 2 ** 32),
     data=st.data(),
@@ -307,14 +323,20 @@ def test_simulate_fuzz_exit_codes_and_json(tmp_path, check, sites, t_max, replic
     x = data.draw(_config_text(sites), label="x")
     y = data.draw(_config_text(sites), label="y")
     out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["simulate", "--psi", "psi5.T", "--sites", str(sites),
                      "--rates", _psi5_rates_file(tmp_path, sites), f"--t-max={t_max!r}",
                      "--seed", str(seed), "--check", check, "--replicates", str(replicates),
                      f"--x={x}", f"--y={y}"])
+    elapsed = time.perf_counter() - start
     assert code in (0, 2, 3, 4)
     if out.getvalue():
         json.loads(out.getvalue(), parse_constant=_reject_constant)
+    if t_max in HUGE_T_MAX and (check == "pathwise" or _is_config(x, sites) and _is_config(y, sites)):
+        assert code == 3 and out.getvalue() == "" and elapsed < 1.0
+        error = json.loads(err.getvalue(), parse_constant=_reject_constant)
+        assert error["error"] == "SizeBudgetExceeded"
 
 
 def test_pathwise_seeds_below_one_is_usage_error(capsys):
@@ -332,3 +354,35 @@ def test_negative_sites_is_usage_error(tmp_path, capsys):
     argv[argv.index("--sites") + 1] = "-1"
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and "--sites" in err
+
+
+MALFORMED_INPUTS = {
+    "map-entry-not-a-list": ("--map", [[1]]),
+    "map-entry-too-short": ("--map", [[[0, 1]]]),
+    "map-entry-out-of-range": ("--map", [[[0, 1, 7]]]),
+    "rates-not-a-list": ("--rates", {"id": "m", "matrix": [[[0, 1, 2]]], "rate": 1.0}),
+    "rate-not-a-number": ("--rates", [{"id": "m", "matrix": [[[0, 1, 2]]], "rate": [1.0]}]),
+    "rate-too-large-for-a-float": ("--rates", [{"id": "m", "matrix": [[[0, 1, 2]]], "rate": 10 ** 400}]),
+    "psi-not-an-object": ("--psi", [[0, 1], [1, 0]]),
+    "psi-values-not-a-table": ("--psi", {"s": {"table": [[0]]}, "r": {"table": [[0]]},
+                                          "t": {"table": [[0]]}, "values": 5}),
+}
+
+
+@pytest.mark.parametrize("flag, content", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
+def test_malformed_input_files_are_computation_errors(tmp_path, capsys, flag, content):
+    files = {"--psi": "psi5.T", "--map": [[[0, 1, 2]]],
+             "--rates": [{"id": "m", "matrix": [[[0, 1, 2]]], "rate": 1.0}]}
+    for name in ("--map", "--rates"):
+        path = tmp_path / f"{name[2:]}.json"
+        path.write_text(json.dumps(files[name]))
+        files[name] = str(path)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(content))
+    files[flag] = str(path)
+    argv = (["dual-map", "--map", files["--map"]] if flag != "--rates" else
+            ["simulate", "--rates", files["--rates"], "--t-max", "1", "--seed", "1",
+             "--check", "pathwise"])
+    code, out, err = run(capsys, *argv, "--psi", files["--psi"], "--sites", "1")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] in ("ValueError", "DualityError")

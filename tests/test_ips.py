@@ -24,7 +24,7 @@ from monodual.ips import (
     exact_semigroup_expectation,
     sample_event_stream,
 )
-from monodual.product import NoRealEmbedding, SiteMap, lift_duality
+from monodual.product import NoRealEmbedding, SiteMap, SizeBudgetExceeded, lift_duality
 from monodual.reproduce import _pathwise_model
 
 
@@ -198,9 +198,9 @@ def test_corrupted_dual_raises_violation():
     )
     # this particular corruption cancels out after two applications of the
     # map, so use a window and seed realising exactly one event
-    assert sample_event_stream(model, (0.0, 1.0), seed=3).n_events == 1
+    assert sample_event_stream(model, (0.0, 1.0), seed=6).n_events == 1
     with pytest.raises(DualityViolation):
-        check_pathwise_duality(model, lifted, (0.0, 1.0), seed=3, dual=corrupted)
+        check_pathwise_duality(model, lifted, (0.0, 1.0), seed=6, dual=corrupted)
 
 
 def test_pathwise_reports_are_deterministic():
@@ -435,3 +435,43 @@ def test_zero_rate_maps_are_never_drawn():
     stream = sample_event_stream(model, (0.0, 50.0), seed=9)
     assert stream.n_events > 0
     assert {mid for mid, _ in stream.events} == {"spread"}
+
+
+def test_jump_bound_admits_the_budget_and_rejects_any_path_beyond_it(monkeypatch):
+    lifted, model = psi5_model(2, rate=2.0)
+    dual = dual_model(model, lifted)
+    x, y = (1, 2), (1, 0)
+    monkeypatch.setenv("MONODUAL_PAIR_BUDGET", "20")
+    # 2.0 * 10.0 expected jumps sit exactly at the budget
+    assert sample_event_stream(model, (0.0, 10.0), seed=1).n_events > 0
+    estimate_expectation_duality(model, lifted, x, y, 10.0, 5, seed=1, dual=dual)
+    exact_semigroup_expectation(model, lifted, x, y, 10.0)
+    beyond = [
+        lambda: sample_event_stream(model, (0.0, 10.5), seed=1),
+        lambda: check_pathwise_duality(model, lifted, (0.0, 10.5), seed=1, dual=dual),
+        lambda: estimate_expectation_duality(model, lifted, x, y, 10.5, 5, seed=1, dual=dual),
+        lambda: exact_semigroup_expectation(model, lifted, x, y, 10.5),
+    ]
+    for call in beyond:
+        with pytest.raises(SizeBudgetExceeded, match="expected jumps"):
+            call()
+
+
+def test_zero_rates_need_no_jump_budget():
+    lifted, model = psi1_model(rates=(0.0,))
+    assert sample_event_stream(model, (-1e300, 1e300), seed=3).events == ()
+    x = y = (1, 0)
+    assert exact_semigroup_expectation(model, lifted, x, y, 1e300) == lifted.evaluate_embedded(x, y)
+
+
+def test_a_total_rate_that_overflows_is_rejected():
+    _, model = psi1_model(2, rates=(1.0, 1.0))
+    maps = {e.map_id: e.site_map for e in model.entries}
+    with pytest.raises(ValueError, match="total rate"):
+        RateModel.build(model.space, maps, {"spread": 1e308, "still": 1e308})
+
+
+def test_a_window_whose_length_overflows_is_rejected():
+    lifted, model = psi1_model(rates=(0.0,))
+    with pytest.raises(WindowViolation):
+        sample_event_stream(model, (-1e308, 1e308), seed=1)

@@ -2,7 +2,9 @@
 
 All carriers are 0..n-1.  Validation is exhaustive (O(n^3) for associativity
 and distributivity); the orders handled here are tiny, so there is no reason
-to check anything by sampling.
+to check anything by sampling.  The laws themselves are checked by the
+witness functions of :mod:`monodual.tables`; the validators raise on the
+witness they return.
 """
 
 from __future__ import annotations
@@ -14,8 +16,11 @@ from .tables import (
     CayleyTable,
     Rows,
     as_rows,
+    associativity_witness,
+    distributivity_witness,
     is_commutative,
     neutral_of,
+    preservation_witness,
     relabel,
     transpose,
 )
@@ -104,26 +109,22 @@ class Monoid:
         return Monoid(CayleyTable(relabel(self.op.rows, perm)), 0)
 
 
-def validate_monoid(table, require_commutative: bool = False, normalize: bool = False) -> Monoid:
+def validate_monoid(table, require_commutative: bool = False) -> Monoid:
     """Check the monoid axioms on a table, returning the witnessed failure otherwise."""
     rows = table.rows if isinstance(table, CayleyTable) else as_rows(table)
     n = len(rows)
     e = neutral_of(rows)
     if e is None:
         raise NoNeutralElement()
-    rng = range(n)
-    for x in rng:
-        for y in rng:
-            for z in rng:
-                if rows[rows[x][y]][z] != rows[x][rows[y][z]]:
-                    raise NotAssociative(x, y, z)
+    w = associativity_witness(rows)
+    if w is not None:
+        raise NotAssociative(*w)
     if require_commutative:
-        for x in rng:
+        for x in range(n):
             for y in range(x + 1, n):
                 if rows[x][y] != rows[y][x]:
                     raise NotCommutative(x, y)
-    m = Monoid(CayleyTable(rows), e)
-    return m.normalized() if normalize else m
+    return Monoid(CayleyTable(rows), e)
 
 
 @dataclass(frozen=True)
@@ -174,27 +175,19 @@ def validate_semiring(add_table, mul_table) -> Semiring:
         add = validate_monoid(add_rows, require_commutative=True)
     except AlgebraError as exc:
         raise AdditiveNotCommutativeMonoid(str(exc)) from exc
-    n = len(add_rows)
     one = neutral_of(mul_rows)
     if one is None:
         raise MulNotMonoid("multiplication has no unit")
-    rng = range(n)
-    for x in rng:
-        for y in rng:
-            for z in rng:
-                if mul_rows[mul_rows[x][y]][z] != mul_rows[x][mul_rows[y][z]]:
-                    raise MulNotMonoid(f"multiplication not associative at ({x},{y},{z})")
+    w = associativity_witness(mul_rows)
+    if w is not None:
+        raise MulNotMonoid("multiplication not associative at ({},{},{})".format(*w))
     zero = add.neutral
-    for x in rng:
+    for x in range(len(add_rows)):
         if mul_rows[x][zero] != zero or mul_rows[zero][x] != zero:
             raise ZeroNotAbsorbing(x)
-    for x in rng:
-        for y in rng:
-            for z in rng:
-                if mul_rows[x][add_rows[y][z]] != add_rows[mul_rows[x][y]][mul_rows[x][z]]:
-                    raise NotDistributive(x, y, z, "left")
-                if mul_rows[add_rows[x][y]][z] != add_rows[mul_rows[x][z]][mul_rows[y][z]]:
-                    raise NotDistributive(x, y, z, "right")
+    w = distributivity_witness(add_rows, mul_rows)
+    if w is not None:
+        raise NotDistributive(*w)
     return Semiring(add, CayleyTable(mul_rows), one)
 
 
@@ -232,11 +225,8 @@ def iter_isomorphisms(a: Monoid, b: Monoid):
     ra, rb = a.op.rows, b.op.rows
     if _row_profile(ra, a.neutral) != _row_profile(rb, b.neutral):
         return
-    rng = range(n)
-    for p in permutations(rng):
-        if p[a.neutral] != b.neutral:
-            continue
-        if all(p[ra[x][y]] == rb[p[x]][p[y]] for x in rng for y in rng):
+    for p in permutations(range(n)):
+        if p[a.neutral] == b.neutral and preservation_witness(p, ra, rb) is None:
             yield p
 
 
@@ -258,12 +248,10 @@ def are_isomorphic_semirings(a: Semiring, b: Semiring, include_opposite: bool = 
     include_opposite, a witness onto the opposite multiplication of b is also
     accepted; the returned permutation is then tagged ("op", perm).
     """
-    rm = a.mul.rows
-    rng = range(a.order)
     variants = [("id", b.mul.rows)] + ([("op", transpose(b.mul.rows))] if include_opposite else [])
     for tag, bm in variants:
         for p in iter_isomorphisms(a.add, b.add):
-            if all(p[rm[x][y]] == bm[p[x]][p[y]] for x in rng for y in rng):
+            if preservation_witness(p, a.mul.rows, bm) is None:
                 return p if tag == "id" else ("op", p)
     return None
 

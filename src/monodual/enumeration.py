@@ -1,12 +1,17 @@
 """Exhaustive, isomorphism-quotiented generation of small monoids and semirings.
 
 The generator fills the free cells of an operation table depth-first with the
-neutral element pinned at 0, pruning on every associativity triple that is
-already fully determined, and re-checks complete tables in full (the partial
-check is a pruning device, not the correctness argument).  Class
-representatives are canonical tables: the lexicographic minimum over all
-relabelings fixing 0, and additionally over the transposed table where the
-quotient includes opposites.
+neutral element pinned at 0, pruning on the witness functions of
+:mod:`monodual.tables` (a law instance is checked as soon as every entry it
+reads is set), and re-checks complete tables for associativity in full (the
+partial check is a pruning device, not the correctness argument).
+
+All three enumerators quotient through ``_classes``: each class is one orbit
+of tables under relabelings (fixing 0, or the additive automorphisms for
+semirings), and under transposition where opposites are identified.  The
+orbit is built once, from the first of its tables the filler yields; the
+filler's later tables of that orbit are skipped.  A class representative is
+the least member of its orbit, so it is the canonical table.
 """
 
 from __future__ import annotations
@@ -20,13 +25,13 @@ from .tables import (
     CayleyTable,
     Rows,
     absorbing_of,
+    associativity_witness,
     canonical_form,
-    canonical_form_with_opposite,
-    is_associative,
+    distributivity_witness,
     is_commutative,
     neutral_of,
-    relabel,
-    transpose,
+    orbit,
+    relabelings_fixing,
 )
 
 MONOID_ORDER_CAP = 5
@@ -58,7 +63,7 @@ def _completions(t, cells, ok):
     """Depth-first completions of the partial table t (None marks a free entry).
 
     Each cell is a tuple of positions that take one value together, so a
-    commutative mirror is one cell.  Branches where ``ok()`` fails on the
+    commutative mirror is one cell.  Branches where ``ok(t)`` fails on the
     partial table are pruned; complete tables are re-checked for
     associativity in full before they are yielded.
     """
@@ -67,13 +72,13 @@ def _completions(t, cells, ok):
     def rec(k: int):
         if k == len(cells):
             rows = tuple(tuple(row) for row in t)
-            if is_associative(rows):
+            if associativity_witness(rows) is None:
                 yield rows
             return
         for v in range(n):
             for i, j in cells[k]:
                 t[i][j] = v
-            if ok():
+            if ok(t):
                 yield from rec(k + 1)
         for i, j in cells[k]:
             t[i][j] = None
@@ -91,27 +96,29 @@ def _fill_monoid_tables(n: int, commutative: bool):
         cells = [((i, j), (j, i)) for i in range(1, n) for j in range(i, n)]
     else:
         cells = [((i, j),) for i in range(1, n) for j in range(1, n)]
+    yield from _completions(t, cells, lambda rows: associativity_witness(rows) is None)
 
-    def partial_ok() -> bool:
-        rng = range(n)
-        for x in rng:
-            rowx = t[x]
-            for y in rng:
-                xy = rowx[y]
-                if xy is None:
-                    continue
-                rowxy = t[xy]
-                for z in rng:
-                    yz = t[y][z]
-                    if yz is None:
-                        continue
-                    left = rowxy[z]
-                    right = rowx[yz]
-                    if left is not None and right is not None and left != right:
-                        return False
-        return True
 
-    yield from _completions(t, cells, partial_ok)
+def _classes(tables, perms, opposite: bool = False) -> list[Rows]:
+    """The sorted least members of the orbits that ``tables`` meets.
+
+    Each orbit is built once, from the first of its tables; later tables are
+    skipped by set membership.  This is exact because relabeling and
+    transposing keep a table in its class and keep every property the
+    callers filter on (the laws, an absorbing element, commutativity).
+    """
+    seen: set[Rows] = set()
+    reps = []
+    for rows in tables:
+        if rows not in seen:
+            members = orbit(rows, perms, opposite)
+            seen |= members
+            reps.append(min(members))
+    return sorted(reps)
+
+
+def _report(order: int, reps: list[Rows], labels) -> EnumerationReport:
+    return EnumerationReport(order, len(reps), tuple(CayleyTable(r) for r in reps), labels)
 
 
 def _labels_for(reps, include_opposite: bool):
@@ -128,15 +135,8 @@ def enumerate_commutative_monoids(order: int) -> EnumerationReport:
     """All isomorphism classes of commutative monoids of the given order."""
     if not 1 <= order <= MONOID_ORDER_CAP:
         raise OrderTooLarge(order, MONOID_ORDER_CAP)
-    classes = {canonical_form(rows) for rows in _fill_monoid_tables(order, commutative=True)}
-    reps = sorted(classes)
-    labels = _labels_for(reps, include_opposite=False) if order <= 4 else None
-    return EnumerationReport(
-        order=order,
-        count=len(reps),
-        representatives=tuple(CayleyTable(r) for r in reps),
-        catalog_labels=labels,
-    )
+    reps = _classes(_fill_monoid_tables(order, commutative=True), relabelings_fixing(0, order))
+    return _report(order, reps, _labels_for(reps, include_opposite=False) if order <= 4 else None)
 
 
 def enumerate_commutative_monoids_naive(order: int) -> EnumerationReport:
@@ -148,16 +148,11 @@ def enumerate_commutative_monoids_naive(order: int) -> EnumerationReport:
     for flat in product(range(n), repeat=n * n):
         rows = tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
         e = neutral_of(rows)
-        if e is None or not is_commutative(rows) or not is_associative(rows):
+        if e is None or not is_commutative(rows) or associativity_witness(rows) is not None:
             continue
         classes.add(canonical_form(rows, neutral=e))
     reps = sorted(classes)
-    return EnumerationReport(
-        order=order,
-        count=len(reps),
-        representatives=tuple(CayleyTable(r) for r in reps),
-        catalog_labels=_labels_for(reps, include_opposite=False),
-    )
+    return _report(order, reps, _labels_for(reps, include_opposite=False))
 
 
 def enumerate_monoids_with_absorbing(order: int, commutative=None) -> EnumerationReport:
@@ -170,21 +165,13 @@ def enumerate_monoids_with_absorbing(order: int, commutative=None) -> Enumeratio
     """
     if not 1 <= order <= 4:
         raise OrderTooLarge(order, 4)
-    classes = set()
-    for rows in _fill_monoid_tables(order, commutative=False):
-        if absorbing_of(rows) is None:
-            continue
-        comm = is_commutative(rows)
-        if commutative is not None and comm != commutative:
-            continue
-        classes.add(canonical_form_with_opposite(rows))
-    reps = sorted(classes)
-    return EnumerationReport(
-        order=order,
-        count=len(reps),
-        representatives=tuple(CayleyTable(r) for r in reps),
-        catalog_labels=_labels_for(reps, include_opposite=True),
+    tables = (
+        rows for rows in _fill_monoid_tables(order, commutative=False)
+        if absorbing_of(rows) is not None
+        and (commutative is None or is_commutative(rows) == commutative)
     )
+    reps = _classes(tables, relabelings_fixing(0, order), opposite=True)
+    return _report(order, reps, _labels_for(reps, include_opposite=True))
 
 
 @dataclass(frozen=True)
@@ -199,31 +186,15 @@ def _semiring_multiplications(add_rows: Rows):
     if n == 1:
         yield ((0,),)
         return
-    rng = range(n)
     for unit in range(1, n):
         t = [[None] * n for _ in range(n)]
-        for x in rng:
+        for x in range(n):
             t[0][x] = 0
             t[x][0] = 0
             t[unit][x] = x
             t[x][unit] = x
         free = [((i, j),) for i in range(1, n) for j in range(1, n) if unit not in (i, j)]
-
-        def distrib_ok() -> bool:
-            for x in rng:
-                for y in rng:
-                    for z in rng:
-                        v = t[x][add_rows[y][z]]
-                        a, b = t[x][y], t[x][z]
-                        if None not in (v, a, b) and v != add_rows[a][b]:
-                            return False
-                        v = t[add_rows[x][y]][z]
-                        a, b = t[x][z], t[y][z]
-                        if None not in (v, a, b) and v != add_rows[a][b]:
-                            return False
-            return True
-
-        yield from _completions(t, free, distrib_ok)
+        yield from _completions(t, free, lambda mul: distributivity_witness(add_rows, mul) is None)
 
 
 def enumerate_semiring_multiplications(add: Monoid) -> list[SemiringClass]:
@@ -238,16 +209,10 @@ def enumerate_semiring_multiplications(add: Monoid) -> list[SemiringClass]:
         raise OrderTooLarge(add.order, SEMIRING_ORDER_CAP)
     if not add.is_commutative():
         raise ValueError("additive monoid must be commutative")
-    if add.neutral != 0:
-        add = add.normalized()
+    add = add.normalized()
     add_rows = add.op.rows
-    auts = automorphisms(add)
-
-    def least_of_orbit(m: Rows) -> Rows:
-        return min(min(q, transpose(q)) for q in (relabel(m, p) for p in auts))
-
     out = []
-    for m in sorted({least_of_orbit(m) for m in _semiring_multiplications(add_rows)}):
+    for m in _classes(_semiring_multiplications(add_rows), automorphisms(add), opposite=True):
         s = validate_semiring(add_rows, m)
         hit = catalog.catalog_lookup(s.mul_monoid(), include_opposite=True)
         out.append(SemiringClass(semiring=s, mult_label=hit[0].label if hit else None))

@@ -22,7 +22,7 @@ from itertools import product
 
 from . import catalog
 from .algebra import Monoid, automorphisms, iter_isomorphisms
-from .tables import CayleyTable, Rows, transpose
+from .tables import CayleyTable, Rows, preservation_witness, transpose
 
 QUADRUPLE_ORDERS = range(2, 5)  # the max_order values the census search accepts
 
@@ -74,9 +74,7 @@ def is_homomorphism(source: Monoid, target: Monoid, values) -> bool:
     vals = tuple(values)
     if vals[source.neutral] != target.neutral:
         return False
-    s, t = source.rows, target.rows
-    n = source.order
-    return all(vals[s[x][y]] == t[vals[x]][vals[y]] for x in range(n) for y in range(n))
+    return preservation_witness(vals, source.rows, target.rows) is None
 
 
 @dataclass(frozen=True)
@@ -147,27 +145,16 @@ def _generating_plan(m: Monoid):
 def _all_homs(source: Monoid, target: Monoid):
     """Every homomorphism as a value table, by exhausting generator assignments."""
     generators, plan = _generating_plan(source)
-    n, t_rows = source.order, target.rows
-    s_rows = source.rows
+    s_rows, t_rows = source.rows, target.rows
     homs = []
     for assignment in product(range(target.order), repeat=len(generators)):
-        vals = [None] * n
+        vals = [None] * source.order
         vals[source.neutral] = target.neutral
         for g, v in zip(generators, assignment):
             vals[g] = v
         for elem, a, b in plan:
             vals[elem] = t_rows[vals[a]][vals[b]]
-        ok = True
-        for x in range(n):
-            row = s_rows[x]
-            vx = vals[x]
-            for y in range(n):
-                if vals[row[y]] != t_rows[vx][vals[y]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if preservation_witness(vals, s_rows, t_rows) is None:
             homs.append(tuple(vals))
     homs.sort()
     return homs
@@ -300,11 +287,9 @@ def candidate_duality(source: Monoid, target: Monoid, r: Monoid, iso) -> Duality
     iso = tuple(iso)
     if sorted(iso) != list(range(adj.size)) or r.order != adj.size:
         raise NotIsomorphism("not a bijection onto the hom set")
-    adj_m = adj.monoid()
-    for x in range(r.order):
-        for y in range(r.order):
-            if iso[r.add(x, y)] != adj_m.add(iso[x], iso[y]):
-                raise NotIsomorphism(f"addition not preserved at ({x},{y})")
+    w = preservation_witness(iso, r.rows, adj.op.rows)
+    if w is not None:
+        raise NotIsomorphism("addition not preserved at ({},{})".format(*w))
     if iso[r.neutral] != adj.index_of_zero:
         raise NotIsomorphism("neutral element not mapped to the constant map")
     psi = DualityFunction(source, r, target, tuple(zip(*(adj.base[i].values for i in iso))))

@@ -1,13 +1,19 @@
-"""Cayley tables: the carrier data structure for every finite algebra here.
+"""Cayley tables, and the one home of the table laws and relabeling orbits.
 
 A table of order n is a tuple of n tuples of ints in 0..n-1, so tables are
-hashable and usable as dict keys / set members directly.
+hashable and usable as dict keys / set members directly.  Each law has one
+witness function, returning its first failing tuple in lex order or None.  In
+a partial table (lists, None for a free cell) a law instance counts once all
+it reads is set, which is how the enumeration fillers prune.  A class of
+tables is a relabeling orbit, and ``canonical_form`` is its least member.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 
 Row = tuple[int, ...]
@@ -20,7 +26,10 @@ class MalformedTable(ValueError):
 
 def as_rows(rows) -> Rows:
     """Normalise nested lists/tuples to the canonical tuple form, validating shape."""
-    out = tuple(tuple(int(v) for v in row) for row in rows)
+    try:
+        out = tuple(tuple(map(operator.index, row)) for row in rows)
+    except TypeError:
+        raise MalformedTable("table entries must be integers") from None
     n = len(out)
     if n == 0:
         raise MalformedTable("empty table")
@@ -69,11 +78,10 @@ def transpose(rows: Rows) -> Rows:
 
 def relabel(rows: Rows, perm) -> Rows:
     """Rename elements, old index i becoming perm[i]."""
-    n = len(rows)
-    inv = [0] * n
+    inv = [0] * len(rows)
     for old, new in enumerate(perm):
         inv[new] = old
-    return tuple(tuple(perm[rows[inv[i]][inv[j]]] for j in range(n)) for i in range(n))
+    return tuple(tuple([perm[row[j]] for j in inv]) for row in [rows[i] for i in inv])
 
 
 def neutral_of(rows: Rows):
@@ -103,45 +111,94 @@ def almost_absorbing_of(rows: Rows):
     return None
 
 
-def is_associative(rows: Rows) -> bool:
-    n = len(rows)
-    rng = range(n)
-    return all(
-        rows[rows[x][y]][z] == rows[x][rows[y][z]] for x in rng for y in rng for z in rng
-    )
-
-
 def is_commutative(rows: Rows) -> bool:
     n = len(rows)
     return all(rows[x][y] == rows[y][x] for x in range(n) for y in range(x + 1, n))
 
 
+def associativity_witness(rows):
+    """The first (x, y, z) with (x*y)*z != x*(y*z), or None."""
+    rng = range(len(rows))
+    for x in rng:
+        rowx = rows[x]
+        for y in rng:
+            xy = rowx[y]
+            if xy is None:
+                continue
+            rowxy, rowy = rows[xy], rows[y]
+            for z in rng:
+                yz = rowy[z]
+                if yz is None:
+                    continue
+                left, right = rowxy[z], rowx[yz]
+                if left != right and left is not None and right is not None:
+                    return x, y, z
+    return None
+
+
+def distributivity_witness(add, mul):
+    """The first (x, y, z, side) where mul fails to distribute over the complete add.
+
+    At each triple, left x*(y+z) = x*y + x*z goes before right (x+y)*z = x*z + y*z.
+    """
+    rng = range(len(add))
+    for x in rng:
+        mx, addx = mul[x], add[x]
+        for y in rng:
+            addy, mxy, my, mxpy = add[y], mx[y], mul[y], mul[addx[y]]
+            for z in rng:
+                v, a, b = mx[addy[z]], mxy, mx[z]
+                if v is not None and a is not None and b is not None and v != add[a][b]:
+                    return x, y, z, "left"
+                v, a, b = mxpy[z], mx[z], my[z]
+                if v is not None and a is not None and b is not None and v != add[a][b]:
+                    return x, y, z, "right"
+    return None
+
+
+def preservation_witness(f, a, b):
+    """The first (x, y) where the map f from a's carrier to b's has f(x a y) != f(x) b f(y)."""
+    rng = range(len(a))
+    for x in rng:
+        fx = f[x]
+        if fx is None:
+            continue
+        ax, bfx = a[x], b[fx]
+        for y in rng:
+            fy, axy = f[y], ax[y]
+            if fy is None or axy is None:
+                continue
+            left, right = f[axy], bfx[fy]
+            if left != right and left is not None and right is not None:
+                return x, y
+    return None
+
+
+@cache
+def relabelings_fixing(neutral: int, n: int) -> tuple[Row, ...]:
+    """Every permutation of 0..n-1 that maps ``neutral`` to itself, in lex order."""
+    return tuple(p for p in permutations(range(n)) if p[neutral] == neutral)
+
+
+def orbit(rows: Rows, perms, opposite: bool = False) -> set[Rows]:
+    """The relabelings of ``rows`` by ``perms``, and of its transpose too if ``opposite``."""
+    bases = (rows, transpose(rows)) if opposite else (rows,)
+    return {relabel(t, p) for t in bases for p in perms}
+
+
 def canonical_form(rows: Rows, neutral: int = 0) -> Rows:
-    """Lexicographically smallest relabeling that puts ``neutral`` at index 0."""
+    """The least member of the orbit of ``rows`` under relabelings putting ``neutral`` at 0."""
     n = len(rows)
-    others = [x for x in range(n) if x != neutral]
-    best = None
-    for slots in permutations(range(1, n)):
-        perm = [0] * n
-        perm[neutral] = 0
-        for slot, old in zip(slots, others):
-            perm[old] = slot
-        cand = relabel(rows, perm)
-        if best is None or cand < best:
-            best = cand
-    return best
+    if neutral != 0:
+        swap = list(range(n))
+        swap[0], swap[neutral] = neutral, 0
+        rows = relabel(rows, swap)
+    return min(orbit(rows, relabelings_fixing(0, n)))
 
 
-def canonical_form_with_opposite(rows: Rows, neutral: int = 0) -> Rows:
-    """Canonical form treating a table and its transpose as the same structure."""
-    return min(canonical_form(rows, neutral), canonical_form(transpose(rows), neutral))
-
-
-def render_table(label: str, rows: Rows, names=None) -> str:
+def render_table(label: str, rows: Rows) -> str:
     """Text rendering with a header row and column of element names."""
-    n = len(rows)
-    if names is None:
-        names = [str(i) for i in range(n)]
+    names = [str(i) for i in range(len(rows))]
     width = max(len(label), max(len(s) for s in names))
     cell = max(len(s) for s in names)
     head = label.rjust(width) + " | " + " ".join(s.rjust(cell) for s in names)

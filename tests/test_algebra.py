@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from monodual import catalog
@@ -5,6 +7,7 @@ from monodual.algebra import (
     InvalidLattice,
     Lattice,
     Monoid,
+    MulNotMonoid,
     NoNeutralElement,
     NotAssociative,
     NotCommutative,
@@ -17,10 +20,12 @@ from monodual.algebra import (
     dual_lattice,
     lattice_join_monoid,
     one_generates_addition,
+    Semiring,
     validate_monoid,
     validate_semiring,
 )
 from monodual.product import product_monoid
+from monodual.tables import CayleyTable, MalformedTable
 
 
 def test_validate_monoid_m6():
@@ -49,7 +54,7 @@ def test_validate_monoid_not_commutative():
 
 
 def test_normalize_moves_neutral_to_zero():
-    m = validate_monoid(catalog.MONOID_TABLES["N1"], normalize=True)
+    m = validate_monoid(catalog.MONOID_TABLES["N1"]).normalized()
     assert m.neutral == 0
     plain = validate_monoid(catalog.MONOID_TABLES["N1"])
     assert plain.neutral == 3
@@ -75,6 +80,37 @@ def test_validate_semiring_not_distributive():
         validate_semiring(
             catalog.MONOID_TABLES["M4"], [[0, 0, 0], [0, 2, 1], [0, 1, 2]]
         )
+
+
+def test_validators_raise_on_the_first_witness():
+    with pytest.raises(NotAssociative) as exc:
+        validate_monoid([[0, 1, 2], [1, 2, 0], [2, 0, 0]])
+    assert exc.value.witness == (1, 1, 2) and str(exc.value) == "(1+1)+2 != 1+(1+2)"
+    m8 = catalog.MONOID_TABLES["M8"]
+    with pytest.raises(MulNotMonoid, match=r"^multiplication not associative at \(2,3,3\)$"):
+        validate_semiring(m8, [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 0, 0], [0, 3, 0, 1]])
+    with pytest.raises(NotDistributive) as exc:
+        validate_semiring(m8, [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 2, 2], [0, 3, 3, 3]])
+    assert exc.value.witness == (2, 1, 1, "left")
+    with pytest.raises(NotDistributive) as exc:
+        validate_semiring(m8, [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 0, 0], [0, 3, 0, 0]])
+    assert exc.value.witness == (1, 1, 2, "right")
+
+
+def _table_json(entry):
+    return json.dumps({"order": 2, "table": [[0, entry], [1, 0]]})
+
+
+@pytest.mark.parametrize("read", [
+    CayleyTable.from_json,
+    lambda text: validate_monoid(json.loads(text)["table"]),
+    lambda text: Semiring.from_json(json.dumps({"add": json.loads(_table_json(1)),
+                                                "mul": json.loads(text)})),
+], ids=["CayleyTable.from_json", "validate_monoid", "Semiring.from_json"])
+@pytest.mark.parametrize("entry", [1.5, "1", None])
+def test_non_integer_entries_are_malformed(read, entry):
+    with pytest.raises(MalformedTable):
+        read(_table_json(entry))
 
 
 def test_are_isomorphic_identity():

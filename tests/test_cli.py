@@ -205,6 +205,8 @@ GOLDEN = {
     "reduced_classes.json": ("dualities", "find", "--reduce", "--format", "json"),
     "enumerate_order3.json": ("monoids", "enumerate", "--order", "3", "--format", "json"),
     "dualities_find.json": ("dualities", "find", "--format", "json"),
+    "enumerate_order5.json": ("monoids", "enumerate", "--order", "5", "--format", "json"),
+    "semirings_M15.json": ("semirings", "enumerate", "--additive", "M15", "--format", "json"),
 }
 
 

@@ -1,15 +1,18 @@
 import pytest
 
 from monodual import catalog
-from monodual.algebra import are_isomorphic, are_isomorphic_semirings, validate_semiring
+from monodual.algebra import are_isomorphic, are_isomorphic_semirings, automorphisms, validate_semiring
 from monodual.enumeration import (
     OrderTooLarge,
+    _classes,
+    _fill_monoid_tables,
+    _semiring_multiplications,
     enumerate_commutative_monoids,
     enumerate_commutative_monoids_naive,
     enumerate_monoids_with_absorbing,
     enumerate_semiring_multiplications,
 )
-from monodual.tables import canonical_form
+from monodual.tables import absorbing_of, canonical_form, relabel, relabelings_fixing, transpose
 
 
 def test_counts_orders_one_to_four():
@@ -139,3 +142,19 @@ def test_enumeration_is_deterministic():
     sa = enumerate_semiring_multiplications(catalog.monoid("M15"))
     sb = enumerate_semiring_multiplications(catalog.monoid("M15"))
     assert [c.semiring.mul.rows for c in sa] == [c.semiring.mul.rows for c in sb]
+
+
+def test_orbit_quotient_matches_the_per_table_quotient():
+    def least(rows, perms):
+        """Per-table class key: least relabeling of the table or of its opposite."""
+        return min(relabel(q, p) for q in (rows, transpose(rows)) for p in perms)
+
+    for n in (2, 3, 4):
+        perms = relabelings_fixing(0, n)
+        tables = [r for r in _fill_monoid_tables(n, commutative=False) if absorbing_of(r) is not None]
+        assert _classes(tables, perms, opposite=True) == sorted({least(r, perms) for r in tables}), n
+    for lab in catalog.M_LABELS:
+        add = catalog.monoid(lab).normalized()
+        auts = automorphisms(add)
+        muls = list(_semiring_multiplications(add.rows))
+        assert _classes(muls, auts, opposite=True) == sorted({least(m, auts) for m in muls}), lab

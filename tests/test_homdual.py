@@ -220,6 +220,13 @@ def test_candidate_duality_rejects_non_isomorphism():
         candidate_duality(m2, m2, m2, (1, 0))  # bijective but neutral goes astray
 
 
+def test_candidate_duality_names_the_first_unpreserved_sum():
+    s, t = catalog.monoid("M6"), catalog.monoid("M1")
+    r = hom_set(s, t).monoid()
+    with pytest.raises(NotIsomorphism, match=r"^addition not preserved at \(0,1\)$"):
+        candidate_duality(s, t, r, (1, 0))
+
+
 def test_evaluation_duality_for_reflexive_pairs():
     for s_lab, t_lab in [("M2", "M2"), ("M4", "M1"), ("M6", "M5"), ("M7", "M7")]:
         s, t = catalog.monoid(s_lab), catalog.monoid(t_lab)

@@ -84,18 +84,16 @@ from .ips import (
     DualityViolation,
     EventStream,
     ExpectationEstimate,
-    Flow,
     PathwiseReport,
     RateEntry,
     RateModel,
     StateSpaceTooLarge,
     WindowViolation,
-    apply_flow,
     check_pathwise_duality,
     dual_model,
-    dualize_stream,
     estimate_expectation_duality,
     exact_semigroup_expectation,
+    flow_index_table,
     sample_event_stream,
 )
 from .reproduce import ReproductionManifest, reproduce_all

@@ -16,13 +16,12 @@ holds this against the plain filter over all |T|^|S| value tables.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, replace
 from itertools import product
 
 from . import catalog
 from .algebra import Monoid, automorphisms, iter_isomorphisms
-from .tables import CayleyTable, Rows, preservation_witness, transpose
+from .tables import CayleyTable, Rows, as_int, preservation_witness, transpose
 
 QUADRUPLE_ORDERS = range(2, 5)  # the max_order values the census search accepts
 
@@ -321,7 +320,7 @@ def duality_from_dict(obj: dict) -> DualityFunction:
 
     def grid(rows) -> tuple[tuple[int, ...], ...]:
         try:
-            return tuple(tuple(map(operator.index, row)) for row in rows)
+            return tuple(tuple(map(as_int, row)) for row in rows)
         except TypeError:
             raise DualityError("tables and values must be lists of lists of integers") from None
 
@@ -329,7 +328,7 @@ def duality_from_dict(obj: dict) -> DualityFunction:
         if not isinstance(d, dict):
             raise DualityError("each carrier must be an object with a table")
         m = validate_monoid(grid(d["table"]))
-        if d.get("neutral") not in (None, m.neutral):
+        if d.get("neutral") not in (None, m.neutral) or isinstance(d.get("neutral"), bool):
             raise DualityError("declared neutral element is wrong")
         return m
 

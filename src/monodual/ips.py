@@ -2,9 +2,10 @@
 
 A model is a finite family of site maps applied at the jump times of
 independent Poisson processes.  A realisation of all jump times and marks on
-a window is an event stream; composing the maps in time order gives the
-stochastic flow.  Reversing time and replacing every map by its dual gives
-the dual flow, and the defining identity
+a window is an event stream; composing the maps of the events of X[s,u] in
+time order gives the stochastic flow.  The dual flow Y[-u,-s] reads the same
+events in reverse order, each map replaced by its dual, and the defining
+identity
 
     Psi(X[s,u](x), y) == Psi(x, Y[-u,-s](y))
 
@@ -28,7 +29,9 @@ every path grow with that count.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -93,23 +96,14 @@ class RateModel:
     def total_rate(self) -> float:
         return sum(e.rate for e in self.entries)
 
-    def map_by_id(self, map_id: str) -> SiteMap:
-        for e in self.entries:
-            if e.map_id == map_id:
-                return e.site_map
-        raise KeyError(map_id)
-
-    def index_tables(self) -> dict[str, np.ndarray]:
-        return {e.map_id: e.site_map.index_table() for e in self.entries}
-
 
 @dataclass(frozen=True)
 class EventStream:
     """A finite realisation of the marked Poisson set on a time window.
 
-    Events are sorted by (time, map id); generated streams have strictly
-    increasing times almost surely, and equal times (possible only for
-    hand-built streams at float resolution) are ordered by map id.
+    Events are sorted by (time, map id); times tie only at float resolution.
+    The flow applies the events of a sub-window in this order and the dual
+    flow applies the same events in reverse, tied ones included.
     """
 
     window: tuple[float, float]
@@ -126,6 +120,22 @@ class EventStream:
     @property
     def n_events(self) -> int:
         return len(self.events)
+
+    def events_in(self, s: float, u: float, convention: str = "+") -> tuple[tuple[str, float], ...]:
+        """The events of X[s,u] in stream order.
+
+        Convention "+" takes those with s < t <= u (right closed), "-" those
+        with s <= t < u (left closed); the two differ only when s or u is an
+        event time.
+        """
+        if convention not in ("+", "-"):
+            raise ValueError("convention must be '+' or '-'")
+        lo, hi = self.window
+        if not (lo <= s <= u <= hi):
+            raise WindowViolation(f"[{s},{u}] not inside stream window [{lo},{hi}]")
+        cut = bisect_right if convention == "+" else bisect_left
+        time = itemgetter(1)
+        return self.events[cut(self.events, s, key=time):cut(self.events, u, key=time)]
 
 
 def _checked_window(window) -> tuple[float, float]:
@@ -180,46 +190,12 @@ def sample_event_stream(model: RateModel, window: tuple[float, float], seed) -> 
     return EventStream(window=(s, u), events=tuple(zip(ids, times.tolist())), seed=seed)
 
 
-@dataclass(frozen=True)
-class Flow:
-    """Random maps X[s,u] read off an event stream.
-
-    convention "+" includes events with s < t <= u (right closed), "-" those
-    with s <= t < u (left closed); the two differ only when a sub-window
-    boundary cuts exactly through an event time.
-    """
-
-    model: RateModel
-    stream: EventStream
-    convention: str = "+"
-
-    def __post_init__(self):
-        if self.convention not in ("+", "-"):
-            raise ValueError("convention must be '+' or '-'")
-
-    def events_in(self, s: float, u: float):
-        lo, hi = self.stream.window
-        if not (lo <= s <= u <= hi):
-            raise WindowViolation(f"[{s},{u}] not inside stream window [{lo},{hi}]")
-        if self.convention == "+":
-            return [e for e in self.stream.events if s < e[1] <= u]
-        return [e for e in self.stream.events if s <= e[1] < u]
-
-
-def apply_flow(flow: Flow, x, s: float, u: float) -> tuple[int, ...]:
-    """Compose the event maps in increasing time order on one configuration."""
-    cfg = tuple(x)
-    for map_id, _t in flow.events_in(s, u):
-        cfg = flow.model.map_by_id(map_id).apply(cfg)
-    return cfg
-
-
-def flow_index_table(flow: Flow, s: float, u: float) -> np.ndarray:
-    """The composed flow as an index table over every configuration at once."""
-    arrs = flow.model.index_tables()
-    out = np.arange(flow.model.space.n_configs)
-    for map_id, _t in flow.events_in(s, u):
-        out = arrs[map_id][out]
+def flow_index_table(model: RateModel, events) -> np.ndarray:
+    """The maps of `events` composed in the order given, as an index table over every configuration."""
+    tables = {e.map_id: e.site_map.index_table() for e in model.entries}
+    out = np.arange(model.space.n_configs)
+    for map_id, _t in events:
+        out = tables[map_id][out]
     return out
 
 
@@ -230,16 +206,6 @@ def dual_model(model: RateModel, lifted: LiftedDuality) -> RateModel:
         RateEntry(e.map_id, dual_map(lifted, e.site_map), e.rate) for e in model.entries
     )
     return RateModel(rsp, entries)
-
-
-def dualize_stream(stream: EventStream) -> EventStream:
-    """Negate all times and the window; marks keep their ids (bind them to a dual model)."""
-    s, u = stream.window
-    return EventStream(
-        window=(-u, -s),
-        events=tuple((mid, -t) for mid, t in stream.events),
-        seed=stream.seed,
-    )
 
 
 @dataclass(frozen=True)
@@ -275,9 +241,12 @@ def check_pathwise_duality(
 ) -> PathwiseReport:
     """Verify the pathwise identity for one realised stream and its dual.
 
-    Exhaustive coverage checks every configuration pair (within the pair
-    budget); sampled coverage draws n_samples pairs.  Both boundary-convention
-    pairings are checked.  Raises DualityViolation on the first mismatch.
+    Under each boundary convention, X[s,u] composes the model's maps over the
+    window's events and Y[-u,-s] the dual model's maps over the same events
+    reversed (reversing time mirrors the convention).  Exhaustive coverage
+    checks every configuration pair (within the pair budget); sampled
+    coverage draws n_samples pairs.  Raises DualityViolation on the first
+    mismatch.
     """
     if coverage not in ("exhaustive", "sampled"):
         raise ValueError("coverage must be 'exhaustive' or 'sampled'")
@@ -288,7 +257,6 @@ def check_pathwise_duality(
         raise ValueError("model does not act on the S side of this duality")
     stream = sample_event_stream(model, window, seed)
     dmodel = dual_model(model, lifted) if dual is None else dual
-    dstream = dualize_stream(stream)
     s, u = stream.window
 
     n_pairs = ssp.n_configs * rsp.n_configs
@@ -304,9 +272,9 @@ def check_pathwise_duality(
         xi, yi = sample_pairs((seed, 2), n_samples, ssp, rsp)
         xs, ys = ssp.config_array(xi), rsp.config_array(yi)
     for conv in ("+", "-"):
-        other = "-" if conv == "+" else "+"
-        X = flow_index_table(Flow(model, stream, conv), s, u)
-        Y = flow_index_table(Flow(dmodel, dstream, other), -u, -s)
+        events = stream.events_in(s, u, conv)
+        X = flow_index_table(model, events)
+        Y = flow_index_table(dmodel, events[::-1])
         if exhaustive:
             hit = identity_holds(lifted, X, Y)
         else:

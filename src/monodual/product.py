@@ -19,7 +19,6 @@ scalar ``SiteMap.apply`` and ``LiftedDuality.evaluate`` are the test oracles.
 from __future__ import annotations
 
 import json
-import operator
 import os
 from dataclasses import dataclass
 from itertools import product as iproduct
@@ -28,7 +27,7 @@ import numpy as np
 
 from .algebra import Lattice, Monoid, Semiring, dual_lattice, lattice_join_monoid
 from .homdual import DualityFunction, VerificationRecord, hom_set, is_homomorphism, verify_duality
-from .tables import CayleyTable
+from .tables import CayleyTable, as_int
 
 DEFAULT_PAIR_BUDGET = 10 ** 6
 
@@ -105,7 +104,7 @@ class SiteMap:
     def from_matrix(cls, space: SiteSpace, matrix) -> "SiteMap":
         k, n = space.sites, space.local.order
         try:
-            rows = tuple(tuple(tuple(map(operator.index, entry)) for entry in row) for row in matrix)
+            rows = tuple(tuple(tuple(map(as_int, entry)) for entry in row) for row in matrix)
         except TypeError:
             raise ValueError("matrix must be a list of rows of integer value tables") from None
         if len(rows) != k or any(len(row) != k for row in rows):
@@ -408,14 +407,13 @@ def semiring_inner_duality(
     s: Semiring,
     sites: int,
     real_embedding: tuple[float, ...] | None = None,
-    reverify: bool = True,
 ) -> LiftedDuality:
     """The pairing Psi(x, y) = sum_i x_i * y_i of a semiring product space.
 
     This is generally not a monoid duality function (the dualizable maps are
     the left-module maps, which may be a proper subset of the additive
-    homomorphisms).  With ``reverify`` its four module-level separation and
-    surjectivity properties are checked against the module-map sets, raising
+    homomorphisms).  Its four module-level separation and surjectivity
+    properties are always checked against the module-map sets, raising
     SizeBudgetExceeded past the pair budget.
     """
     add = s.add
@@ -423,10 +421,8 @@ def semiring_inner_duality(
     if real_embedding is not None:
         _check_real_embedding(add, real_embedding)
     lifted = LiftedDuality(local, sites, real_embedding, module_source=s)
-    if reverify:
-        rec = verify_module_duality(lifted)
-        if not rec.all_passed:
-            raise AssertionError("module duality conditions failed")
+    if not verify_module_duality(lifted).all_passed:
+        raise AssertionError("module duality conditions failed")
     return lifted
 
 

@@ -24,10 +24,17 @@ class MalformedTable(ValueError):
     pass
 
 
+def as_int(v) -> int:
+    """operator.index for one table entry, refusing booleans (JSON true/false)."""
+    if isinstance(v, bool):
+        raise TypeError(f"{v!r} is not an integer")
+    return operator.index(v)
+
+
 def as_rows(rows) -> Rows:
     """Normalise nested lists/tuples to the canonical tuple form, validating shape."""
     try:
-        out = tuple(tuple(map(operator.index, row)) for row in rows)
+        out = tuple(tuple(map(as_int, row)) for row in rows)
     except TypeError:
         raise MalformedTable("table entries must be integers") from None
     n = len(out)
@@ -66,7 +73,7 @@ class CayleyTable:
     def from_json(cls, text: str) -> "CayleyTable":
         obj = json.loads(text)
         rows = as_rows(obj["table"])
-        if obj.get("order") not in (None, len(rows)):
+        if obj.get("order") not in (None, len(rows)) or isinstance(obj.get("order"), bool):
             raise MalformedTable("declared order disagrees with table size")
         return cls(rows)
 

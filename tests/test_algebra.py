@@ -107,10 +107,15 @@ def _table_json(entry):
     lambda text: Semiring.from_json(json.dumps({"add": json.loads(_table_json(1)),
                                                 "mul": json.loads(text)})),
 ], ids=["CayleyTable.from_json", "validate_monoid", "Semiring.from_json"])
-@pytest.mark.parametrize("entry", [1.5, "1", None])
+@pytest.mark.parametrize("entry", [1.5, "1", None, True, False])
 def test_non_integer_entries_are_malformed(read, entry):
     with pytest.raises(MalformedTable):
         read(_table_json(entry))
+
+
+def test_boolean_declared_order_is_malformed():
+    with pytest.raises(MalformedTable):
+        CayleyTable.from_json(json.dumps({"order": True, "table": [[0]]}))
 
 
 def test_are_isomorphic_identity():

@@ -8,7 +8,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_benchmark_selftest_passes():
     """The benchmark's own checks run against this checkout, so an API change it reads fails here."""
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "selftest.py")],
+        [sys.executable, "-W", "error", str(ROOT / "bench" / "selftest.py")],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -3,13 +3,14 @@ import io
 import json
 import math
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from monodual import catalog
 from monodual.cli import main
-from monodual.homdual import hom_set, named_duality
+from monodual.homdual import duality_to_dict, hom_set, named_duality
 from monodual.tables import render_table
 
 
@@ -199,6 +200,10 @@ def test_dual_map_accepts_a_duality_file(tmp_path, capsys):
     assert json.loads(out)["dual_matrix"] == [[ident]]
 
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
+_SIMULATE_PATHWISE = ("simulate", "--psi", "psi5.T", "--sites", "2",
+                      "--rates", str(GOLDEN_DIR / "simulate_rates.json"),
+                      "--t-max", "10", "--seed", "7", "--check", "pathwise")
 GOLDEN = {
     "catalog_M6.txt": ("monoids", "catalog", "--label", "M6"),
     "catalog_N1.txt": ("monoids", "catalog", "--label", "N1"),
@@ -207,17 +212,17 @@ GOLDEN = {
     "dualities_find.json": ("dualities", "find", "--format", "json"),
     "enumerate_order5.json": ("monoids", "enumerate", "--order", "5", "--format", "json"),
     "semirings_M15.json": ("semirings", "enumerate", "--additive", "M15", "--format", "json"),
+    "reproduce.json": ("reproduce", "--format", "json"),
+    "simulate_pathwise.json": _SIMULATE_PATHWISE,
+    "simulate_pathwise_sampled.json": (*_SIMULATE_PATHWISE, "--coverage", "sampled"),
 }
 
 
 def test_golden_outputs(capsys):
-    from pathlib import Path
-
-    golden_dir = Path(__file__).parent / "golden"
     for name, argv in GOLDEN.items():
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        assert out == (golden_dir / name).read_text(), name
+        assert out == (GOLDEN_DIR / name).read_text(), name
 
 
 def _expectation_args(tmp_path, *extra):
@@ -358,16 +363,20 @@ def test_negative_sites_is_usage_error(tmp_path, capsys):
     assert code == 2 and out == "" and "--sites" in err
 
 
+_PSI5T = duality_to_dict(named_duality("psi5").transposed())
 MALFORMED_INPUTS = {
     "map-entry-not-a-list": ("--map", [[1]]),
     "map-entry-too-short": ("--map", [[[0, 1]]]),
     "map-entry-out-of-range": ("--map", [[[0, 1, 7]]]),
+    "map-entry-boolean": ("--map", [[[False, True, 2]]]),
     "rates-not-a-list": ("--rates", {"id": "m", "matrix": [[[0, 1, 2]]], "rate": 1.0}),
     "rate-not-a-number": ("--rates", [{"id": "m", "matrix": [[[0, 1, 2]]], "rate": [1.0]}]),
     "rate-too-large-for-a-float": ("--rates", [{"id": "m", "matrix": [[[0, 1, 2]]], "rate": 10 ** 400}]),
     "psi-not-an-object": ("--psi", [[0, 1], [1, 0]]),
     "psi-values-not-a-table": ("--psi", {"s": {"table": [[0]]}, "r": {"table": [[0]]},
                                           "t": {"table": [[0]]}, "values": 5}),
+    "psi-value-boolean": ("--psi", {**_PSI5T, "values": [[False, 0, 0], [0, 1, 2], [0, 0, 2]]}),
+    "psi-neutral-boolean": ("--psi", {**_PSI5T, "s": {**_PSI5T["s"], "neutral": False}}),
 }
 
 

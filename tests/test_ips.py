@@ -10,18 +10,16 @@ from monodual.ips import (
     MC_BLOCK,
     DualityViolation,
     EventStream,
-    Flow,
     RateModel,
     StateSpaceTooLarge,
     WindowViolation,
     _mark_lookup,
     _mc_endpoints,
-    apply_flow,
     check_pathwise_duality,
     dual_model,
-    dualize_stream,
     estimate_expectation_duality,
     exact_semigroup_expectation,
+    flow_index_table,
     sample_event_stream,
 )
 from monodual.product import NoRealEmbedding, SiteMap, SizeBudgetExceeded, lift_duality
@@ -103,68 +101,73 @@ def test_mark_frequencies_match_rate_shares():
     assert abs(share - 0.25) <= 4.0 * se
 
 
+def flow(model, stream, x, s, u, convention="+"):
+    """X[s,u](x) read off the composed index table."""
+    table = flow_index_table(model, stream.events_in(s, u, convention))
+    return model.space.config_of(table[model.space.index_of(x)])
+
+
+def apply_events(model, events, x):
+    """The scalar reference: SiteMap.apply along the events in the order given."""
+    maps = {e.map_id: e.site_map for e in model.entries}
+    for map_id, _t in events:
+        x = maps[map_id].apply(x)
+    return tuple(x)
+
+
 def test_apply_flow_identity_on_empty_window():
     lifted, model = psi1_model()
     stream = sample_event_stream(model, (0.0, 5.0), seed=1)
-    flow = Flow(model, stream, "+")
-    for xs in lifted.s_space.configs():
-        assert apply_flow(flow, xs, 2.0, 2.0) == xs
+    for conv in ("+", "-"):
+        assert stream.events_in(2.0, 2.0, conv) == ()
+        for xs in lifted.s_space.configs():
+            assert flow(model, stream, xs, 2.0, 2.0, conv) == xs
 
 
 def test_apply_flow_single_event():
     lifted, model = psi1_model()
     stream = EventStream(window=(0.0, 2.0), events=(("spread", 1.0),))
     for conv in ("+", "-"):
-        flow = Flow(model, stream, conv)
-        assert apply_flow(flow, (1, 0), 0.0, 2.0) == (1, 1)
+        assert flow(model, stream, (1, 0), 0.0, 2.0, conv) == (1, 1)
 
 
 def test_apply_flow_window_violation():
     lifted, model = psi1_model()
     stream = sample_event_stream(model, (0.0, 5.0), seed=1)
     with pytest.raises(WindowViolation):
-        apply_flow(Flow(model, stream, "+"), (0, 0), -1.0, 2.0)
+        stream.events_in(-1.0, 2.0)
+    with pytest.raises(ValueError, match="convention"):
+        stream.events_in(0.0, 2.0, "+-")
 
 
 def test_boundary_conventions_differ_only_at_event_times():
     _, model = psi1_model()
     stream = EventStream(window=(0.0, 4.0), events=(("spread", 1.0), ("spread", 3.0)))
-    plus = Flow(model, stream, "+")
-    minus = Flow(model, stream, "-")
     x = (1, 0)
     # sub-window cut exactly at the first event time
-    assert apply_flow(plus, x, 0.0, 1.0) == (1, 1)   # (0, 1] includes it
-    assert apply_flow(minus, x, 0.0, 1.0) == x       # [0, 1) excludes it
-    assert apply_flow(plus, x, 1.0, 2.0) == x
-    assert apply_flow(minus, x, 1.0, 2.0) == (1, 1)
+    assert flow(model, stream, x, 0.0, 1.0, "+") == (1, 1)   # (0, 1] includes it
+    assert flow(model, stream, x, 0.0, 1.0, "-") == x        # [0, 1) excludes it
+    assert flow(model, stream, x, 1.0, 2.0, "+") == x
+    assert flow(model, stream, x, 1.0, 2.0, "-") == (1, 1)
     # boundaries away from events: conventions coincide
-    assert apply_flow(plus, x, 0.5, 2.5) == apply_flow(minus, x, 0.5, 2.5)
+    assert flow(model, stream, x, 0.5, 2.5, "+") == flow(model, stream, x, 0.5, 2.5, "-")
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6), st.floats(0.1, 4.9), st.floats(5.0, 9.9))
 def test_cocycle_property(seed, t_mid, t_end):
     lifted, model = psi1_model(rates=(1.5, 0.5))
+    space = lifted.s_space
     stream = sample_event_stream(model, (0.0, 10.0), seed=seed)
     for conv in ("+", "-"):
-        flow = Flow(model, stream, conv)
-        for xs in lifted.s_space.configs():
-            two_step = apply_flow(flow, apply_flow(flow, xs, 0.0, t_mid), t_mid, t_end)
-            assert two_step == apply_flow(flow, xs, 0.0, t_end)
-
-
-def test_dualize_stream_reverses_order():
-    stream = EventStream(window=(0.0, 3.0), events=(("a", 1.0), ("b", 2.0)))
-    rev = dualize_stream(stream)
-    assert rev.window == (-3.0, 0.0)
-    assert rev.events == (("b", -2.0), ("a", -1.0))
-
-
-def test_dualize_stream_is_an_involution():
-    _, model = psi1_model(rates=(1.0, 2.0))
-    stream = sample_event_stream(model, (0.0, 8.0), seed=5)
-    assert dualize_stream(dualize_stream(stream)).events == stream.events
-    assert dualize_stream(EventStream((0.0, 1.0), ())).events == ()
+        first = stream.events_in(0.0, t_mid, conv)
+        second = stream.events_in(t_mid, t_end, conv)
+        whole = stream.events_in(0.0, t_end, conv)
+        table = flow_index_table(model, whole)
+        assert np.array_equal(flow_index_table(model, second)[flow_index_table(model, first)], table)
+        for i, xs in enumerate(space.configs()):
+            two_step = apply_events(model, second, apply_events(model, first, xs))
+            assert two_step == apply_events(model, whole, xs) == space.config_of(table[i])
 
 
 def test_pathwise_duality_psi1_and_psi5():
@@ -172,6 +175,24 @@ def test_pathwise_duality_psi1_and_psi5():
         lifted, model = builder(2)
         report = check_pathwise_duality(model, lifted, (0.0, 10.0), seed=21)
         assert report.passed and report.pairs_checked > 0
+
+
+def test_pathwise_duality_reverses_tied_events():
+    # floats near 2**53 are 2 apart, so events on this window fall on nine
+    # times and often tie; the dual flow must undo tied maps in reverse order too
+    lifted = lift_duality(named_duality("psi5").transposed(), 2)
+    space = lifted.s_space
+    zero, ident, h = hom_values("M6")
+    swap = SiteMap.from_matrix(space, [[zero, ident], [ident, zero]])
+    squash = SiteMap.from_matrix(space, [[h, zero], [zero, ident]])
+    assert not np.array_equal(swap.index_table()[squash.index_table()],
+                              squash.index_table()[swap.index_table()])
+    model = RateModel.build(space, {"squash": squash, "swap": swap}, {"squash": 0.3, "swap": 0.3})
+    window = (2.0 ** 53, 2.0 ** 53 + 16)
+    times = [t for _, t in sample_event_stream(model, window, seed=0).events]
+    assert len(set(times)) < len(times)
+    for seed in range(20):
+        assert check_pathwise_duality(model, lifted, window, seed=seed).passed
 
 
 def test_pathwise_duality_sampled_coverage():

@@ -1,17 +1,34 @@
-"""Exhaustive, isomorphism-quotiented generation of small monoids and semirings.
+"""Exhaustive generation of small monoids and semirings, one table per class.
 
-The generator fills the free cells of an operation table depth-first with the
-neutral element pinned at 0, pruning on the witness functions of
-:mod:`monodual.tables` (a law instance is checked as soon as every entry it
-reads is set), and re-checks complete tables for associativity in full (the
-partial check is a pruning device, not the correctness argument).
+A class is an orbit of tables under a group G: the relabelings fixing 0 for
+commutative monoids; those and transposition for monoids up to opposites; the
+additive automorphisms and transposition for semiring multiplications.  Every
+element of G fixes 0, and row and column 0 are pinned (0 is the neutral, or
+the absorbing zero), so G never moves them.  The class representative is the
+least member of its orbit in row-major lex order, i.e. its canonical table.
 
-All three enumerators quotient through ``_classes``: each class is one orbit
-of tables under relabelings (fixing 0, or the additive automorphisms for
-semirings), and under transposition where opposites are identified.  The
-orbit is built once, from the first of its tables the filler yields; the
-filler's later tables of that orbit are skipped.  A class representative is
-the least member of its orbit, so it is the canonical table.
+Generation is orderly (R. C. Read, "Every one a winner", Ann. Discrete Math. 2,
+1978; I. A. Faradzev, 1978): it never builds a labelled copy or an orbit.  The
+filler sets the free cells depth-first in row-major order, trying the values
+in increasing order; a commutative mirror cell is set with its earlier twin.
+A partial table t is cut when a law instance that reads only set entries
+fails (the witness functions of :mod:`monodual.tables`), or when some g in G
+beats it: walking the positions in row-major order, the first position where
+g(t) and t differ has both entries set and g(t) smaller there, and every
+earlier position has both entries set and equal.
+
+No canonical table is cut.  Its partial tables satisfy every law instance
+they can read, and if g beat one of them, g would beat every completion of it
+on the same positions, the canonical table included, which would then not be
+least in its orbit.  Every table that comes out is canonical: at a complete
+table the walk reaches a verdict for every g, so it survives only if no
+member of its orbit is smaller.  Each orbit thus yields exactly one table.
+The semiring filler runs once per choice of the unit, whose row and column
+it pins too; a canonical table is a completion in the one run for its unit.
+An element g that is found larger at some node stays larger on the whole
+subtree, since set entries never change; only the undecided ones are carried
+down.  Complete tables are re-checked for associativity in full: the partial
+checks are a pruning device, the full check is the correctness argument.
 """
 
 from __future__ import annotations
@@ -30,11 +47,10 @@ from .tables import (
     distributivity_witness,
     is_commutative,
     neutral_of,
-    orbit,
     relabelings_fixing,
 )
 
-MONOID_ORDER_CAP = 5
+MONOID_ORDER_CAP = 6
 SEMIRING_ORDER_CAP = 4
 
 
@@ -59,17 +75,45 @@ class EnumerationReport:
         }
 
 
-def _completions(t, cells, ok):
-    """Depth-first completions of the partial table t (None marks a free entry).
+def _group(perms, opposite: bool) -> list[tuple[tuple, tuple, bool]]:
+    """G as (p, inverse of p, transposed) triples, the identity left out.
 
-    Each cell is a tuple of positions that take one value together, so a
-    commutative mirror is one cell.  Branches where ``ok(t)`` fails on the
-    partial table are pruned; complete tables are re-checked for
-    associativity in full before they are yielded.
+    The image of a table t under (p, q, flip) is relabel(t, p), or
+    relabel(transpose(t), p) when flip: at (x, y) it holds p[t[q[x]][q[y]]],
+    with q[x] and q[y] swapped when flip.
+    """
+    flips = (False, True) if opposite else (False,)
+    out = []
+    for p in perms:
+        q = [0] * len(p)
+        for old, new in enumerate(p):
+            q[new] = old
+        identity = all(i == v for i, v in enumerate(p))
+        out += [(p, tuple(q), flip) for flip in flips if flip or not identity]
+    return out
+
+
+def _orderly(t, cells, law, group):
+    """The completions of the partial table t (None marks a free entry) that
+    are least in their orbit under ``group`` (see the module docstring).
+
+    ``cells`` are the free cells in row-major order, each a tuple of positions
+    that take one value together.  ``law(t)`` is the partial law check.
     """
     n = len(t)
+    positions = [(x, y) for x in range(1, n) for y in range(1, n)]
 
-    def rec(k: int):
+    def verdict(p, q, flip) -> int:
+        """-1 if g beats t, 1 if g(t) is larger at the first difference, 0 if undecided."""
+        for x, y in positions:
+            old, v = t[x][y], (t[q[y]][q[x]] if flip else t[q[x]][q[y]])
+            if old is None or v is None:
+                return 0
+            if p[v] != old:
+                return -1 if p[v] < old else 1
+        return 0
+
+    def rec(k: int, live):
         if k == len(cells):
             rows = tuple(tuple(row) for row in t)
             if associativity_witness(rows) is None:
@@ -78,16 +122,29 @@ def _completions(t, cells, ok):
         for v in range(n):
             for i, j in cells[k]:
                 t[i][j] = v
-            if ok(t):
-                yield from rec(k + 1)
+            if not law(t):
+                continue
+            undecided = []
+            for g in live:
+                s = verdict(*g)
+                if s < 0:
+                    break
+                if s == 0:
+                    undecided.append(g)
+            else:
+                yield from rec(k + 1, undecided)
         for i, j in cells[k]:
             t[i][j] = None
 
-    yield from rec(0)
+    yield from rec(0, group)
 
 
 def _fill_monoid_tables(n: int, commutative: bool):
-    """Yield all monoid tables on 0..n-1 with neutral 0 (mirrored cells if commutative)."""
+    """The canonical monoid tables on 0..n-1 with neutral 0, in lex order.
+
+    Commutative: one per class of commutative monoids.  Otherwise one per
+    class up to isomorphism and anti-isomorphism, of all monoids.
+    """
     t = [[None] * n for _ in range(n)]
     for x in range(n):
         t[0][x] = x
@@ -96,25 +153,8 @@ def _fill_monoid_tables(n: int, commutative: bool):
         cells = [((i, j), (j, i)) for i in range(1, n) for j in range(i, n)]
     else:
         cells = [((i, j),) for i in range(1, n) for j in range(1, n)]
-    yield from _completions(t, cells, lambda rows: associativity_witness(rows) is None)
-
-
-def _classes(tables, perms, opposite: bool = False) -> list[Rows]:
-    """The sorted least members of the orbits that ``tables`` meets.
-
-    Each orbit is built once, from the first of its tables; later tables are
-    skipped by set membership.  This is exact because relabeling and
-    transposing keep a table in its class and keep every property the
-    callers filter on (the laws, an absorbing element, commutativity).
-    """
-    seen: set[Rows] = set()
-    reps = []
-    for rows in tables:
-        if rows not in seen:
-            members = orbit(rows, perms, opposite)
-            seen |= members
-            reps.append(min(members))
-    return sorted(reps)
+    group = _group(relabelings_fixing(0, n), opposite=not commutative)
+    yield from _orderly(t, cells, lambda rows: associativity_witness(rows) is None, group)
 
 
 def _report(order: int, reps: list[Rows], labels) -> EnumerationReport:
@@ -135,7 +175,7 @@ def enumerate_commutative_monoids(order: int) -> EnumerationReport:
     """All isomorphism classes of commutative monoids of the given order."""
     if not 1 <= order <= MONOID_ORDER_CAP:
         raise OrderTooLarge(order, MONOID_ORDER_CAP)
-    reps = _classes(_fill_monoid_tables(order, commutative=True), relabelings_fixing(0, order))
+    reps = list(_fill_monoid_tables(order, commutative=True))
     return _report(order, reps, _labels_for(reps, include_opposite=False) if order <= 4 else None)
 
 
@@ -165,12 +205,11 @@ def enumerate_monoids_with_absorbing(order: int, commutative=None) -> Enumeratio
     """
     if not 1 <= order <= 4:
         raise OrderTooLarge(order, 4)
-    tables = (
+    reps = [
         rows for rows in _fill_monoid_tables(order, commutative=False)
         if absorbing_of(rows) is not None
         and (commutative is None or is_commutative(rows) == commutative)
-    )
-    reps = _classes(tables, relabelings_fixing(0, order), opposite=True)
+    ]
     return _report(order, reps, _labels_for(reps, include_opposite=True))
 
 
@@ -180,12 +219,14 @@ class SemiringClass:
     mult_label: str | None
 
 
-def _semiring_multiplications(add_rows: Rows):
-    """All raw multiplication tables making (add, mul) a semiring."""
+def _semiring_multiplications(add_rows: Rows, auts):
+    """One multiplication making (add, mul) a semiring per class under the
+    additive automorphisms ``auts`` and transposition, the canonical one."""
     n = len(add_rows)
     if n == 1:
         yield ((0,),)
         return
+    group = _group(auts, opposite=True)
     for unit in range(1, n):
         t = [[None] * n for _ in range(n)]
         for x in range(n):
@@ -194,7 +235,7 @@ def _semiring_multiplications(add_rows: Rows):
             t[unit][x] = x
             t[x][unit] = x
         free = [((i, j),) for i in range(1, n) for j in range(1, n) if unit not in (i, j)]
-        yield from _completions(t, free, lambda mul: distributivity_witness(add_rows, mul) is None)
+        yield from _orderly(t, free, lambda mul: distributivity_witness(add_rows, mul) is None, group)
 
 
 def enumerate_semiring_multiplications(add: Monoid) -> list[SemiringClass]:
@@ -212,7 +253,7 @@ def enumerate_semiring_multiplications(add: Monoid) -> list[SemiringClass]:
     add = add.normalized()
     add_rows = add.op.rows
     out = []
-    for m in _classes(_semiring_multiplications(add_rows), automorphisms(add), opposite=True):
+    for m in sorted(_semiring_multiplications(add_rows, automorphisms(add))):
         s = validate_semiring(add_rows, m)
         hit = catalog.catalog_lookup(s.mul_monoid(), include_opposite=True)
         out.append(SemiringClass(semiring=s, mult_label=hit[0].label if hit else None))

@@ -23,7 +23,9 @@ one mark for each replicate still jumping.  The draws depend only on their
 key, so results are independent of scheduling.  A path whose expected jump
 count (total rate times time span) exceeds the pair budget raises
 SizeBudgetExceeded before anything is drawn, since the work and memory of
-every path grow with that count.
+every path grow with that count; so does a Monte-Carlo estimate whose
+replicates times expected jump count exceeds it, since its work grows with
+that product.
 """
 
 from __future__ import annotations
@@ -378,6 +380,12 @@ def estimate_expectation_duality(
     f_lhs, x_idx = _embedded_values(lifted, x, y, "s")
     f_rhs, y_idx = _embedded_values(lifted, x, y, "r")
     dmodel = dual_model(model, lifted) if dual is None else dual
+    for m in (model, dmodel):
+        lam = _expected_jumps(m, t)
+        if replicates * lam > pair_budget():
+            raise SizeBudgetExceeded(
+                f"{replicates} replicates of {lam:.6g} expected jumps exceed the budget of {pair_budget()}"
+            )
     lhs, lhs_se = _mc_side(model, f_lhs, x_idx, t, replicates, seed, 0)
     rhs, rhs_se = _mc_side(dmodel, f_rhs, y_idx, t, replicates, seed, 1)
     comb = math.sqrt(lhs_se ** 2 + rhs_se ** 2)

@@ -79,8 +79,8 @@ class CayleyTable:
 
 
 def transpose(rows: Rows) -> Rows:
-    n = len(rows)
-    return tuple(tuple(rows[j][i] for j in range(n)) for i in range(n))
+    """Swap rows and columns; an m-by-n table becomes n-by-m."""
+    return tuple(zip(*rows))
 
 
 def relabel(rows: Rows, perm) -> Rows:

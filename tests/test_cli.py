@@ -236,6 +236,16 @@ def _expectation_args(tmp_path, *extra):
             "--t-max", "1", "--seed", "4", "--check", "expectation", *extra]
 
 
+def test_expectation_past_the_run_budget_exits_3_before_drawing(tmp_path, capsys):
+    # 10^5 replicates of 0.8 * 25 = 20 expected jumps: 2 * 10^6 jumps, twice the budget
+    argv = _expectation_args(tmp_path, "--replicates", "100000", "--x", "1,2", "--y", "1,0")
+    argv[argv.index("--t-max") + 1] = "25"
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and time.perf_counter() - start < 1.0
+    assert json.loads(err)["error"] == "SizeBudgetExceeded"
+
+
 def test_simulate_rejects_malformed_start_configurations(tmp_path, capsys):
     for x, y in [("1", "1,0"), ("1,2,9", "1,0"), ("1,a", "1,0"), ("1,2", "1,3"), ("1,2", "-1,0")]:
         code, out, err = run(capsys, *_expectation_args(tmp_path, "--replicates", "10",

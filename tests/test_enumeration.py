@@ -4,15 +4,21 @@ from monodual import catalog
 from monodual.algebra import are_isomorphic, are_isomorphic_semirings, automorphisms, validate_semiring
 from monodual.enumeration import (
     OrderTooLarge,
-    _classes,
     _fill_monoid_tables,
-    _semiring_multiplications,
     enumerate_commutative_monoids,
     enumerate_commutative_monoids_naive,
     enumerate_monoids_with_absorbing,
     enumerate_semiring_multiplications,
 )
-from monodual.tables import absorbing_of, canonical_form, relabel, relabelings_fixing, transpose
+from monodual.tables import (
+    absorbing_of,
+    associativity_witness,
+    canonical_form,
+    distributivity_witness,
+    relabel,
+    relabelings_fixing,
+    transpose,
+)
 
 
 def test_counts_orders_one_to_four():
@@ -59,9 +65,23 @@ def test_representatives_pairwise_non_isomorphic():
             assert are_isomorphic(a, b) is None
 
 
+def test_order_six_is_421_canonical_tables():
+    rep = enumerate_commutative_monoids(6)
+    rows = [t.rows for t in rep.representatives]
+    assert rep.count == len(rows) == 421 and rep.catalog_labels is None
+    assert rows == sorted(rows)
+    for r in rows:
+        assert canonical_form(r) == r
+
+
+@pytest.mark.slow
+def test_order_seven_count_through_the_filler():
+    assert sum(1 for _ in _fill_monoid_tables(7, commutative=True)) == 2637  # OEIS A058131
+
+
 def test_order_cap():
     with pytest.raises(OrderTooLarge):
-        enumerate_commutative_monoids(6)
+        enumerate_commutative_monoids(7)
     with pytest.raises(OrderTooLarge):
         enumerate_commutative_monoids(0)
     with pytest.raises(OrderTooLarge):
@@ -144,17 +164,64 @@ def test_enumeration_is_deterministic():
     assert [c.semiring.mul.rows for c in sa] == [c.semiring.mul.rows for c in sb]
 
 
-def test_orbit_quotient_matches_the_per_table_quotient():
-    def least(rows, perms):
-        """Per-table class key: least relabeling of the table or of its opposite."""
-        return min(relabel(q, p) for q in (rows, transpose(rows)) for p in perms)
+def _unpruned(t, cells, law):
+    """Every completion of the partial table t (None = free) passing ``law`` at
+    each step and associative when complete: labelled tables, no orbit pruning."""
+    n = len(t)
+    if not cells:
+        rows = tuple(map(tuple, t))
+        if associativity_witness(rows) is None:
+            yield rows
+        return
+    (first, *rest) = cells
+    for v in range(n):
+        for i, j in first:
+            t[i][j] = v
+        if law(t):
+            yield from _unpruned(t, rest, law)
+    for i, j in first:
+        t[i][j] = None
 
-    for n in (2, 3, 4):
+
+def _labelled_monoids(n, commutative):
+    t = [[i if j == 0 else j if i == 0 else None for j in range(n)] for i in range(n)]
+    if commutative:
+        cells = [((i, j), (j, i)) for i in range(1, n) for j in range(i, n)]
+    else:
+        cells = [((i, j),) for i in range(1, n) for j in range(1, n)]
+    return _unpruned(t, cells, lambda rows: associativity_witness(rows) is None)
+
+
+def _labelled_multiplications(add):
+    n = len(add)
+    if n == 1:
+        yield ((0,),)
+        return
+    for unit in range(1, n):
+        t = [[0 if 0 in (i, j) else j if i == unit else i if j == unit else None for j in range(n)]
+             for i in range(n)]
+        cells = [((i, j),) for i in range(1, n) for j in range(1, n) if t[i][j] is None]
+        yield from _unpruned(t, cells, lambda mul: distributivity_witness(add, mul) is None)
+
+
+def _least(rows, perms, opposite):
+    """Per-table class key: least relabeling of the table, or of its opposite too."""
+    return min(relabel(q, p) for q in ((rows, transpose(rows)) if opposite else (rows,)) for p in perms)
+
+
+def test_orderly_enumerators_match_the_per_table_quotient():
+    for n in (1, 2, 3, 4, 5):
         perms = relabelings_fixing(0, n)
-        tables = [r for r in _fill_monoid_tables(n, commutative=False) if absorbing_of(r) is not None]
-        assert _classes(tables, perms, opposite=True) == sorted({least(r, perms) for r in tables}), n
+        want = sorted({_least(r, perms, False) for r in _labelled_monoids(n, commutative=True)})
+        assert [t.rows for t in enumerate_commutative_monoids(n).representatives] == want, n
+    for n in (1, 2, 3, 4):
+        perms = relabelings_fixing(0, n)
+        tables = [r for r in _labelled_monoids(n, commutative=False) if absorbing_of(r) is not None]
+        want = sorted({_least(r, perms, True) for r in tables})
+        assert [t.rows for t in enumerate_monoids_with_absorbing(n).representatives] == want, n
     for lab in catalog.M_LABELS:
         add = catalog.monoid(lab).normalized()
         auts = automorphisms(add)
-        muls = list(_semiring_multiplications(add.rows))
-        assert _classes(muls, auts, opposite=True) == sorted({least(m, auts) for m in muls}), lab
+        want = sorted({_least(m, auts, True) for m in _labelled_multiplications(add.rows)})
+        got = [c.semiring.mul.rows for c in enumerate_semiring_multiplications(add)]
+        assert got == want, lab

@@ -235,6 +235,15 @@ def test_evaluation_duality_for_reflexive_pairs():
         assert psi.verified.all_passed
 
 
+def test_transposed_keeps_a_non_square_table_whole():
+    psi = evaluation_duality(catalog.monoid("M20"), catalog.monoid("M6"))  # 4 x 5
+    assert (psi.s.order, psi.r.order) == (4, 5)
+    back = psi.transposed()
+    assert (back.s, back.r, back.t) == (psi.r, psi.s, psi.t)
+    assert back.values == tuple(zip(*psi.values)) and len(back.values) == 5
+    assert back.checked().verified.all_passed
+
+
 def test_duality_column_and_row_maps_are_isomorphisms():
     # for every named table: columns enumerate H(S,T), rows enumerate H(R,T),
     # and both carriers are reflexive with respect to T

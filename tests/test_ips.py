@@ -463,14 +463,16 @@ def test_jump_bound_admits_the_budget_and_rejects_any_path_beyond_it(monkeypatch
     dual = dual_model(model, lifted)
     x, y = (1, 2), (1, 0)
     monkeypatch.setenv("MONODUAL_PAIR_BUDGET", "20")
-    # 2.0 * 10.0 expected jumps sit exactly at the budget
+    # 2.0 * 10.0 expected jumps sit exactly at the budget, for one path and
+    # for one Monte-Carlo replicate; a second replicate doubles the work
     assert sample_event_stream(model, (0.0, 10.0), seed=1).n_events > 0
-    estimate_expectation_duality(model, lifted, x, y, 10.0, 5, seed=1, dual=dual)
+    estimate_expectation_duality(model, lifted, x, y, 10.0, 1, seed=1, dual=dual)
     exact_semigroup_expectation(model, lifted, x, y, 10.0)
     beyond = [
         lambda: sample_event_stream(model, (0.0, 10.5), seed=1),
         lambda: check_pathwise_duality(model, lifted, (0.0, 10.5), seed=1, dual=dual),
-        lambda: estimate_expectation_duality(model, lifted, x, y, 10.5, 5, seed=1, dual=dual),
+        lambda: estimate_expectation_duality(model, lifted, x, y, 10.5, 1, seed=1, dual=dual),
+        lambda: estimate_expectation_duality(model, lifted, x, y, 10.0, 2, seed=1, dual=dual),
         lambda: exact_semigroup_expectation(model, lifted, x, y, 10.5),
     ]
     for call in beyond:

@@ -54,6 +54,10 @@ def test_transpose_involution(rows):
     assert transpose(transpose(rows)) == rows
 
 
+def test_transpose_of_a_non_square_table():
+    assert transpose(((0, 1, 2), (2, 1, 0))) == ((0, 2), (1, 1), (2, 0))
+
+
 @given(small_tables(), st.randoms())
 def test_relabel_by_inverse_is_identity(rows, rnd):
     n = len(rows)

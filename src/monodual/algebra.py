@@ -205,26 +205,12 @@ def one_generates_addition(s: Semiring) -> bool:
 # ---------------------------------------------------------------------------
 # isomorphism search
 
-def _row_profile(rows: Rows, neutral: int):
-    """Cheap permutation-invariant fingerprint used to prune the search."""
-    n = len(rows)
-    per_elem = []
-    for x in range(n):
-        col = [rows[y][x] for y in range(n)]
-        row_counts = tuple(sorted(rows[x].count(v) for v in range(n)))
-        col_counts = tuple(sorted(col.count(v) for v in range(n)))
-        per_elem.append((x == neutral, rows[x][x] == x, row_counts, col_counts))
-    return sorted(per_elem)
-
-
 def iter_isomorphisms(a: Monoid, b: Monoid):
     """Yield all neutral-preserving bijections carrying a's table onto b's, in lex order."""
     n = a.order
     if b.order != n:
         return
     ra, rb = a.op.rows, b.op.rows
-    if _row_profile(ra, a.neutral) != _row_profile(rb, b.neutral):
-        return
     for p in permutations(range(n)):
         if p[a.neutral] == b.neutral and preservation_witness(p, ra, rb) is None:
             yield p

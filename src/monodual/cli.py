@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import catalog
@@ -348,6 +349,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    except BrokenPipeError:
+        # The reader of stdout is gone (`| head`): stop quietly.  What is still
+        # buffered goes to devnull, so the flush at exit cannot fail as well.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except COMPUTE_ERRORS as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return COMPUTE_EXIT

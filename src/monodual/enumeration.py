@@ -1,11 +1,9 @@
 """Exhaustive generation of small monoids and semirings, one table per class.
 
-A class is an orbit of tables under a group G: the relabelings fixing 0 for
-commutative monoids; those and transposition for monoids up to opposites; the
-additive automorphisms and transposition for semiring multiplications.  Every
-element of G fixes 0, and row and column 0 are pinned (0 is the neutral, or
-the absorbing zero), so G never moves them.  The class representative is the
-least member of its orbit in row-major lex order, i.e. its canonical table.
+A class is an orbit of tables under a group G (``tables.class_group``): the
+relabelings fixing 0 for commutative monoids; those and transposition for
+monoids up to opposites; the additive automorphisms and transposition for
+semiring multiplications.  Its representative is its canonical table.
 
 Generation is orderly (R. C. Read, "Every one a winner", Ann. Discrete Math. 2,
 1978; I. A. Faradzev, 1978): it never builds a labelled copy or an orbit.  The
@@ -13,9 +11,9 @@ filler sets the free cells depth-first in row-major order, trying the values
 in increasing order; a commutative mirror cell is set with its earlier twin.
 A partial table t is cut when a law instance that reads only set entries
 fails (the witness functions of :mod:`monodual.tables`), or when some g in G
-beats it: walking the positions in row-major order, the first position where
-g(t) and t differ has both entries set and g(t) smaller there, and every
-earlier position has both entries set and equal.
+beats it: ``compare_image(t, t, g)`` walks the positions in row-major order,
+and the first position where g(t) and t differ has both entries set and g(t)
+smaller there, and every earlier position has both entries set and equal.
 
 No canonical table is cut.  Its partial tables satisfy every law instance
 they can read, and if g beat one of them, g would beat every completion of it
@@ -44,6 +42,8 @@ from .tables import (
     absorbing_of,
     associativity_witness,
     canonical_form,
+    class_group,
+    compare_image,
     distributivity_witness,
     is_commutative,
     neutral_of,
@@ -75,24 +75,6 @@ class EnumerationReport:
         }
 
 
-def _group(perms, opposite: bool) -> list[tuple[tuple, tuple, bool]]:
-    """G as (p, inverse of p, transposed) triples, the identity left out.
-
-    The image of a table t under (p, q, flip) is relabel(t, p), or
-    relabel(transpose(t), p) when flip: at (x, y) it holds p[t[q[x]][q[y]]],
-    with q[x] and q[y] swapped when flip.
-    """
-    flips = (False, True) if opposite else (False,)
-    out = []
-    for p in perms:
-        q = [0] * len(p)
-        for old, new in enumerate(p):
-            q[new] = old
-        identity = all(i == v for i, v in enumerate(p))
-        out += [(p, tuple(q), flip) for flip in flips if flip or not identity]
-    return out
-
-
 def _orderly(t, cells, law, group):
     """The completions of the partial table t (None marks a free entry) that
     are least in their orbit under ``group`` (see the module docstring).
@@ -101,17 +83,6 @@ def _orderly(t, cells, law, group):
     that take one value together.  ``law(t)`` is the partial law check.
     """
     n = len(t)
-    positions = [(x, y) for x in range(1, n) for y in range(1, n)]
-
-    def verdict(p, q, flip) -> int:
-        """-1 if g beats t, 1 if g(t) is larger at the first difference, 0 if undecided."""
-        for x, y in positions:
-            old, v = t[x][y], (t[q[y]][q[x]] if flip else t[q[x]][q[y]])
-            if old is None or v is None:
-                return 0
-            if p[v] != old:
-                return -1 if p[v] < old else 1
-        return 0
 
     def rec(k: int, live):
         if k == len(cells):
@@ -126,7 +97,7 @@ def _orderly(t, cells, law, group):
                 continue
             undecided = []
             for g in live:
-                s = verdict(*g)
+                s = compare_image(t, t, g)
                 if s < 0:
                     break
                 if s == 0:
@@ -153,7 +124,7 @@ def _fill_monoid_tables(n: int, commutative: bool):
         cells = [((i, j), (j, i)) for i in range(1, n) for j in range(i, n)]
     else:
         cells = [((i, j),) for i in range(1, n) for j in range(1, n)]
-    group = _group(relabelings_fixing(0, n), opposite=not commutative)
+    group = class_group(relabelings_fixing(0, n), opposite=not commutative)
     yield from _orderly(t, cells, lambda rows: associativity_witness(rows) is None, group)
 
 
@@ -226,7 +197,7 @@ def _semiring_multiplications(add_rows: Rows, auts):
     if n == 1:
         yield ((0,),)
         return
-    group = _group(auts, opposite=True)
+    group = class_group(tuple(auts), opposite=True)
     for unit in range(1, n):
         t = [[None] * n for _ in range(n)]
         for x in range(n):

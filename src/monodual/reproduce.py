@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from . import catalog
-from .algebra import (
-    Semiring,
-    are_isomorphic_semirings,
-    chain,
-    diamond,
-    validate_semiring,
-)
+from .algebra import automorphisms, chain, diamond, validate_semiring
 from .enumeration import (
     enumerate_commutative_monoids,
     enumerate_monoids_with_absorbing,
@@ -48,6 +42,7 @@ from .product import (
     module_maps,
 )
 from .homdual import named_duality
+from .tables import class_group, least_image
 
 EXPECTED_COUNTS = {1: 1, 2: 2, 3: 5, 4: 19, 5: 78}  # checked at every order listed
 EXPECTED_CLASS_NAMES = sorted(catalog.PSI_TABLES)
@@ -196,14 +191,6 @@ def check_duality_reduction(census=_census) -> CheckResult:
     )
 
 
-def _expected_semirings(add_label: str) -> list[Semiring]:
-    return [
-        validate_semiring(catalog.MONOID_TABLES[add_label], mul)
-        for a, mul, _ in catalog.SEMIRING_TABLES
-        if a == add_label
-    ]
-
-
 def check_semiring_census(add_label: str) -> CheckResult:
     expected_labels = sorted(
         lab for a, _, lab in catalog.SEMIRING_TABLES if a == add_label
@@ -211,23 +198,16 @@ def check_semiring_census(add_label: str) -> CheckResult:
     depends = {add_label} | set(expected_labels)
 
     def compute():
-        found = enumerate_semiring_multiplications(catalog.monoid(add_label))
-        expected = _expected_semirings(add_label)
-        if len(found) != len(expected):
-            return {"classes": len(found), "tables_match": False}
-        used = set()
-        for f in found:
-            hit = None
-            for i, e in enumerate(expected):
-                if i not in used and are_isomorphic_semirings(f.semiring, e, include_opposite=True):
-                    hit = i
-                    break
-            if hit is None:
-                return {"classes": len(found), "tables_match": False}
-            used.add(hit)
+        add = catalog.monoid(add_label)
+        found = enumerate_semiring_multiplications(add)
+        group = class_group(tuple(automorphisms(add)), opposite=True)
+        expected = sorted(
+            least_image(mul, group) for a, mul, _ in catalog.SEMIRING_TABLES if a == add_label
+        )
         return {
             "classes": len(found),
-            "tables_match": sorted(f.mult_label for f in found) == expected_labels,
+            "tables_match": [f.semiring.mul.rows for f in found] == expected
+            and sorted(f.mult_label for f in found) == expected_labels,
         }
 
     return _check(

@@ -1,11 +1,14 @@
-"""Cayley tables, and the one home of the table laws and relabeling orbits.
+"""Cayley tables, and the one home of the table laws and of table classes.
 
 A table of order n is a tuple of n tuples of ints in 0..n-1, so tables are
 hashable and usable as dict keys / set members directly.  Each law has one
 witness function, returning its first failing tuple in lex order or None.  In
 a partial table (lists, None for a free cell) a law instance counts once all
 it reads is set, which is how the enumeration fillers prune.  A class of
-tables is a relabeling orbit, and ``canonical_form`` is its least member.
+tables is an orbit under a ``class_group``, and its canonical table is its
+least member in row-major lex order.  ``compare_image`` is the one walk that
+orders an image g(t) against a reference table; ``least_image`` and the
+orderly fillers of :mod:`monodual.enumeration` both run it.
 """
 
 from __future__ import annotations
@@ -187,20 +190,69 @@ def relabelings_fixing(neutral: int, n: int) -> tuple[Row, ...]:
     return tuple(p for p in permutations(range(n)) if p[neutral] == neutral)
 
 
-def orbit(rows: Rows, perms, opposite: bool = False) -> set[Rows]:
-    """The relabelings of ``rows`` by ``perms``, and of its transpose too if ``opposite``."""
-    bases = (rows, transpose(rows)) if opposite else (rows,)
-    return {relabel(t, p) for t in bases for p in perms}
+@cache
+def class_group(perms: tuple[Row, ...], opposite: bool) -> tuple:
+    """The class group G: the relabelings ``perms``, also composed with
+    transposition if ``opposite``, without the identity, each g as (p, walk).
+    Groups are cached, so ``perms`` is a tuple.
+
+    Every p fixes 0, and the tables G acts on have row and column 0 pinned
+    (0 neutral or absorbing), which g leaves alone.  ``walk`` lists the
+    positions (x, y) in rows and columns 1..n-1 in row-major order, each with
+    the position (i, j) it reads: g(t)[x][y] = p[t[i][j]], so g(t) is
+    relabel(t, p), or relabel(transpose(t), p) if g transposes.
+    """
+    out = []
+    for p in perms:
+        n = len(p)
+        q = [0] * n
+        for old, new in enumerate(p):
+            q[new] = old
+        for flip in (False, True) if opposite else (False,):
+            if flip or any(i != v for i, v in enumerate(p)):
+                walk = tuple((x, y, q[y], q[x]) if flip else (x, y, q[x], q[y])
+                             for x in range(1, n) for y in range(1, n))
+                out.append((p, walk))
+    return tuple(out)
+
+
+def compare_image(t, ref, g) -> int:
+    """Compare g(t) with ``ref`` along g's walk: -1 if g(t) is smaller at the
+    first position where they differ, 1 if larger, 0 if they are equal or a
+    None entry (a free cell of a partial table) comes first."""
+    p, walk = g
+    for x, y, i, j in walk:
+        old, v = ref[x][y], t[i][j]
+        if old is None or v is None:
+            return 0
+        if p[v] != old:
+            return -1 if p[v] < old else 1
+    return 0
+
+
+def least_image(rows: Rows, group) -> Rows:
+    """The least of ``rows`` and its images under ``group`` (see class_group)
+    in row-major lex order; an image is built only when it beats the best so far."""
+    best = rows
+    for g in group:
+        if compare_image(rows, best, g) < 0:
+            p, walk = g
+            image = [list(row) for row in rows]
+            for x, y, i, j in walk:
+                image[x][y] = p[rows[i][j]]
+            best = tuple(map(tuple, image))
+    return best
 
 
 def canonical_form(rows: Rows, neutral: int = 0) -> Rows:
-    """The least member of the orbit of ``rows`` under relabelings putting ``neutral`` at 0."""
+    """The canonical table of a monoid with neutral element ``neutral``: the
+    least relabeling of ``rows`` that puts the neutral at 0."""
     n = len(rows)
     if neutral != 0:
         swap = list(range(n))
         swap[0], swap[neutral] = neutral, 0
         rows = relabel(rows, swap)
-    return min(orbit(rows, relabelings_fixing(0, n)))
+    return least_image(rows, class_group(relabelings_fixing(0, n), opposite=False))
 
 
 def render_table(label: str, rows: Rows) -> str:

@@ -1,4 +1,5 @@
 import json
+from itertools import permutations
 
 import pytest
 
@@ -15,6 +16,7 @@ from monodual.algebra import (
     ZeroNotAbsorbing,
     are_isomorphic,
     automorphisms,
+    iter_isomorphisms,
     chain,
     diamond,
     dual_lattice,
@@ -25,7 +27,7 @@ from monodual.algebra import (
     validate_semiring,
 )
 from monodual.product import product_monoid
-from monodual.tables import CayleyTable, MalformedTable
+from monodual.tables import CayleyTable, MalformedTable, relabel
 
 
 def test_validate_monoid_m6():
@@ -154,6 +156,29 @@ def test_isomorphism_is_equivalence_on_catalog_samples():
                     r = are_isomorphic(mb, mc)
                     if r is not None:
                         assert are_isomorphic(ma, mc) is not None
+
+
+def test_iter_isomorphisms_is_a_filter_over_all_permutations():
+    """Every equal-order pair of catalog monoids, with b also reversed (x -> n-1-x)
+    so that isomorphic pairs differ as tables and the neutral moves."""
+    monoids = [catalog.monoid(lab) for lab in catalog.M_LABELS + catalog.N_LABELS]
+    pairs = 0
+    for a in monoids:
+        for m in monoids:
+            n = a.order
+            if m.order != n:
+                continue
+            rev = tuple(reversed(range(n)))
+            for b in (m, Monoid(CayleyTable(relabel(m.rows, rev)), rev[m.neutral])):
+                ra, rb = a.rows, b.rows
+                want = [
+                    p for p in permutations(range(n))
+                    if p[a.neutral] == b.neutral
+                    and all(p[ra[x][y]] == rb[p[x]][p[y]] for x in range(n) for y in range(n))
+                ]
+                assert list(iter_isomorphisms(a, b)) == want
+                pairs += bool(want)
+    assert pairs == 2 * len(monoids)  # only a class with itself: the catalog lists each once
 
 
 def test_automorphism_counts():

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -163,6 +166,24 @@ def test_computation_error_exit_code(capsys):
     code, _, err = run(capsys, "monoids", "catalog", "--label", "M99")
     assert code == 3
     assert json.loads(err)["error"] == "KeyError"
+
+
+def test_closed_stdout_exits_zero_quietly():
+    """`monodual ... | head -1`: the output (about 200 kB) outgrows the pipe, so
+    the write after the reader closes fails; that is no computation error."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "monodual.cli", "monoids", "enumerate", "--order", "6", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
 
 
 def test_wrong_shaped_matrix_is_a_computation_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from monodual import catalog
@@ -14,7 +16,9 @@ from monodual.tables import (
     absorbing_of,
     associativity_witness,
     canonical_form,
+    class_group,
     distributivity_witness,
+    least_image,
     relabel,
     relabelings_fixing,
     transpose,
@@ -76,7 +80,10 @@ def test_order_six_is_421_canonical_tables():
 
 @pytest.mark.slow
 def test_order_seven_count_through_the_filler():
-    assert sum(1 for _ in _fill_monoid_tables(7, commutative=True)) == 2637  # OEIS A058131
+    rows = list(_fill_monoid_tables(7, commutative=True))
+    assert len(rows) == 2637  # OEIS A058131
+    for r in rows:
+        assert canonical_form(r) == r
 
 
 def test_order_cap():
@@ -207,6 +214,26 @@ def _labelled_multiplications(add):
 def _least(rows, perms, opposite):
     """Per-table class key: least relabeling of the table, or of its opposite too."""
     return min(relabel(q, p) for q in ((rows, transpose(rows)) if opposite else (rows,)) for p in perms)
+
+
+def _pinned_table(rnd, n, zero):
+    """A random n x n table with row and column 0 pinned: 0 neutral, or absorbing if ``zero``."""
+    return tuple(
+        tuple(0 if zero and 0 in (x, y) else y if x == 0 else x if y == 0 else rnd.randrange(n)
+              for y in range(n))
+        for x in range(n)
+    )
+
+
+def test_least_image_is_the_orbit_minimum():
+    rnd = random.Random(2108)
+    cases = [(relabelings_fixing(0, n), opposite, False) for n in range(1, 7) for opposite in (False, True)]
+    cases += [(tuple(automorphisms(catalog.monoid(lab))), True, True) for lab in catalog.M_LABELS]
+    for perms, opposite, zero in cases:
+        group = class_group(perms, opposite)
+        for _ in range(200):
+            t = _pinned_table(rnd, len(perms[0]), zero)
+            assert least_image(t, group) == _least(t, perms, opposite), (t, opposite)
 
 
 def test_orderly_enumerators_match_the_per_table_quotient():

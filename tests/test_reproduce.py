@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from monodual import catalog
-from monodual.reproduce import ReproductionManifest, check_pathwise, reproduce_all
+from monodual.reproduce import ReproductionManifest, check_pathwise, check_semiring_census, reproduce_all
 from monodual.tables import CayleyTable
 
 
@@ -45,6 +45,19 @@ def test_corrupting_one_catalog_entry_fails_exactly_its_checks(monkeypatch):
     m6_dependent = {c.name for c in manifest.checks if "M6" in c.depends}
     assert failing == m6_dependent
     assert failing  # the corruption is actually detected
+
+
+@pytest.mark.parametrize("i, j", [(4, 5), (3, 4), (30, 31), (42, 43)])
+def test_swapping_a_semiring_table_fails_exactly_its_census(monkeypatch, i, j):
+    """Entry i gets entry j's multiplication, a different class on the same additive
+    monoid; the labels still agree, so only the table comparison can see it."""
+    tables = list(catalog.SEMIRING_TABLES)
+    (add, _, label), (other_add, mul, _) = tables[i], tables[j]
+    assert add == other_add
+    tables[i] = (add, mul, label)
+    monkeypatch.setitem(catalog.__dict__, "SEMIRING_TABLES", tuple(tables))
+    failing = [lab for lab in catalog.M_LABELS[1:] if not check_semiring_census(lab).passed]
+    assert failing == [add]
 
 
 def test_pathwise_check_needs_at_least_one_seed():

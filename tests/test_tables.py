@@ -10,8 +10,9 @@ from monodual.tables import (
     as_rows,
     associativity_witness,
     canonical_form,
+    class_group,
     distributivity_witness,
-    orbit,
+    least_image,
     preservation_witness,
     relabel,
     relabelings_fixing,
@@ -92,8 +93,9 @@ def test_canonical_form_idempotent():
 
         c = canonical_form(rows, neutral=neutral_of(rows))
         assert canonical_form(c) == c
-        c2 = min(orbit(c, relabelings_fixing(0, len(c)), opposite=True))
-        assert min(orbit(c2, relabelings_fixing(0, len(c2)), opposite=True)) == c2
+        group = class_group(relabelings_fixing(0, len(c)), opposite=True)
+        c2 = least_image(c, group)
+        assert least_image(c2, group) == c2
 
 
 def test_render_table_layout():

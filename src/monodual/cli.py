@@ -215,6 +215,8 @@ def _cmd_simulate(args) -> int:
         raise ValueError("--rates must hold a JSON list of {id, matrix, rate} objects")
     maps, rates = {}, {}
     for item in entries:
+        if item["id"] in maps:
+            raise ValueError(f"--rates repeats the id {item['id']!r}")
         maps[item["id"]] = SiteMap.from_matrix(space, item["matrix"])
         try:
             rates[item["id"]] = float(item["rate"])
@@ -248,11 +250,15 @@ def _configuration(text, space, flag: str) -> tuple[int, ...]:
     return config
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type for integers of at least ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _nonnegative_float(text: str) -> float:
@@ -321,18 +327,18 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--sites", type=int, required=True)
     sim.add_argument("--rates", required=True, help="JSON list of {id, matrix, rate}")
     sim.add_argument("--t-max", type=_nonnegative_float, required=True)
-    sim.add_argument("--seed", type=int, required=True)
+    sim.add_argument("--seed", type=_int_at_least(0), required=True)
     sim.add_argument("--check", choices=("pathwise", "expectation"), required=True)
     sim.add_argument("--coverage", choices=("exhaustive", "sampled"), default="exhaustive")
-    sim.add_argument("--replicates", type=_positive_int, default=100_000)
+    sim.add_argument("--replicates", type=_int_at_least(1), default=100_000)
     sim.add_argument("--x", help="comma-separated start configuration on the S side")
     sim.add_argument("--y", help="comma-separated configuration on the R side")
     sim.set_defaults(func=_cmd_simulate)
 
     rep = sub.add_parser("reproduce", help="re-derive every cataloged artifact and diff")
     rep.add_argument("--format", choices=("json", "text"), default="text")
-    rep.add_argument("--pathwise-seeds", type=_positive_int, default=100)
-    rep.add_argument("--replicates", type=_positive_int, default=100_000)
+    rep.add_argument("--pathwise-seeds", type=_int_at_least(1), default=100)
+    rep.add_argument("--replicates", type=_int_at_least(1), default=100_000)
     rep.set_defaults(func=_cmd_reproduce)
 
     return p

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field, replace
 from itertools import product
 
 from . import catalog
-from .algebra import Monoid, automorphisms, iter_isomorphisms
-from .tables import CayleyTable, Rows, as_int, preservation_witness, transpose
+from .algebra import Monoid, iter_isomorphisms
+from .tables import CayleyTable, Rows, SizeBudgetExceeded, as_int, pair_budget, preservation_witness, transpose
 
 QUADRUPLE_ORDERS = range(2, 5)  # the max_order values the census search accepts
 
@@ -78,7 +78,7 @@ def is_homomorphism(source: Monoid, target: Monoid, values) -> bool:
 
 @dataclass(frozen=True)
 class AdjointMonoid:
-    """H(S, T) as its sorted maps; the pointwise-addition table ``op`` is built on first read."""
+    """H(S, T) as its sorted maps; the addition table ``op`` is built on first read, within the pair budget."""
 
     source: Monoid
     target: Monoid
@@ -91,6 +91,8 @@ class AdjointMonoid:
     @property
     def op(self) -> CayleyTable:
         if "_op" not in self.__dict__:
+            if self.size ** 2 > pair_budget():
+                raise SizeBudgetExceeded(f"the addition table of {self.size} maps exceeds the pair budget")
             homs, t = self.values(), self.target.rows
             index = {h: i for i, h in enumerate(homs)}
             sums = [[tuple(t[a][b] for a, b in zip(f, g)) for g in homs] for f in homs]
@@ -338,23 +340,21 @@ def duality_from_dict(obj: dict) -> DualityFunction:
 
 
 def match_named_duality(psi: DualityFunction) -> str | None:
-    """The catalog name whose class contains psi, up to carrier relabeling; None if none.
+    """The catalog name of psi's class, under any carrier relabeling; None if none or psi is no duality.
 
-    Carriers are first relabeled onto their catalog tables (any isomorphism
-    works; the ambiguity is absorbed by the class moves), then compared under
-    argument relabeling by automorphisms and transposition.
+    The class is the catalog classes of the carriers (``_class_key``).  psi
+    must verify; a passing ``psi.verified`` record is taken as it stands.
     """
     hits = [catalog.catalog_lookup(m) for m in (psi.s, psi.r, psi.t)]
-    if any(h is None for h in hits):
+    if None in hits:
         return None
-    (s_e, s_p), (r_e, r_p), (t_e, t_p) = hits
-    ns, nr = psi.s.order, psi.r.order
-    values = [[0] * nr for _ in range(ns)]
-    for x in range(ns):
-        for y in range(nr):
-            values[s_p[x]][r_p[y]] = t_p[psi.values[x][y]]
-    key = _class_key(s_e.label, r_e.label, t_e.label, tuple(tuple(r) for r in values))
-    return _named_classes().get(key)
+    name = _named_classes().get(_class_key(*(entry.label for entry, _ in hits)))
+    if name is not None and not (psi.verified and psi.verified.all_passed):
+        try:
+            verify_duality(psi)
+        except DualityError:
+            return None
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -431,26 +431,24 @@ def is_minimal(q: Quadruple) -> bool:
     return generated_submonoid(t, vals) == set(range(t.order))
 
 
-def _class_key(s_label: str, r_label: str, t_label: str, values: Rows):
-    """Canonical key under row/column relabeling by automorphisms and transposition."""
-    s = catalog.monoid(s_label)
-    r = catalog.monoid(r_label)
-    cands = []
-    for b in automorphisms(s):
-        for a in automorphisms(r):
-            m = tuple(
-                tuple(values[b[x]][a[y]] for y in range(r.order)) for x in range(s.order)
-            )
-            cands.append((s_label, r_label, t_label, m))
-            cands.append((r_label, s_label, t_label, transpose(m)))
-    return min(cands)
+def _class_key(s_label: str, r_label: str, t_label: str):
+    """The class of a duality S x R -> T under relabeling by automorphisms and transposition.
+
+    The class is its carriers: y -> psi(., y) is a bijection R -> H(S, T) by (2)-(3), additive
+    by (4), so two dualities on the same carriers differ by an automorphism of R.
+    """
+    return (*sorted((s_label, r_label)), t_label)
 
 
 def _named_classes() -> dict:
-    """{class key: name} over the named catalog tables; the first name of a class wins."""
+    """{class key: name} over the catalog tables that verify; the first name of a class wins."""
     named = {}
-    for name, (s_lab, r_lab, t_lab, values) in catalog.PSI_TABLES.items():
-        named.setdefault(_class_key(s_lab, r_lab, t_lab, values), name)
+    for name, (s_lab, r_lab, t_lab, _) in catalog.PSI_TABLES.items():
+        try:
+            named_duality(name)
+        except DualityError:
+            continue
+        named.setdefault(_class_key(s_lab, r_lab, t_lab), name)
     return named
 
 
@@ -464,17 +462,19 @@ class ReducedClass:
 def reduce_duality_quadruples(quads) -> list[ReducedClass]:
     """Quotient the census by the three reductions and match against the named tables.
 
+    ``quads`` are the census's quadruples, each of which has verified.
     Non-minimal quadruples (values inside a proper submonoid of T) are
     dropped; the rest are grouped under relabeling of either argument by a
-    carrier automorphism and under transposition.  Every class must match a
-    named catalog table under the same moves, else UnmatchedClass is raised.
+    carrier automorphism and under transposition, which for dualities is
+    grouping by the carriers {S, R} and T (``_class_key``).  Every class must
+    have a named catalog table that verifies, else UnmatchedClass is raised.
     """
     named = _named_classes()
     groups: dict = {}
     for q in quads:
         if not is_minimal(q):
             continue
-        key = _class_key(q.s_label, q.r_label, q.t_label, q.psi.values)
+        key = _class_key(q.s_label, q.r_label, q.t_label)
         groups.setdefault(key, []).append(q)
     out = []
     for key in sorted(groups):

@@ -19,7 +19,6 @@ scalar ``SiteMap.apply`` and ``LiftedDuality.evaluate`` are the test oracles.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from itertools import product as iproduct
 
@@ -27,17 +26,7 @@ import numpy as np
 
 from .algebra import Lattice, Monoid, Semiring, dual_lattice, lattice_join_monoid
 from .homdual import DualityFunction, VerificationRecord, hom_set, is_homomorphism, verify_duality
-from .tables import CayleyTable, as_int
-
-DEFAULT_PAIR_BUDGET = 10 ** 6
-
-
-def pair_budget() -> int:
-    return int(os.environ.get("MONODUAL_PAIR_BUDGET", DEFAULT_PAIR_BUDGET))
-
-
-class SizeBudgetExceeded(ValueError):
-    pass
+from .tables import CayleyTable, SizeBudgetExceeded, as_int, pair_budget
 
 
 class NoDual(ValueError):

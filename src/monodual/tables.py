@@ -8,19 +8,33 @@ it reads is set, which is how the enumeration fillers prune.  A class of
 tables is an orbit under a ``class_group``, and its canonical table is its
 least member in row-major lex order.  ``compare_image`` is the one walk that
 orders an image g(t) against a reference table; ``least_image`` and the
-orderly fillers of :mod:`monodual.enumeration` both run it.
+orderly fillers of :mod:`monodual.enumeration` both run it.  The pair
+budget (``MONODUAL_PAIR_BUDGET``), which bounds the large tables and arrays,
+lives here so that every module can import it.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+import os
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
 
 Row = tuple[int, ...]
 Rows = tuple[Row, ...]
+
+
+DEFAULT_PAIR_BUDGET = 10 ** 6
+
+
+def pair_budget() -> int:
+    return int(os.environ.get("MONODUAL_PAIR_BUDGET", DEFAULT_PAIR_BUDGET))
+
+
+class SizeBudgetExceeded(ValueError):
+    pass
 
 
 class MalformedTable(ValueError):

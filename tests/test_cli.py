@@ -383,6 +383,18 @@ def test_pathwise_seeds_below_one_is_usage_error(capsys):
         assert code == 2 and out == "" and "--pathwise-seeds" in err, seeds
 
 
+def test_negative_seed_is_usage_error(tmp_path, capsys):
+    argv = _expectation_args(tmp_path, "--replicates", "10", "--x", "1,2", "--y", "1,0")
+    for check in ("pathwise", "expectation"):
+        argv[argv.index("--check") + 1] = check
+        argv[argv.index("--seed") + 1] = "-1"
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "--seed" in err, check
+    argv[argv.index("--check") + 1] = "pathwise"
+    argv[argv.index("--seed") + 1] = "0"
+    assert run(capsys, *argv)[0] == 0
+
+
 def test_negative_sites_is_usage_error(tmp_path, capsys):
     matrix = tmp_path / "matrix.json"
     matrix.write_text("[]")
@@ -403,6 +415,8 @@ MALFORMED_INPUTS = {
     "rates-not-a-list": ("--rates", {"id": "m", "matrix": [[[0, 1, 2]]], "rate": 1.0}),
     "rate-not-a-number": ("--rates", [{"id": "m", "matrix": [[[0, 1, 2]]], "rate": [1.0]}]),
     "rate-too-large-for-a-float": ("--rates", [{"id": "m", "matrix": [[[0, 1, 2]]], "rate": 10 ** 400}]),
+    "rates-repeated-id": ("--rates", [{"id": "m", "matrix": [[[0, 1, 2]]], "rate": 1.0},
+                                      {"id": "m", "matrix": [[[0, 1, 2]]], "rate": 100.0}]),
     "psi-not-an-object": ("--psi", [[0, 1], [1, 0]]),
     "psi-values-not-a-table": ("--psi", {"s": {"table": [[0]]}, "r": {"table": [[0]]},
                                           "t": {"table": [[0]]}, "values": 5}),

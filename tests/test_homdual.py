@@ -1,14 +1,17 @@
+import time
 from itertools import product as iproduct
 
 import pytest
 
 from monodual import catalog
-from monodual.algebra import Monoid, are_isomorphic, validate_semiring
+from monodual.algebra import Monoid, are_isomorphic, automorphisms, validate_semiring
 from monodual.homdual import (
     Condition1Fail,
     Condition2Fail,
+    DualityError,
     DualityFunction,
     NotIsomorphism,
+    UnmatchedClass,
     adjoint_embedding,
     candidate_duality,
     duality_from_dict,
@@ -17,6 +20,7 @@ from monodual.homdual import (
     find_all_duality_quadruples,
     hom_set,
     is_homomorphism,
+    is_minimal,
     is_reflexive,
     match_named_duality,
     named_duality,
@@ -24,7 +28,7 @@ from monodual.homdual import (
     verify_duality,
 )
 from monodual.product import module_maps
-from monodual.tables import CayleyTable, relabel
+from monodual.tables import CayleyTable, relabel, transpose
 
 
 def brute_force_homs(source, target):
@@ -91,6 +95,26 @@ def test_adjoint_embedding_examples():
     assert emb0.values == (0,) and emb0.target.order == 1
     emb65 = adjoint_embedding(catalog.monoid("M6"), catalog.monoid("M5"))
     assert len(set(emb65.values)) == 3 == emb65.target.order
+
+
+def test_adjoint_table_past_the_pair_budget_raises_before_it_is_built(monkeypatch):
+    import monodual.product as product
+    import monodual.tables as tables
+
+    assert product.SizeBudgetExceeded is tables.SizeBudgetExceeded
+    assert product.pair_budget is tables.pair_budget
+    m15 = catalog.monoid("M15")
+    monkeypatch.setenv("MONODUAL_PAIR_BUDGET", "399")
+    with pytest.raises(tables.SizeBudgetExceeded):
+        hom_set(m15, m15).op  # 20 maps
+    monkeypatch.setenv("MONODUAL_PAIR_BUDGET", "400")
+    assert hom_set(m15, m15).op.order == 20
+    monkeypatch.delenv("MONODUAL_PAIR_BUDGET")
+    m8 = catalog.monoid("M8")
+    start = time.perf_counter()
+    with pytest.raises(tables.SizeBudgetExceeded):
+        adjoint_embedding(m8, m8)  # 6562 maps into M8: a table of 6562^2 cells
+    assert time.perf_counter() - start < 5.0
 
 
 def test_is_reflexive_examples():
@@ -303,10 +327,60 @@ def test_reduction_to_22_classes():
 
 
 def test_unmatched_class_is_reported(monkeypatch):
-    from monodual.homdual import UnmatchedClass
-
     trimmed = {k: v for k, v in catalog.PSI_TABLES.items() if k != "psi25"}
     monkeypatch.setitem(catalog.__dict__, "PSI_TABLES", trimmed)
+    with pytest.raises(UnmatchedClass):
+        reduce_duality_quadruples(find_all_duality_quadruples(4))
+
+
+def _orbit_key(s_label, r_label, t_label, values):
+    """Oracle: the least image of the table under Aut(S) x Aut(R) relabeling and transposition."""
+    s, r = catalog.monoid(s_label), catalog.monoid(r_label)
+    images = []
+    for m in _relabelings(values, automorphisms(s), automorphisms(r)):
+        images.append((s_label, r_label, t_label, m))
+        images.append((r_label, s_label, t_label, transpose(m)))
+    return min(images)
+
+
+def _relabelings(values, row_perms, column_perms):
+    return {
+        tuple(tuple(values[b[x]][a[y]] for y in range(len(values[0]))) for x in range(len(values)))
+        for b in row_perms
+        for a in column_perms
+    }
+
+
+def test_a_duality_class_is_its_carriers():
+    # relabeling S moves no table out of its Aut(R) column orbit, which is the census's candidates
+    quads = find_all_duality_quadruples(4)
+    for q in quads:
+        s, r, values = q.psi.s, q.psi.r, q.psi.values
+        columns = _relabelings(values, [tuple(range(s.order))], automorphisms(r))
+        assert _relabelings(values, automorphisms(s), automorphisms(r)) == columns, q.key()[:3]
+        assert len(columns) == q.isomorphism_count and min(columns) == values, q.key()[:3]
+    assert len(quads) == 110
+
+
+def test_reduction_groups_as_the_orbit_key_does():
+    quads = find_all_duality_quadruples(4)
+    by_orbit: dict = {}
+    for q in quads:
+        if is_minimal(q):
+            by_orbit.setdefault(_orbit_key(q.s_label, q.r_label, q.t_label, q.psi.values), set()).add(q.key())
+    classes = reduce_duality_quadruples(quads)
+    groups = {frozenset(q.key() for q in c.members) for c in classes}
+    assert len(groups) == 22 and groups == {frozenset(g) for g in by_orbit.values()}
+    for c in classes:  # and each class has the orbit key of the table it is named after
+        rep = c.representative
+        named = catalog.PSI_TABLES[c.matched_name]
+        assert _orbit_key(rep.s_label, rep.r_label, rep.t_label, rep.psi.values) == _orbit_key(*named)
+
+
+def test_a_named_table_that_fails_to_verify_names_no_class(monkeypatch):
+    s_lab, r_lab, t_lab, values = catalog.PSI_TABLES["psi25"]
+    zeros = tuple(tuple(0 for _ in row) for row in values)
+    monkeypatch.setitem(catalog.PSI_TABLES, "psi25", (s_lab, r_lab, t_lab, zeros))
     with pytest.raises(UnmatchedClass):
         reduce_duality_quadruples(find_all_duality_quadruples(4))
 
@@ -378,3 +452,16 @@ def test_match_named_duality_handles_relabeled_carriers():
     moved = DualityFunction(s2, psi.r, psi.t, tuple(tuple(r) for r in relabeled))
     assert verify_duality(moved).all_passed
     assert match_named_duality(moved) == "psi11"
+
+
+def test_match_named_duality_names_only_dualities():
+    psi = named_duality("psi11")
+    assert match_named_duality(psi) == "psi11"
+    assert match_named_duality(psi.transposed()) == "psi11"
+    zeros = DualityFunction(psi.s, psi.r, psi.t, tuple((0,) * 4 for _ in range(4)))
+    # swapping rows 0 and 1 is no automorphism of S (each fixes the neutral 0): the columns leave H(S, T)
+    swapped = DualityFunction(psi.s, psi.r, psi.t, (psi.values[1], psi.values[0], *psi.values[2:]))
+    for bad in (zeros, swapped):
+        with pytest.raises(DualityError):
+            verify_duality(bad)
+        assert match_named_duality(bad) is None

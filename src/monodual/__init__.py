@@ -51,6 +51,7 @@ from .homdual import (
     UnmatchedClass,
     adjoint_embedding,
     candidate_duality,
+    check_pairing,
     duality_from_dict,
     duality_to_dict,
     evaluation_duality,

@@ -200,34 +200,14 @@ def _reflexive(adj: AdjointMonoid) -> bool:
 
 
 @dataclass(frozen=True)
-class VerificationRecord:
-    rows_distinct: bool
-    columns_are_hom_set: bool
-    columns_distinct: bool
-    rows_are_hom_set: bool
-
-    @property
-    def all_passed(self) -> bool:
-        return (
-            self.rows_distinct
-            and self.columns_are_hom_set
-            and self.columns_distinct
-            and self.rows_are_hom_set
-        )
-
-
-@dataclass(frozen=True)
 class DualityFunction:
-    """An |S| x |R| table into T, rows indexed by S."""
+    """An |S| x |R| table into T, rows indexed by S; ``verified`` is set only by ``checked()``."""
 
     s: Monoid
     r: Monoid
     t: Monoid
     values: Rows
-    verified: VerificationRecord | None = field(default=None, compare=False)
-
-    def row(self, x: int) -> tuple[int, ...]:
-        return self.values[x]
+    verified: bool = field(default=False, compare=False)
 
     def column(self, y: int) -> tuple[int, ...]:
         return tuple(self.values[x][y] for x in range(self.s.order))
@@ -236,39 +216,45 @@ class DualityFunction:
         return DualityFunction(self.r, self.s, self.t, transpose(self.values), self.verified)
 
     def checked(self) -> "DualityFunction":
-        """This table with the record of ``verify_duality``, which raises on the first failed condition."""
-        return replace(self, verified=verify_duality(self))
+        """This table marked verified, after ``verify_duality`` (which raises on the first failed condition)."""
+        verify_duality(self)
+        return replace(self, verified=True)
 
 
-def verify_duality(psi: DualityFunction) -> VerificationRecord:
-    """Exhaustively check the four duality conditions, raising on the first failure."""
-    ns, nr = psi.s.order, psi.r.order
-    if len(psi.values) != ns or any(len(row) != nr for row in psi.values):
+def check_pairing(rows, column_maps, row_maps) -> None:
+    """Check the four duality conditions on a table given by its rows, raising the first that fails.
+
+    ``column_maps`` and ``row_maps`` are zero-argument callables giving the
+    maps the columns and the rows must be (H(S, T) and H(R, T) for a monoid
+    duality).  Each is called only once the conditions before its own pass:
+    (1) rows distinct, (2) columns = column_maps(), (3) columns distinct,
+    (4) rows = row_maps().
+    """
+    rows = [tuple(r) for r in rows]
+    cols = list(zip(*rows))
+    for lines, repeat_fail, images, maps, maps_fail in (
+        (rows, Condition1Fail, cols, column_maps, Condition2Fail),
+        (cols, Condition3Fail, rows, row_maps, Condition4Fail),
+    ):
+        seen = {}
+        for i, line in enumerate(lines):
+            if line in seen:
+                raise repeat_fail(seen[line], i)
+            seen[line] = i
+        have, want = set(images), set(maps())
+        if have != want:
+            raise maps_fail(f"missing={sorted(want - have)} extra={sorted(have - want)}")
+
+
+def verify_duality(psi: DualityFunction) -> None:
+    """Exhaustively check the four duality conditions (``check_pairing``), raising on the first failure.
+
+    H(S, T) is built only after condition 1 passes, and H(R, T) only after
+    conditions 2 and 3 pass.
+    """
+    if len(psi.values) != psi.s.order or any(len(row) != psi.r.order for row in psi.values):
         raise DualityError("table dimensions disagree with the carriers")
-    rows = [psi.row(x) for x in range(ns)]
-    cols = [psi.column(y) for y in range(nr)]
-    seen = {}
-    for x, row in enumerate(rows):
-        if row in seen:
-            raise Condition1Fail(seen[row], x)
-        seen[row] = x
-    col_set = set(cols)
-    hs = set(hom_set(psi.s, psi.t).values())
-    if col_set != hs:
-        missing = sorted(hs - col_set)
-        extra = sorted(col_set - hs)
-        raise Condition2Fail(f"missing={missing} extra={extra}")
-    seen = {}
-    for y, col in enumerate(cols):
-        if col in seen:
-            raise Condition3Fail(seen[col], y)
-        seen[col] = y
-    hr = set(hom_set(psi.r, psi.t).values())
-    if set(rows) != hr:
-        missing = sorted(hr - set(rows))
-        extra = sorted(set(rows) - hr)
-        raise Condition4Fail(f"missing={missing} extra={extra}")
-    return VerificationRecord(True, True, True, True)
+    check_pairing(psi.values, lambda: hom_set(psi.s, psi.t).values(), lambda: hom_set(psi.r, psi.t).values())
 
 
 def evaluation_duality(source: Monoid, target: Monoid) -> DualityFunction:
@@ -282,7 +268,7 @@ def candidate_duality(source: Monoid, target: Monoid, r: Monoid, iso) -> Duality
 
     ``iso`` maps R-elements to indices into hom_set(source, target).  The
     candidate is a duality function iff its rows are pairwise distinct; the
-    returned table carries the full verification record when they are.
+    returned table is verified (``checked``) when they are.
     """
     adj = hom_set(source, target)
     iso = tuple(iso)
@@ -343,18 +329,19 @@ def match_named_duality(psi: DualityFunction) -> str | None:
     """The catalog name of psi's class, under any carrier relabeling; None if none or psi is no duality.
 
     The class is the catalog classes of the carriers (``_class_key``).  psi
-    must verify; a passing ``psi.verified`` record is taken as it stands.
+    is verified unless ``psi.verified`` is set; then the catalog tables named
+    for its class are verified in catalog order until one passes.
     """
     hits = [catalog.catalog_lookup(m) for m in (psi.s, psi.r, psi.t)]
     if None in hits:
         return None
-    name = _named_classes().get(_class_key(*(entry.label for entry, _ in hits)))
-    if name is not None and not (psi.verified and psi.verified.all_passed):
+    names = _catalog_classes().get(_class_key(*(entry.label for entry, _ in hits)), ())
+    if names and not psi.verified:
         try:
             verify_duality(psi)
         except DualityError:
             return None
-    return name
+    return _named_class(names)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +393,7 @@ def find_all_duality_quadruples(max_order: int = 4) -> list[Quadruple]:
             cands = [candidate_duality(s, t, r, p) for p in iter_isomorphisms(r, adj.monoid())]
             if not cands:
                 raise AssertionError("no isomorphism found onto the adjoint")
-            if any(c.verified is None or not c.verified.all_passed for c in cands):
+            if not all(c.verified for c in cands):
                 raise AssertionError(f"candidate failed for ({r_lab},{s_lab},{t_lab})")
             out.append(Quadruple(r_label=r_lab, s_label=s_lab, t_label=t_lab,
                                  psi=min(cands, key=lambda c: c.values), isomorphism_count=len(cands)))
@@ -440,16 +427,23 @@ def _class_key(s_label: str, r_label: str, t_label: str):
     return (*sorted((s_label, r_label)), t_label)
 
 
-def _named_classes() -> dict:
-    """{class key: name} over the catalog tables that verify; the first name of a class wins."""
-    named = {}
+def _catalog_classes() -> dict:
+    """{class key: the catalog table names of that class, in catalog order}; no table is verified."""
+    named: dict = {}
     for name, (s_lab, r_lab, t_lab, _) in catalog.PSI_TABLES.items():
+        named.setdefault(_class_key(s_lab, r_lab, t_lab), []).append(name)
+    return named
+
+
+def _named_class(names) -> str | None:
+    """The first of ``names`` whose catalog table verifies, or None; later names are not verified."""
+    for name in names:
         try:
             named_duality(name)
         except DualityError:
             continue
-        named.setdefault(_class_key(s_lab, r_lab, t_lab), name)
-    return named
+        return name
+    return None
 
 
 @dataclass(frozen=True)
@@ -467,9 +461,10 @@ def reduce_duality_quadruples(quads) -> list[ReducedClass]:
     dropped; the rest are grouped under relabeling of either argument by a
     carrier automorphism and under transposition, which for dualities is
     grouping by the carriers {S, R} and T (``_class_key``).  Every class must
-    have a named catalog table that verifies, else UnmatchedClass is raised.
+    have a named catalog table that verifies, else UnmatchedClass is raised;
+    only the tables named for a census class are verified (``_named_class``).
     """
-    named = _named_classes()
+    named = _catalog_classes()
     groups: dict = {}
     for q in quads:
         if not is_minimal(q):
@@ -479,7 +474,7 @@ def reduce_duality_quadruples(quads) -> list[ReducedClass]:
     out = []
     for key in sorted(groups):
         members = tuple(sorted(groups[key], key=Quadruple.key))
-        name = named.get(key)
+        name = _named_class(named.get(key, ()))
         if name is None:
             raise UnmatchedClass(f"no named table for class of {members[0].key()[:3]}")
         rep = min(members, key=lambda q: q.psi.values)

@@ -372,7 +372,9 @@ def estimate_expectation_duality(
 
     Requires a real embedding on the value monoid.  The two sides use disjoint
     replicate seed namespaces; the estimate is flagged consistent when the
-    estimates agree within four combined standard errors.
+    estimates agree within four combined standard errors; there a side that
+    moves but shows no spread takes (max f - min f) / (2 sqrt n), the largest
+    standard error its values f allow (Popoviciu's bound).
     """
     t = _checked_time(t)
     if replicates < 1:
@@ -388,7 +390,10 @@ def estimate_expectation_duality(
             )
     lhs, lhs_se = _mc_side(model, f_lhs, x_idx, t, replicates, seed, 0)
     rhs, rhs_se = _mc_side(dmodel, f_rhs, y_idx, t, replicates, seed, 1)
-    comb = math.sqrt(lhs_se ** 2 + rhs_se ** 2)
+    comb = math.hypot(*(
+        (f.max() - f.min()) / (2.0 * math.sqrt(replicates)) if se == 0 and _expected_jumps(m, t) > 0 else se
+        for f, se, m in ((f_lhs, lhs_se, model), (f_rhs, rhs_se, dmodel))
+    ))
     consistent = abs(lhs - rhs) <= 4.0 * comb if comb > 0 else lhs == rhs
     return ExpectationEstimate(
         lhs=lhs,

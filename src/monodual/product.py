@@ -25,7 +25,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .algebra import Lattice, Monoid, Semiring, dual_lattice, lattice_join_monoid
-from .homdual import DualityFunction, VerificationRecord, hom_set, is_homomorphism, verify_duality
+from .homdual import DualityFunction, check_pairing, hom_set, is_homomorphism, verify_duality
 from .tables import CayleyTable, SizeBudgetExceeded, as_int, pair_budget
 
 
@@ -326,13 +326,14 @@ def lift_duality(
     sites: int,
     real_embedding: tuple[float, ...] | None = None,
 ) -> LiftedDuality:
-    """Lift a local duality to S^k x R^k, verifying it first if it carries no passing record.
+    """Lift a local duality to S^k x R^k, verifying it first unless ``local.verified`` is set.
 
-    Small instances (k <= 3 with carriers of order <= 3) are always re-checked
+    Verification raises the first failed duality condition.  Small
+    instances (k <= 3 with carriers of order <= 3) are always re-checked
     exhaustively at the product level instead of being taken on faith from
     the local verification.
     """
-    if local.verified is None or not local.verified.all_passed:
+    if not local.verified:
         local = local.checked()
     if real_embedding is not None:
         _check_real_embedding(local.t, real_embedding)
@@ -402,7 +403,8 @@ def semiring_inner_duality(
     This is generally not a monoid duality function (the dualizable maps are
     the left-module maps, which may be a proper subset of the additive
     homomorphisms).  Its four module-level separation and surjectivity
-    properties are always checked against the module-map sets, raising
+    properties are always checked against the module-map sets
+    (``verify_module_duality`` raises the first that fails), raising
     SizeBudgetExceeded past the pair budget.
     """
     add = s.add
@@ -410,8 +412,7 @@ def semiring_inner_duality(
     if real_embedding is not None:
         _check_real_embedding(add, real_embedding)
     lifted = LiftedDuality(local, sites, real_embedding, module_source=s)
-    if not verify_module_duality(lifted).all_passed:
-        raise AssertionError("module duality conditions failed")
+    verify_module_duality(lifted)
     return lifted
 
 
@@ -437,24 +438,20 @@ def module_maps(s: Semiring, side: str = "left") -> list[tuple[int, ...]]:
     return _module_maps(s, 1, side)
 
 
-def verify_module_duality(lifted: LiftedDuality) -> VerificationRecord:
-    """Exact check of the four module-level pairing properties.
+def verify_module_duality(lifted: LiftedDuality) -> None:
+    """Exact check of the four module-level pairing properties, raising the first that fails.
 
-    The rows and columns of the Psi table are compared with the right- and
-    left-module maps S^k -> S.
+    The four duality conditions (``check_pairing``) on the Psi table, with
+    the left-module maps S^k -> S in place of H(S, T) for the columns and the
+    right-module maps in place of H(R, T) for the rows.
     """
     s = lifted.module_source
     if s is None:
         raise ValueError("not a semiring-derived pairing")
-    big = lifted.table()
-    row_tables = set(map(tuple, big.tolist()))
-    col_tables = set(map(tuple, big.T.tolist()))
-    n = len(big)
-    return VerificationRecord(
-        rows_distinct=len(row_tables) == n,
-        columns_are_hom_set=col_tables == set(_module_maps(s, lifted.sites, "left")),
-        columns_distinct=len(col_tables) == n,
-        rows_are_hom_set=row_tables == set(_module_maps(s, lifted.sites, "right")),
+    check_pairing(
+        lifted.table().tolist(),
+        lambda: _module_maps(s, lifted.sites, "left"),
+        lambda: _module_maps(s, lifted.sites, "right"),
     )
 
 

@@ -246,6 +246,19 @@ def test_golden_outputs(capsys):
         assert out == (GOLDEN_DIR / name).read_text(), name
 
 
+def test_expectation_from_samples_without_spread_is_judged_by_their_range(capsys):
+    # one or two paths per side: lhs = -1 and rhs = 1 with zero sample spread on both sides
+    for seed, replicates in (("2", "1"), ("4", "1"), ("2", "2")):
+        code, out, _ = run(capsys, "simulate", "--psi", "psi5.T", "--sites", "2",
+                           "--rates", str(GOLDEN_DIR / "simulate_rates.json"), "--check", "expectation",
+                           "--x", "1,2", "--y", "1,0", "--t-max", "1", "--seed", seed,
+                           "--replicates", replicates)
+        data = json.loads(out)
+        assert code == 0 and data["consistent"] is True, (seed, replicates)
+        assert (data["lhs"], data["rhs"]) == (-1.0, 1.0)
+        assert data["lhs_stderr"] == data["rhs_stderr"] == data["combined_stderr"] == 0.0
+
+
 def _expectation_args(tmp_path, *extra):
     psi = named_duality("psi5").transposed()
     homs = [h.values for h in hom_set(psi.s, psi.s).base]

@@ -1,3 +1,4 @@
+import random
 import time
 from itertools import product as iproduct
 
@@ -8,6 +9,8 @@ from monodual.algebra import Monoid, are_isomorphic, automorphisms, validate_sem
 from monodual.homdual import (
     Condition1Fail,
     Condition2Fail,
+    Condition3Fail,
+    Condition4Fail,
     DualityError,
     DualityFunction,
     NotIsomorphism,
@@ -190,7 +193,7 @@ def test_psi5_orientation():
     """The cataloged 3x3 table verifies with rows on the involution side only."""
     psi = named_duality("psi5")
     assert (psi.s.rows, psi.r.rows) == (catalog.MONOID_TABLES["M5"], catalog.MONOID_TABLES["M6"])
-    assert verify_duality(psi).all_passed
+    assert verify_duality(psi) is None and psi.verified
     # the same entries with the argument roles swapped are not a duality
     wrong = DualityFunction(psi.r, psi.s, psi.t, psi.values)
     with pytest.raises(Exception):
@@ -218,7 +221,7 @@ def test_candidate_duality_reproduces_named_tables():
         index = {h.values: i for i, h in enumerate(adj.base)}
         iso = tuple(index[tuple(table[x][y] for x in range(s.order))] for y in range(r.order))
         psi = candidate_duality(s, t, r, iso)
-        assert psi.values == table and psi.verified.all_passed
+        assert psi.values == table and psi.verified
 
 
 def test_candidate_duality_mod3():
@@ -229,7 +232,7 @@ def test_candidate_duality_mod3():
     tables = []
     for p in iter_isomorphisms(m7, adj.monoid()):
         psi = candidate_duality(m7, m7, m7, p)
-        assert psi.verified.all_passed
+        assert psi.verified
         tables.append(psi.values)
     want = tuple(tuple((x * y) % 3 for y in range(3)) for x in range(3))
     assert want in tables  # multiplication mod 3, up to the R relabeling
@@ -256,7 +259,7 @@ def test_evaluation_duality_for_reflexive_pairs():
         s, t = catalog.monoid(s_lab), catalog.monoid(t_lab)
         assert is_reflexive(s, t)
         psi = evaluation_duality(s, t)
-        assert psi.verified.all_passed
+        assert psi.verified
 
 
 def test_transposed_keeps_a_non_square_table_whole():
@@ -265,7 +268,7 @@ def test_transposed_keeps_a_non_square_table_whole():
     back = psi.transposed()
     assert (back.s, back.r, back.t) == (psi.r, psi.s, psi.t)
     assert back.values == tuple(zip(*psi.values)) and len(back.values) == 5
-    assert back.checked().verified.all_passed
+    assert back.verified and back.checked().verified
 
 
 def test_duality_column_and_row_maps_are_isomorphisms():
@@ -274,7 +277,7 @@ def test_duality_column_and_row_maps_are_isomorphisms():
     for name in catalog.PSI_TABLES:
         psi = named_duality(name)
         cols = {psi.column(y) for y in range(psi.r.order)}
-        rows = {psi.row(x) for x in range(psi.s.order)}
+        rows = set(psi.values)
         assert cols == set(hom_set(psi.s, psi.t).values())
         assert rows == set(hom_set(psi.r, psi.t).values())
         assert is_reflexive(psi.s, psi.t) and is_reflexive(psi.r, psi.t)
@@ -435,7 +438,7 @@ def test_m23_module_maps_equal_additive_homs():
 def test_duality_json_round_trip():
     psi = named_duality("psi13")
     again = duality_from_dict(duality_to_dict(psi))
-    assert again.values == psi.values and again.verified.all_passed
+    assert again.values == psi.values and again.verified
 
 
 def test_match_named_duality_handles_relabeled_carriers():
@@ -450,7 +453,7 @@ def test_match_named_duality_handles_relabeled_carriers():
         for y in range(4):
             relabeled[perm[x]][y] = values[x][y]
     moved = DualityFunction(s2, psi.r, psi.t, tuple(tuple(r) for r in relabeled))
-    assert verify_duality(moved).all_passed
+    assert verify_duality(moved) is None and not moved.verified
     assert match_named_duality(moved) == "psi11"
 
 
@@ -465,3 +468,115 @@ def test_match_named_duality_names_only_dualities():
         with pytest.raises(DualityError):
             verify_duality(bad)
         assert match_named_duality(bad) is None
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of homdual's ``name`` made through the module."""
+    import monodual.homdual as homdual
+
+    calls = []
+    fn = getattr(homdual, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(homdual, name, counted)
+    return calls
+
+
+def test_verify_duality_builds_each_hom_set_only_once_its_condition_is_reached(monkeypatch):
+    calls = _counting(monkeypatch, "hom_set")
+    m1, m2 = catalog.monoid("M1"), catalog.monoid("M2")
+    with pytest.raises(Condition1Fail):
+        verify_duality(DualityFunction(m1, m1, m1, ((0, 0), (0, 0))))
+    assert len(calls) == 0
+    with pytest.raises(Condition2Fail):
+        verify_duality(DualityFunction(m2, m2, m2, ((1, 0), (0, 1))))
+    assert len(calls) == 1
+    psi1 = named_duality("psi1")
+    del calls[:]
+    verify_duality(psi1)
+    assert len(calls) == 2
+
+
+def test_condition_three_fails_alone_on_repeated_columns():
+    # H(M0, M1) and H(M2, M1) are each the zero map: only the repeated column is wrong
+    psi = DualityFunction(catalog.monoid("M0"), catalog.monoid("M2"), catalog.monoid("M1"), ((0, 0),))
+    with pytest.raises(Condition3Fail) as err:
+        verify_duality(psi)
+    assert err.value.witness == (0, 1)
+
+
+def test_verified_is_set_only_by_checked():
+    psi = named_duality("psi11")
+    assert psi.verified and psi.transposed().verified
+    bare = DualityFunction(psi.s, psi.r, psi.t, psi.values)
+    assert not bare.verified and bare == psi
+    assert bare.checked().verified and not bare.verified
+    zeros = DualityFunction(psi.s, psi.r, psi.t, tuple((0,) * 4 for _ in range(4)))
+    with pytest.raises(Condition1Fail):
+        zeros.checked()
+
+
+def _first_failed_condition(psi):
+    """Oracle: the first of the four conditions that fails, by brute-force hom sets; 0 if none."""
+    rows = list(psi.values)
+    cols = list(zip(*rows))
+    holds = (
+        len(set(rows)) == len(rows),
+        set(cols) == set(brute_force_homs(psi.s, psi.t)),
+        len(set(cols)) == len(cols),
+        set(rows) == set(brute_force_homs(psi.r, psi.t)),
+    )
+    return next((i + 1 for i, ok in enumerate(holds) if not ok), 0)
+
+
+def test_verify_duality_raises_the_first_condition_a_brute_force_oracle_finds():
+    fails = (None, Condition1Fail, Condition2Fail, Condition3Fail, Condition4Fail)
+    small = ["M0", "M1", "M2"]
+    order = {lab: catalog.ENTRIES[lab].table.order for lab in catalog.M_LABELS}
+    # every table on carriers of order <= 2, then seeded edits of the order-3 census tables
+    tables = [
+        (s, r, t, flat)
+        for s, r, t in iproduct(small, repeat=3)
+        for flat in iproduct(range(order[t]), repeat=order[s] * order[r])
+    ]
+    rng = random.Random(2108)
+    census = find_all_duality_quadruples(3)
+    for _ in range(400):
+        q = rng.choice(census)
+        values = [list(row) for row in q.psi.values]
+        for _ in range(rng.randrange(3)):  # up to two random entries, or a column swap
+            if rng.random() < 0.5:
+                values[rng.randrange(len(values))][rng.randrange(len(values[0]))] = rng.randrange(q.psi.t.order)
+            else:
+                a, b = rng.randrange(len(values[0])), rng.randrange(len(values[0]))
+                for row in values:
+                    row[a], row[b] = row[b], row[a]
+        tables.append((q.s_label, q.r_label, q.t_label, tuple(v for row in values for v in row)))
+    seen = set()
+    for s_lab, r_lab, t_lab, flat in tables:
+        s, r, t = (catalog.monoid(lab) for lab in (s_lab, r_lab, t_lab))
+        values = tuple(tuple(flat[x * r.order:(x + 1) * r.order]) for x in range(s.order))
+        psi = DualityFunction(s, r, t, values)
+        want = _first_failed_condition(psi)
+        seen.add(want)
+        if want == 0:
+            verify_duality(psi)
+        else:
+            with pytest.raises(DualityError) as err:
+                verify_duality(psi)
+            assert type(err.value) is fails[want], (s_lab, r_lab, t_lab, values)
+    assert seen == {0, 1, 2, 3, 4}
+
+
+def test_match_named_duality_verifies_only_psi_and_the_tables_named_for_its_class(monkeypatch):
+    psi = named_duality("psi11")
+    bare = DualityFunction(psi.s, psi.r, psi.t, psi.values)
+    calls = _counting(monkeypatch, "verify_duality")
+    assert match_named_duality(bare) == "psi11"
+    assert len(calls) == 2
+    del calls[:]
+    assert match_named_duality(psi) == "psi11"
+    assert len(calls) == 1

@@ -248,6 +248,20 @@ def test_expectation_with_zero_rates():
     assert est.lhs == want == est.rhs
 
 
+def test_a_wrong_dual_without_spread_is_inconsistent_at_many_replicates():
+    lifted, _ = psi5_model(2)
+    ssp, rsp = lifted.s_space, lifted.r_space
+    still = RateModel.build(ssp, {"i": SiteMap.identity(ssp)}, {"i": 1.0})
+    # the dual of the identity is the identity, not the map onto the neutral configuration
+    zero = (lifted.local.r.neutral,) * lifted.local.r.order
+    wrong = RateModel.build(rsp, {"z": SiteMap.diagonal(rsp, zero)}, {"z": 1.0})
+    x, y = (1, 2), (1, 0)
+    est = estimate_expectation_duality(still, lifted, x, y, 30.0, 10_000, seed=5, dual=wrong)
+    assert est.lhs == lifted.evaluate_embedded(x, y) == -1.0 and est.rhs == 1.0
+    assert est.lhs_stderr == 0.0 == est.rhs_stderr
+    assert not est.consistent
+
+
 def test_expectation_requires_real_embedding():
     psi = named_duality("psi3")  # T = M3 admits no real embedding
     lifted = lift_duality(psi, 1)

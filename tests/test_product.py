@@ -6,7 +6,15 @@ import pytest
 
 from monodual import catalog
 from monodual.algebra import validate_semiring
-from monodual.homdual import DualityFunction, DualityError, hom_set, named_duality, verify_duality
+from monodual.homdual import (
+    Condition1Fail,
+    Condition2Fail,
+    DualityError,
+    DualityFunction,
+    hom_set,
+    named_duality,
+    verify_duality,
+)
 from monodual.ips import (
     DualityViolation,
     RateModel,
@@ -261,7 +269,19 @@ def test_semiring_inner_duality_f2():
     for xs in lifted.s_space.configs():
         for ys in lifted.r_space.configs():
             assert lifted.evaluate(xs, ys) == (xs[0] * ys[0] + xs[1] * ys[1]) % 2
-    assert verify_module_duality(lifted).all_passed
+    assert verify_module_duality(lifted) is None
+
+
+def test_verify_module_duality_raises_the_first_failed_condition():
+    f2 = validate_semiring(catalog.MONOID_TABLES["M2"], [[0, 0], [0, 1]])
+    add = f2.add
+    zero = LiftedDuality(DualityFunction(add, add, add, ((0, 0), (0, 0))), 2, module_source=f2)
+    with pytest.raises(Condition1Fail):
+        verify_module_duality(zero)
+    # distinct rows, but the column (1, 0) sends 0 to 1: no module map
+    swapped = LiftedDuality(DualityFunction(add, add, add, ((1, 0), (0, 1))), 1, module_source=f2)
+    with pytest.raises(Condition2Fail):
+        verify_module_duality(swapped)
 
 
 def test_semiring_inner_duality_boolean():
@@ -276,7 +296,7 @@ def test_semiring_inner_duality_boolean():
 def test_semiring_inner_duality_verifies_f4_at_two_sites():
     f4 = validate_semiring(catalog.MONOID_TABLES["M25"], catalog.MONOID_TABLES["F4-mult"])
     lifted = semiring_inner_duality(f4, 2)
-    assert verify_module_duality(lifted).all_passed
+    assert verify_module_duality(lifted) is None
     assert len(_module_maps(f4, 2, "left")) == 16
 
 
@@ -320,14 +340,13 @@ def test_one_generated_semirings_bridge_to_monoid_duality():
             if not one_generates_addition(s) or s.order == 1:
                 continue
             psi = DualityFunction(s.add, s.add, s.add, s.mul.rows)
-            assert verify_duality(psi).all_passed, lab
+            assert verify_duality(psi) is None, lab
 
 
 def test_one_generated_module_maps_equal_homs_on_products():
     f2 = validate_semiring(catalog.MONOID_TABLES["M2"], [[0, 0], [0, 1]])
     lifted = semiring_inner_duality(f2, 2)
-    rec = verify_module_duality(lifted)
-    assert rec.columns_are_hom_set and rec.rows_are_hom_set
+    assert verify_module_duality(lifted) is None
     # the left-module maps on the product coincide with the additive maps
     sp = lifted.s_space
     cfgs = list(sp.configs())
@@ -364,7 +383,7 @@ def test_one_generated_module_maps_equal_homs_on_products():
 def test_lattice_duality_functions_match_named_tables():
     for lat, want in [(chain(2), "psi1"), (chain(3), "psi4"), (diamond(), "psi11"), (chain(4), "psi15")]:
         psi = lattice_duality_function(lat)
-        assert psi.verified.all_passed
+        assert psi.verified
         assert match_named_duality(psi) == want
 
 

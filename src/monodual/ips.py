@@ -25,7 +25,9 @@ count (total rate times time span) exceeds the pair budget raises
 SizeBudgetExceeded before anything is drawn, since the work and memory of
 every path grow with that count; so does a Monte-Carlo estimate whose
 replicates times expected jump count exceeds it, since its work grows with
-that product.
+that product.  Pathwise checks and Monte-Carlo estimates tabulate whole
+sides, so they raise StateSpaceTooLarge, also before anything is drawn, for
+a side with more configurations than the pair budget.
 """
 
 from __future__ import annotations
@@ -201,6 +203,17 @@ def flow_index_table(model: RateModel, events) -> np.ndarray:
     return out
 
 
+def _check_sides(lifted: LiftedDuality) -> None:
+    """StateSpaceTooLarge when S^k or R^k alone has more configurations than the pair budget.
+
+    Flows and expectations tabulate every configuration of a side, so this
+    runs before any of that work.
+    """
+    n = max(lifted.s_space.n_configs, lifted.r_space.n_configs)
+    if n > pair_budget():
+        raise StateSpaceTooLarge(f"one side alone has {n} configurations, beyond the pair budget")
+
+
 def dual_model(model: RateModel, lifted: LiftedDuality) -> RateModel:
     """The same ids and rates with every site map replaced by its dual."""
     rsp = lifted.r_space
@@ -247,8 +260,10 @@ def check_pathwise_duality(
     window's events and Y[-u,-s] the dual model's maps over the same events
     reversed (reversing time mirrors the convention).  Exhaustive coverage
     checks every configuration pair (within the pair budget); sampled
-    coverage draws n_samples pairs.  Raises DualityViolation on the first
-    mismatch.
+    coverage draws n_samples index pairs and looks their images up in the
+    flows' index tables.  Raises DualityViolation on the first mismatch, and
+    StateSpaceTooLarge before any stream or dual is built when a side, or
+    for exhaustive coverage the pairs, exceed the pair budget.
     """
     if coverage not in ("exhaustive", "sampled"):
         raise ValueError("coverage must be 'exhaustive' or 'sampled'")
@@ -257,22 +272,20 @@ def check_pathwise_duality(
     ssp, rsp = lifted.s_space, lifted.r_space
     if model.space != ssp:
         raise ValueError("model does not act on the S side of this duality")
-    stream = sample_event_stream(model, window, seed)
-    dmodel = dual_model(model, lifted) if dual is None else dual
-    s, u = stream.window
-
+    s, u = _checked_window(window)
+    _expected_jumps(model, u - s)  # the cheap refusals come before any stream, table or dual
     n_pairs = ssp.n_configs * rsp.n_configs
     exhaustive = coverage == "exhaustive"
     if exhaustive and n_pairs > pair_budget():
         raise StateSpaceTooLarge(
             f"{n_pairs} configuration pairs exceed the budget; use coverage='sampled'"
         )
-    if max(ssp.n_configs, rsp.n_configs) > pair_budget():
-        raise StateSpaceTooLarge("one side alone exceeds the pair budget")
+    _check_sides(lifted)
 
+    stream = sample_event_stream(model, (s, u), seed)
+    dmodel = dual_model(model, lifted) if dual is None else dual
     if not exhaustive:
         xi, yi = sample_pairs((seed, 2), n_samples, ssp, rsp)
-        xs, ys = ssp.config_array(xi), rsp.config_array(yi)
     for conv in ("+", "-"):
         events = stream.events_in(s, u, conv)
         X = flow_index_table(model, events)
@@ -280,9 +293,7 @@ def check_pathwise_duality(
         if exhaustive:
             hit = identity_holds(lifted, X, Y)
         else:
-            hit = identity_holds(
-                lifted, ssp.config_array(X[xi]), rsp.config_array(Y[yi]), pairs=(xs, ys)
-            )
+            hit = identity_holds(lifted, X[xi], Y[yi], pairs=(xi, yi))
         if hit is not None:
             raise DualityViolation(*hit, stream)
     return PathwiseReport(
@@ -327,9 +338,9 @@ def _embedded_values(lifted: LiftedDuality, x, y, evolving: str) -> tuple[np.nda
         raise NoRealEmbedding("expectations need a declared real embedding")
     ssp, rsp = lifted.s_space, lifted.r_space
     x_idx, y_idx = ssp.index_of(x), rsp.index_of(y)
-    xs = ssp.config_array(None if evolving == "s" else [x_idx])
-    ys = rsp.config_array([y_idx] if evolving == "s" else None)
-    values = np.asarray(lifted.real_embedding)[lifted.evaluate_pairs(xs, ys)]
+    xi = np.arange(ssp.n_configs) if evolving == "s" else x_idx
+    yi = y_idx if evolving == "s" else np.arange(rsp.n_configs)
+    values = np.asarray(lifted.real_embedding)[lifted.values_at(xi, yi)]
     return values, x_idx if evolving == "s" else y_idx
 
 
@@ -374,11 +385,13 @@ def estimate_expectation_duality(
     replicate seed namespaces; the estimate is flagged consistent when the
     estimates agree within four combined standard errors; there a side that
     moves but shows no spread takes (max f - min f) / (2 sqrt n), the largest
-    standard error its values f allow (Popoviciu's bound).
+    standard error its values f allow (Popoviciu's bound).  A side with more
+    configurations than the pair budget raises StateSpaceTooLarge first.
     """
     t = _checked_time(t)
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
+    _check_sides(lifted)
     f_lhs, x_idx = _embedded_values(lifted, x, y, "s")
     f_rhs, y_idx = _embedded_values(lifted, x, y, "r")
     dmodel = dual_model(model, lifted) if dual is None else dual

@@ -8,12 +8,16 @@ at the transposed position.
 
 Array layout: N configurations of S^k are an (N, k) uint8 digit array with
 site 0 the most significant digit, so row r of ``SiteSpace.config_array()``
-has index r under ``SiteSpace.index_of``; ``index_array`` inverts it.  The
-kernels loop over sites, gathering through the small local tables:
-``SiteMap.apply_array`` through the addition table of S,
-``LiftedDuality.evaluate_pairs`` and the cached table of all Psi values,
-``LiftedDuality.table``, through that of T.  All of them stay uint8.  The
-scalar ``SiteMap.apply`` and ``LiftedDuality.evaluate`` are the test oracles.
+has index r under ``SiteSpace.index_of``; ``index_array`` inverts it.  A
+space whose indices would overflow int64 is refused when it is built.
+``SiteMap.apply_array`` loops over sites, gathering through the addition
+table of S; ``SiteMap.index_table`` tabulates a map on indices.  Pairs are
+checked by index: ``LiftedDuality.values_at`` splits the k sites into the
+fewest near-equal blocks whose Psi tables fit the pair budget, peels each
+block's digits off the indices and sums the block values in T.  The table
+of all Psi values, ``LiftedDuality.table``, is the one-block case.  All
+values stay uint8.  The scalar ``SiteMap.apply`` and
+``LiftedDuality.evaluate`` are the test oracles.
 """
 
 from __future__ import annotations
@@ -27,6 +31,10 @@ import numpy as np
 from .algebra import Lattice, Monoid, Semiring, dual_lattice, lattice_join_monoid
 from .homdual import DualityFunction, check_pairing, hom_set, is_homomorphism, verify_duality
 from .tables import CayleyTable, SizeBudgetExceeded, as_int, pair_budget
+
+
+# int64 indices number at most this many configurations of one space
+MAX_CONFIGS = 2 ** 63
 
 
 class NoDual(ValueError):
@@ -43,6 +51,12 @@ class SiteSpace:
 
     local: Monoid
     sites: int
+
+    def __post_init__(self):
+        n, k = self.local.order, self.sites
+        # past 63 sites n >= 2 overflows, and n ** k need not be computed
+        if n > 1 and (k > 63 or n ** k > MAX_CONFIGS):
+            raise SizeBudgetExceeded(f"{n}^{k} configurations exceed the {MAX_CONFIGS} int64 indices can number")
 
     @property
     def n_configs(self) -> int:
@@ -141,6 +155,17 @@ class SiteMap:
                 acc = add[acc, entries[i, j][configs[:, i]]]
             out[:, j] = acc
         return out
+
+    def apply_indices(self, idx: np.ndarray) -> np.ndarray:
+        """The images of an array of configuration indices, as indices.
+
+        A space with no more configurations than ``idx`` has entries is
+        tabulated once (``index_table``); a larger one is mapped only at the
+        given configurations.
+        """
+        if self.space.n_configs <= len(idx):
+            return self.index_table()[idx]
+        return self.space.index_array(self.apply_array(self.space.config_array(idx)))
 
     def index_table(self) -> np.ndarray:
         """The map as a read-only table on configuration indices, built once per instance."""
@@ -255,6 +280,10 @@ class LiftedDuality:
     def r_space(self) -> SiteSpace:
         return SiteSpace(self.local.r, self.sites)
 
+    def __post_init__(self):
+        for side in (self.local.s, self.local.r):
+            SiteSpace(side, self.sites)  # refuses a side past int64 indices
+
     def evaluate(self, xs, ys) -> int:
         t = self.local.t
         acc = t.neutral
@@ -263,23 +292,51 @@ class LiftedDuality:
             acc = t.add(acc, rows[x][y])
         return acc
 
-    def evaluate_pairs(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Psi row by row on paired (N, k) uint8 configuration arrays; a (1, k) array broadcasts."""
-        xs, ys = np.broadcast_arrays(xs, ys)
-        add = np.asarray(self.local.t.rows, dtype=np.uint8)
-        psi = np.asarray(self.local.values, dtype=np.uint8)
-        acc = np.full(len(xs), self.local.t.neutral, dtype=np.uint8)
-        for i in range(self.sites):
-            acc = add[acc, psi[xs[:, i], ys[:, i]]]
-        return acc
+    def _block_table(self, width: int) -> np.ndarray:
+        """The read-only uint8 Psi table over S^width x R^width, built once per width and instance.
+
+        One site needs no budget: its table is the local one.
+        """
+        blocks = self.__dict__.setdefault("_block_tables", {})
+        if width not in blocks:
+            local = np.asarray(self.local.values, dtype=np.uint8)
+            table = local if width == 1 else _sitewise_sums(self.local.t, local, width)
+            table.flags.writeable = False
+            blocks[width] = table
+        return blocks[width]
 
     def table(self) -> np.ndarray:
         """The read-only uint8 Psi table over S^k x R^k, built once per instance."""
-        if "_table" not in self.__dict__:
-            table = _sitewise_sums(self.local.t, np.asarray(self.local.values, dtype=np.uint8), self.sites)
-            table.flags.writeable = False
-            object.__setattr__(self, "_table", table)
-        return self._table
+        return self._block_table(self.sites)
+
+    def values_at(self, xi, yi) -> np.ndarray:
+        """Psi at paired configuration index arrays (broadcast together) as uint8 values in T.
+
+        The k sites split into the fewest near-equal blocks of at most h sites,
+        h the widest block whose table fits the pair budget (at least 1).
+        Each block's digits are peeled off the indices in place, least
+        significant block first (the last quotients are the first block's
+        digits), looked up in its table and summed in T.
+        """
+        ns, nr, k = self.local.s.order, self.local.r.order, self.sites
+        h, budget = 1, pair_budget()
+        while h < k and (ns * nr) ** (h + 1) <= budget:
+            h += 1
+        if k <= h:
+            return self.table()[xi, yi]
+        xi, yi = np.broadcast_arrays(xi, yi)
+        xq, xd, yq, yd = (np.empty(xi.shape, dtype=np.int64) for _ in range(4))
+        add = np.asarray(self.local.t.rows, dtype=np.uint8)
+        n_blocks = -(-k // h)
+        acc = None
+        for b in range(n_blocks - 1):
+            width = k // n_blocks + (b < k % n_blocks)
+            np.divmod(xi, ns ** width, out=(xq, xd))
+            np.divmod(yi, nr ** width, out=(yq, yd))
+            xi, yi = xq, yq
+            block = self._block_table(width)[xd, yd]
+            acc = block if acc is None else add[acc, block]
+        return add[acc, self._block_table(k // n_blocks)[xq, yq]]
 
     def evaluate_embedded(self, xs, ys) -> float:
         if self.real_embedding is None:
@@ -304,21 +361,21 @@ class LiftedDuality:
 def identity_holds(lifted: LiftedDuality, X, Y, pairs=None):
     """None if Psi(X(x), y) == Psi(x, Y(y)), else the first failing (x, y) as configuration tuples.
 
-    Without ``pairs``, X and Y are index tables of maps on S^k and R^k and
-    every pair is compared through the cached Psi table.  With
-    ``pairs=(xs, ys)``, paired configuration arrays, X and Y are their images
-    as configuration arrays and only those pairs are compared.
+    X and Y are configuration indices.  Without ``pairs`` they are index
+    tables of maps on S^k and R^k and every pair is compared through the
+    cached Psi table.  With ``pairs=(xi, yi)``, paired index arrays, they are
+    the images of xi and yi, and only those pairs are compared, in order.
     """
     if pairs is None:
         psi = lifted.table()
         bad = psi[X] != psi[:, Y]
         xi, yi = np.unravel_index(bad.argmax(), bad.shape)
-        xs, ys = lifted.s_space.config_array([xi]), lifted.r_space.config_array([yi])
     else:
-        xs, ys = pairs
-        bad = lifted.evaluate_pairs(X, ys) != lifted.evaluate_pairs(xs, Y)
-        xs, ys = xs[bad], ys[bad]
-    return (tuple(xs[0].tolist()), tuple(ys[0].tolist())) if bad.any() else None
+        bad = lifted.values_at(X, pairs[1]) != lifted.values_at(pairs[0], Y)
+        xi, yi = (p[bad.argmax()] for p in pairs)
+    if not bad.any():
+        return None
+    return lifted.s_space.config_of(xi), lifted.r_space.config_of(yi)
 
 
 def lift_duality(
@@ -386,8 +443,7 @@ def dual_map(lifted: LiftedDuality, m: SiteMap, samples: int = 100_000) -> SiteM
         hit = identity_holds(lifted, m.index_table(), mhat.index_table())
     else:
         xi, yi = sample_pairs(0, samples, m.space, rsp)
-        xs, ys = m.space.config_array(xi), rsp.config_array(yi)
-        hit = identity_holds(lifted, m.apply_array(xs), mhat.apply_array(ys), pairs=(xs, ys))
+        hit = identity_holds(lifted, m.apply_indices(xi), mhat.apply_indices(yi), pairs=(xi, yi))
     if hit is not None:
         raise AssertionError(f"dual-map identity fails at {hit[0]}, {hit[1]}")
     return mhat

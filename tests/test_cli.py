@@ -419,6 +419,17 @@ def test_negative_sites_is_usage_error(tmp_path, capsys):
     assert code == 2 and out == "" and "--sites" in err
 
 
+def test_dual_map_past_int64_indices_exits_3_naming_the_count(tmp_path, capsys):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text("[]")
+    for psi, sites, count in [("psi5.T", "40", "3^40"), ("psi2", "64", "2^64")]:
+        start = time.perf_counter()
+        code, out, err = run(capsys, "dual-map", "--psi", psi, "--sites", sites, "--map", str(matrix))
+        assert code == 3 and out == "" and time.perf_counter() - start < 1.0
+        error = json.loads(err)
+        assert error["error"] == "SizeBudgetExceeded" and f"{count} configurations" in error["message"]
+
+
 _PSI5T = duality_to_dict(named_duality("psi5").transposed())
 MALFORMED_INPUTS = {
     "map-entry-not-a-list": ("--map", [[1]]),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monodual import catalog
+from monodual import catalog, ips
 from monodual.homdual import hom_set, named_duality
 from monodual.ips import (
     MC_BLOCK,
@@ -307,6 +307,35 @@ def test_uniformisation_state_space_cap():
     model = RateModel.build(space, {"i": SiteMap.identity(space)}, {"i": 1.0})
     with pytest.raises(StateSpaceTooLarge):
         exact_semigroup_expectation(model, lifted, (0,) * 9, (0,) * 9, 1.0)
+
+
+def built_before_the_refusal(*args, **kwargs):
+    raise AssertionError("built before the size refusal")
+
+
+def test_pathwise_size_refusals_come_before_the_stream_and_the_dual(monkeypatch):
+    monkeypatch.setattr(ips, "sample_event_stream", built_before_the_refusal)
+    monkeypatch.setattr(ips, "dual_model", built_before_the_refusal)
+    # 3^7 x 3^7 pairs are too many to check all; 3^13 configurations are too many for one side
+    for sites, coverage, match in [(7, "exhaustive", "configuration pairs"), (13, "sampled", "one side")]:
+        lifted, model = psi5_model(sites)
+        with pytest.raises(StateSpaceTooLarge, match=match):
+            check_pathwise_duality(model, lifted, (0.0, 1.0), seed=1, coverage=coverage)
+
+
+def test_expectation_refuses_a_side_past_the_pair_budget(monkeypatch):
+    monkeypatch.setattr(ips, "dual_model", built_before_the_refusal)
+    monkeypatch.setattr(ips, "_embedded_values", built_before_the_refusal)
+    lifted = lift_duality(
+        named_duality("psi5").transposed(), 13, real_embedding=catalog.REAL_EMBEDDINGS["M5"]
+    )
+    space = lifted.s_space
+    model = RateModel.build(space, {"i": SiteMap.identity(space)}, {"i": 1.0})
+    with pytest.raises(StateSpaceTooLarge, match="one side"):
+        estimate_expectation_duality(model, lifted, (0,) * 13, (0,) * 13, 1.0, 10, seed=1)
+    monkeypatch.setenv("MONODUAL_PAIR_BUDGET", str(3 ** 13))  # the bound admits a side of the budget
+    with pytest.raises(AssertionError, match="built before"):
+        estimate_expectation_duality(model, lifted, (0,) * 13, (0,) * 13, 1.0, 10, seed=1)
 
 
 def test_mc_agrees_with_uniformisation_across_seeds():

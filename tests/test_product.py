@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product as iproduct
 
 import numpy as np
@@ -404,8 +405,36 @@ def test_psi_table_and_pair_kernel_match_scalar_evaluate_for_every_reduced_class
             table = lifted.table()
             assert table.dtype == np.uint8 and table.tolist() == want, (name, k)
             xi, yi = np.indices(table.shape).reshape(2, -1)
-            pairs = lifted.evaluate_pairs(ssp.config_array(xi), rsp.config_array(yi))
-            assert pairs.reshape(table.shape).tolist() == want, (name, k)
+            pairs = lifted.values_at(xi, yi)
+            assert pairs.dtype == np.uint8 and pairs.reshape(table.shape).tolist() == want, (name, k)
+
+
+def test_values_at_matches_scalar_evaluate_in_one_site_and_uneven_blocks(monkeypatch):
+    # a budget of |S||R| fits 1-site blocks only; |S||R|^2 splits k = 3 into blocks of 2 and 1.
+    # The kernel needs no duality, so a 2 x 3 table tells the S digits from the R digits.
+    cases = {name: [lift_duality(named_duality(name), k) for k in range(4)] for name in catalog.PSI_TABLES}
+    rectangular = DualityFunction(catalog.monoid("M1"), catalog.monoid("M6"), catalog.monoid("M6"),
+                                  ((0, 1, 2), (2, 2, 1)))
+    cases["2x3"] = [LiftedDuality(rectangular, k) for k in range(4)]
+    for name, lifteds in cases.items():
+        size = lifteds[0].local.s.order * lifteds[0].local.r.order
+        for budget in (size, size * size):
+            monkeypatch.setenv("MONODUAL_PAIR_BUDGET", str(budget))
+            for lifted in lifteds:
+                ssp, rsp = lifted.s_space, lifted.r_space
+                want = [lifted.evaluate(xs, ys) for xs in ssp.configs() for ys in rsp.configs()]
+                xi, yi = np.divmod(np.arange(ssp.n_configs * rsp.n_configs), rsp.n_configs)
+                got = lifted.values_at(xi, yi)
+                assert got.dtype == np.uint8 and got.tolist() == want, (name, lifted.sites, budget)
+                assert (xi == np.arange(len(xi)) // rsp.n_configs).all()  # the inputs are left as they were
+
+
+def test_values_at_broadcasts_one_index_against_many():
+    lifted = lift_duality(named_duality("psi5").transposed(), 7)  # two blocks at the default budget
+    xi = np.arange(lifted.s_space.n_configs)
+    y = (2, 0, 1, 1, 0, 2, 1)
+    got = lifted.values_at(xi, lifted.r_space.index_of(y))
+    assert got.tolist() == [lifted.evaluate(lifted.s_space.config_of(i), y) for i in xi.tolist()]
 
 
 def test_zero_sites_lift_to_the_one_point_duality():
@@ -462,8 +491,38 @@ def test_sampled_dual_map_check_rejects_a_corrupted_dual(monkeypatch):
         return true_dual(self, homs[2] if values == homs[1] else values)
 
     monkeypatch.setattr(LiftedDuality, "local_dual", corrupted)
-    with pytest.raises(AssertionError, match="dual-map identity fails"):
-        dual_map(lifted, m, samples=2000)
+    # 100 000 default samples outnumber the 3^7 configurations, so the images
+    # come from index tables; 2000 samples map only the sampled configurations
+    assert 2000 < lifted.s_space.n_configs <= 100_000
+    for samples in ({}, {"samples": 2000}):
+        with pytest.raises(AssertionError, match="dual-map identity fails"):
+            dual_map(lifted, m, **samples)
+
+
+def test_apply_indices_matches_scalar_apply_on_both_routes():
+    space = SiteSpace(catalog.monoid("M6"), 4)
+    homs = hom_values("M6")
+    m = SiteMap.from_matrix(space, [[homs[(i * j) % 3] for j in range(4)] for i in range(4)])
+    idx = np.random.default_rng(5).integers(space.n_configs, size=200)
+    want = [space.index_of(m.apply(space.config_of(i))) for i in idx.tolist()]
+    assert "_index_table" not in m.__dict__
+    assert m.apply_indices(idx[:50]).tolist() == want[:50]  # 50 < 81 configurations: mapped directly
+    assert "_index_table" not in m.__dict__
+    assert m.apply_indices(idx).tolist() == want  # 200 >= 81: tabulated
+    assert "_index_table" in m.__dict__
+
+
+def test_a_space_past_int64_indices_is_refused():
+    two, three = catalog.monoid("M1"), catalog.monoid("M6")
+    space = SiteSpace(two, 63)  # 2^63 configurations: the largest index is 2^63 - 1
+    top = (1,) * 63
+    assert space.index_of(top) == 2 ** 63 - 1 and space.config_of(2 ** 63 - 1) == top
+    assert SiteSpace(catalog.monoid("M0"), 10 ** 9).n_configs == 1
+    for local, k, count in [(two, 64, "2^64"), (three, 40, "3^40"), (three, 10 ** 9, "3^1000000000")]:
+        with pytest.raises(SizeBudgetExceeded, match=re.escape(f"{count} configurations")):
+            SiteSpace(local, k)
+    with pytest.raises(SizeBudgetExceeded, match=re.escape("3^40 configurations")):
+        lift_duality(named_duality("psi5").transposed(), 40)
 
 
 def test_sampled_pathwise_check_reports_a_real_witness():

@@ -217,9 +217,12 @@ def _cmd_simulate(args) -> int:
     for item in entries:
         if item["id"] in maps:
             raise ValueError(f"--rates repeats the id {item['id']!r}")
-        maps[item["id"]] = SiteMap.from_matrix(space, item["matrix"])
+        maps[item["id"]] = SiteMap.from_matrix(space, item.get("matrix"))
+        rate = item.get("rate")
         try:
-            rates[item["id"]] = float(item["rate"])
+            if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+                raise TypeError  # a JSON number only: float() would also take "1" and true
+            rates[item["id"]] = float(rate)
         except (TypeError, OverflowError):
             raise ValueError(f"the rate of {item['id']!r} is not a float") from None
     model = RateModel.build(space, maps, rates)

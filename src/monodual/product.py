@@ -6,17 +6,18 @@ m(x)_j = sum_i M[i][j](x_i), with the sum taken in S.  The matrix form is what
 makes dual maps cheap: the dual of m has matrix entries dual(M[i][j]) placed
 at the transposed position.
 
-Array layout: N configurations of S^k are an (N, k) uint8 digit array with
-site 0 the most significant digit, so row r of ``SiteSpace.config_array()``
-has index r under ``SiteSpace.index_of``; ``index_array`` inverts it.  A
-space whose indices would overflow int64 is refused when it is built.
-``SiteMap.apply_array`` loops over sites, gathering through the addition
-table of S; ``SiteMap.index_table`` tabulates a map on indices.  Pairs are
-checked by index: ``LiftedDuality.values_at`` splits the k sites into the
-fewest near-equal blocks whose Psi tables fit the pair budget, peels each
-block's digits off the indices and sums the block values in T.  The table
-of all Psi values, ``LiftedDuality.table``, is the one-block case.  All
-values stay uint8.  The scalar ``SiteMap.apply`` and
+Indices: configurations of S^k are numbered in base |S|, site 0 the most
+significant digit (``SiteSpace.index_of``/``config_of``); a space whose
+indices would overflow int64 is refused when it is built.  Sums over sites
+go through two helpers.  ``_sitewise_sums`` folds one local table per site
+into the table of sums over a block of sites: Psi over a block, the module
+maps S^k -> S, and one output site of a matrix map over a block of input
+sites.  ``_peel`` splits the sites into the fewest near-equal blocks whose
+tables fit the pair budget and peels each block's digits off index arrays.
+``LiftedDuality.values_at`` sums the block values of Psi in T;
+``SiteMap._images`` sums them in S for each output site and builds the
+image index by Horner's rule.  ``LiftedDuality.table`` is the one-block
+case.  All values stay uint8; the scalar ``SiteMap.apply`` and
 ``LiftedDuality.evaluate`` are the test oracles.
 """
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import product as iproduct
+from math import prod
 
 import numpy as np
 
@@ -66,31 +68,28 @@ class SiteSpace:
         return iproduct(range(self.local.order), repeat=self.sites)
 
     def index_of(self, config) -> int:
-        return int(self.index_array([tuple(config)])[0])
-
-    def config_array(self, idx=None) -> np.ndarray:
-        """The configurations with the given indices (all of S^k by default) as (N, k) uint8 digits."""
-        idx = np.arange(self.n_configs) if idx is None else np.asarray(idx, dtype=np.int64)
-        out = np.empty((len(idx), self.sites), dtype=np.uint8)
-        for j in reversed(range(self.sites)):
-            idx, out[:, j] = np.divmod(idx, self.local.order)
-        return out
-
-    def index_array(self, configs) -> np.ndarray:
-        """The indices of an (N, k) array of configurations; ValueError on a malformed one."""
-        c = np.asarray(configs)
+        """The index of a configuration, site 0 the most significant digit; ValueError on a malformed one."""
         n = self.local.order
-        if c.ndim != 2 or c.shape[1] != self.sites:
-            raise ValueError(f"a configuration must have {self.sites} sites, got shape {c.shape[1:]}")
-        if c.size and not (0 <= c.min() and c.max() < n):
+        try:
+            digits = [as_int(v) for v in config]
+        except TypeError:
+            raise ValueError(f"a configuration must list integer site values, got {config!r}") from None
+        if len(digits) != self.sites:
+            raise ValueError(f"a configuration must have {self.sites} sites, got {len(digits)}")
+        if not all(0 <= v < n for v in digits):
             raise ValueError(f"site values must lie in 0..{n - 1}")
-        idx = np.zeros(len(c), dtype=np.int64)
-        for j in range(self.sites):
-            idx = idx * n + c[:, j]
-        return idx
+        return sum(v * n ** (self.sites - 1 - i) for i, v in enumerate(digits))
 
-    def config_of(self, index: int) -> tuple[int, ...]:
-        return tuple(self.config_array([index])[0].tolist())
+    def config_of(self, index) -> tuple[int, ...]:
+        """The configuration with the given index; ValueError outside 0..n_configs - 1."""
+        try:
+            index = as_int(index)
+        except TypeError:
+            raise ValueError(f"a configuration index must be an integer, got {index!r}") from None
+        if not 0 <= index < self.n_configs:
+            raise ValueError(f"a configuration index must lie in 0..{self.n_configs - 1}, got {index}")
+        n = self.local.order
+        return tuple(index // n ** (self.sites - 1 - i) % n for i in range(self.sites))
 
     def neutral_config(self) -> tuple[int, ...]:
         return tuple(self.local.neutral for _ in range(self.sites))
@@ -144,16 +143,23 @@ class SiteMap:
             out.append(acc)
         return tuple(out)
 
-    def apply_array(self, configs: np.ndarray) -> np.ndarray:
-        """The map on an (N, k) uint8 configuration array, one gather per matrix entry."""
-        add = np.asarray(self.space.local.rows, dtype=np.uint8)
-        entries = np.asarray(self.matrix, dtype=np.uint8)
-        out = np.empty_like(configs)
-        for j in range(self.space.sites):
-            acc = entries[0, j][configs[:, 0]]
-            for i in range(1, self.space.sites):
-                acc = add[acc, entries[i, j][configs[:, i]]]
-            out[:, j] = acc
+    def _images(self, idx: np.ndarray) -> np.ndarray:
+        """The images of configuration indices, as indices, one output site at a time.
+
+        Output site j is sum_i M[i][j](x_i) in S, summed over its block tables
+        at the peeled digits; the sites build the image index by Horner's rule.
+        """
+        local, k = self.space.local, self.space.sites
+        entries = np.asarray(self.matrix, dtype=np.uint8).reshape(k, k, local.order)
+        add = np.asarray(local.rows, dtype=np.uint8)
+        blocks = list(_peel(k, (idx,), (local.order,)))
+        out = np.zeros(np.shape(idx), dtype=np.int64)
+        for j in range(k):
+            acc = None
+            for lo, hi, digits in blocks:
+                value = _sitewise_sums(local, entries[lo:hi, j, None, :])[0][digits]
+                acc = value if acc is None else add[acc, value]
+            out = out * local.order + acc
         return out
 
     def apply_indices(self, idx: np.ndarray) -> np.ndarray:
@@ -165,12 +171,12 @@ class SiteMap:
         """
         if self.space.n_configs <= len(idx):
             return self.index_table()[idx]
-        return self.space.index_array(self.apply_array(self.space.config_array(idx)))
+        return self._images(idx)
 
     def index_table(self) -> np.ndarray:
         """The map as a read-only table on configuration indices, built once per instance."""
         if "_index_table" not in self.__dict__:
-            table = self.space.index_array(self.apply_array(self.space.config_array()))
+            table = self._images(np.arange(self.space.n_configs))
             table.flags.writeable = False
             object.__setattr__(self, "_index_table", table)
         return self._index_table
@@ -242,19 +248,42 @@ def global_hom_set_matrix_check(space: SiteSpace, f):
     return sm
 
 
-def _sitewise_sums(t: Monoid, local: np.ndarray, sites: int) -> np.ndarray:
-    """The table of sum_i local[a_i, b_i] in T over index k-tuples a, b, ordered like configurations.
+def _sitewise_sums(t: Monoid, local: np.ndarray) -> np.ndarray:
+    """The table of sum_i local[i, a_i, b_i] in T over index tuples a, b, ordered like configurations.
 
-    ``local`` is a uint8 matrix over T; SizeBudgetExceeded past the pair budget.
+    ``local`` stacks one uint8 table over T per site; SizeBudgetExceeded past the pair budget.
     """
-    if local.size ** sites > pair_budget():
-        raise SizeBudgetExceeded(f"a table of {local.size ** sites} sitewise sums exceeds the pair budget")
+    sites, a, b = local.shape
+    if (a * b) ** sites > pair_budget():
+        raise SizeBudgetExceeded(f"a table of {(a * b) ** sites} sitewise sums exceeds the pair budget")
     add = np.asarray(t.rows, dtype=np.uint8)
     table = np.full((1, 1), t.neutral, dtype=np.uint8)
-    for _ in range(sites):
-        table = add[table[:, None, :, None], local[None, :, None, :]]
-        table = table.reshape(len(table) * len(local), -1)
+    for site in local:
+        table = add[table[:, None, :, None], site[None, :, None, :]]
+        table = table.reshape(len(table) * a, -1)
     return table
+
+
+def _peel(sites: int, indices, orders):
+    """Yield (lo, hi, digits...) for each block of sites lo..hi-1, the last block first.
+
+    The fewest near-equal blocks of at most h sites, h the widest whose table
+    of prod(orders) ** h cells fits the pair budget (at least 1).  The digits
+    number each block's configurations, one array per ``indices`` array over
+    a space of the matching local order.  The first block takes the quotients
+    the others leave, so no index is divided by its whole space's size.
+    """
+    cells, h, budget = prod(orders), 1, pair_budget()
+    while h < sites and cells ** (h + 1) <= budget:
+        h += 1
+    n_blocks = -(-sites // h)
+    hi = sites
+    for b in range(n_blocks - 1):
+        lo = hi - sites // n_blocks - (b < sites % n_blocks)
+        indices, digits = zip(*(np.divmod(i, n ** (hi - lo)) for i, n in zip(indices, orders)))
+        yield (lo, hi, *digits)
+        hi = lo
+    yield (0, hi, *indices)
 
 
 @dataclass(frozen=True)
@@ -300,7 +329,7 @@ class LiftedDuality:
         blocks = self.__dict__.setdefault("_block_tables", {})
         if width not in blocks:
             local = np.asarray(self.local.values, dtype=np.uint8)
-            table = local if width == 1 else _sitewise_sums(self.local.t, local, width)
+            table = local if width == 1 else _sitewise_sums(self.local.t, np.repeat(local[None], width, axis=0))
             table.flags.writeable = False
             blocks[width] = table
         return blocks[width]
@@ -312,31 +341,16 @@ class LiftedDuality:
     def values_at(self, xi, yi) -> np.ndarray:
         """Psi at paired configuration index arrays (broadcast together) as uint8 values in T.
 
-        The k sites split into the fewest near-equal blocks of at most h sites,
-        h the widest block whose table fits the pair budget (at least 1).
-        Each block's digits are peeled off the indices in place, least
-        significant block first (the last quotients are the first block's
-        digits), looked up in its table and summed in T.
+        Each block of sites (``_peel``) is looked up in its Psi table and the
+        block values are summed in T; one block is a single lookup in ``table()``.
         """
-        ns, nr, k = self.local.s.order, self.local.r.order, self.sites
-        h, budget = 1, pair_budget()
-        while h < k and (ns * nr) ** (h + 1) <= budget:
-            h += 1
-        if k <= h:
-            return self.table()[xi, yi]
-        xi, yi = np.broadcast_arrays(xi, yi)
-        xq, xd, yq, yd = (np.empty(xi.shape, dtype=np.int64) for _ in range(4))
+        orders = (self.local.s.order, self.local.r.order)
         add = np.asarray(self.local.t.rows, dtype=np.uint8)
-        n_blocks = -(-k // h)
         acc = None
-        for b in range(n_blocks - 1):
-            width = k // n_blocks + (b < k % n_blocks)
-            np.divmod(xi, ns ** width, out=(xq, xd))
-            np.divmod(yi, nr ** width, out=(yq, yd))
-            xi, yi = xq, yq
-            block = self._block_table(width)[xd, yd]
-            acc = block if acc is None else add[acc, block]
-        return add[acc, self._block_table(k // n_blocks)[xq, yq]]
+        for lo, hi, xd, yd in _peel(self.sites, (xi, yi), orders):
+            value = self._block_table(hi - lo)[xd, yd]
+            acc = value if acc is None else add[acc, value]
+        return acc
 
     def evaluate_embedded(self, xs, ys) -> float:
         if self.real_embedding is None:
@@ -475,7 +489,7 @@ def semiring_inner_duality(
 def _module_maps(s: Semiring, sites: int, side: str) -> list[tuple[int, ...]]:
     """The additive maps S^k -> S commuting with scalars on one side, as sorted value tables.
 
-    A value table is indexed like ``SiteSpace.config_array``.  "left" keeps
+    A value table is indexed like the configurations of S^k.  "left" keeps
     f(a x) == a f(x), "right" keeps f(x a) == f(x) a, for every scalar a.  S^k
     is the coproduct of k copies of S among such modules, so these maps are
     the sitewise sums x -> sum_i h_i(x_i) of local ones, built site by site.
@@ -486,7 +500,7 @@ def _module_maps(s: Semiring, sites: int, side: str) -> list[tuple[int, ...]]:
     for a in range(s.order):
         scale = mul[a] if side == "left" else mul[:, a]
         keep &= (homs[:, scale] == scale[homs]).all(axis=1)
-    return sorted(map(tuple, _sitewise_sums(s.add, homs[keep], sites).tolist()))
+    return sorted(map(tuple, _sitewise_sums(s.add, np.repeat(homs[keep][None], sites, axis=0)).tolist()))
 
 
 def module_maps(s: Semiring, side: str = "left") -> list[tuple[int, ...]]:

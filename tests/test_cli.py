@@ -439,6 +439,10 @@ MALFORMED_INPUTS = {
     "rates-not-a-list": ("--rates", {"id": "m", "matrix": [[[0, 1, 2]]], "rate": 1.0}),
     "rate-not-a-number": ("--rates", [{"id": "m", "matrix": [[[0, 1, 2]]], "rate": [1.0]}]),
     "rate-too-large-for-a-float": ("--rates", [{"id": "m", "matrix": [[[0, 1, 2]]], "rate": 10 ** 400}]),
+    "rate-a-string": ("--rates", [{"id": "m", "matrix": [[[0, 1, 2]]], "rate": "1"}]),
+    "rate-boolean": ("--rates", [{"id": "m", "matrix": [[[0, 1, 2]]], "rate": True}]),
+    "rate-missing": ("--rates", [{"id": "m", "matrix": [[[0, 1, 2]]]}]),
+    "rates-entry-without-matrix": ("--rates", [{"id": "m", "rate": 1.0}]),
     "rates-repeated-id": ("--rates", [{"id": "m", "matrix": [[[0, 1, 2]]], "rate": 1.0},
                                       {"id": "m", "matrix": [[[0, 1, 2]]], "rate": 100.0}]),
     "psi-not-an-object": ("--psi", [[0, 1], [1, 0]]),

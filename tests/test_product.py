@@ -451,8 +451,8 @@ def test_index_table_matches_scalar_apply_on_random_hom_matrices():
         for k in (1, 2, 3):
             space = SiteSpace(local, k)
             configs = list(space.configs())
-            assert space.config_array().tolist() == [list(c) for c in configs]
-            assert space.index_array(space.config_array()).tolist() == list(range(len(configs)))
+            assert [space.index_of(c) for c in configs] == list(range(len(configs)))
+            assert [space.config_of(i) for i in range(len(configs))] == configs
             for _ in range(5):
                 m = SiteMap.from_matrix(space, [[rng.choice(homs) for _ in range(k)] for _ in range(k)])
                 want = [sum(v * n ** (k - 1 - i) for i, v in enumerate(m.apply(c))) for c in configs]
@@ -462,9 +462,12 @@ def test_index_table_matches_scalar_apply_on_random_hom_matrices():
 def test_index_of_rejects_malformed_configurations():
     space = SiteSpace(catalog.monoid("M6"), 2)
     assert space.index_of((2, 1)) == 7 and space.config_of(7) == (2, 1)
-    for bad in [(1,), (1, 2, 0), (1, 3), (-1, 0)]:
+    for bad in [(1,), (1, 2, 0), (1, 3), (-1, 0), (1.5, 0), (True, 0), ("1", 0), 5]:
         with pytest.raises(ValueError):
             space.index_of(bad)
+    for bad in [-1, 9, 2 ** 70, 1.0, True, "7"]:
+        with pytest.raises(ValueError):
+            space.config_of(bad)
 
 
 def test_sampled_dual_map_check_needs_at_least_one_pair():
@@ -497,9 +500,22 @@ def test_sampled_dual_map_check_rejects_a_corrupted_dual(monkeypatch):
     for samples in ({}, {"samples": 2000}):
         with pytest.raises(AssertionError, match="dual-map identity fails"):
             dual_map(lifted, m, **samples)
+    # At 39 sites each side far outnumbers 2000 samples, so both are mapped by blocks.  psi2 is
+    # used there because psi5.T's Psi is the absorbing 2 on almost every such pair, whatever the dual.
+    lifted = lift_duality(named_duality("psi2"), 39)
+    zero, ident = (0, 0), (0, 1)
+    m = SiteMap.from_matrix(lifted.s_space, [[(zero, ident)[(i * j + i) % 2] for j in range(39)]
+                                             for i in range(39)])
+
+    def swapped(self, values):
+        return true_dual(self, ident if values == zero else zero)
+
+    monkeypatch.setattr(LiftedDuality, "local_dual", swapped)
+    with pytest.raises(AssertionError, match="dual-map identity fails"):
+        dual_map(lifted, m, samples=2000)
 
 
-def test_apply_indices_matches_scalar_apply_on_both_routes():
+def test_apply_indices_matches_scalar_apply_on_both_routes(monkeypatch):
     space = SiteSpace(catalog.monoid("M6"), 4)
     homs = hom_values("M6")
     m = SiteMap.from_matrix(space, [[homs[(i * j) % 3] for j in range(4)] for i in range(4)])
@@ -510,6 +526,24 @@ def test_apply_indices_matches_scalar_apply_on_both_routes():
     assert "_index_table" not in m.__dict__
     assert m.apply_indices(idx).tolist() == want  # 200 >= 81: tabulated
     assert "_index_table" in m.__dict__
+    # 2^63 configurations of psi2's side: four blocks at the default budget, digits up to the top index
+    space = lift_duality(named_duality("psi2"), 63).s_space
+    assert space.local == catalog.monoid("M2")
+    z2 = hom_values("M2")
+    m = SiteMap.from_matrix(space, [[z2[(i * j + i) % 2] for j in range(63)] for i in range(63)])
+    idx = np.array([0, 2 ** 63 - 1, *np.random.default_rng(6).integers(2 ** 63, size=20, dtype=np.int64)])
+    want = [space.index_of(m.apply(space.config_of(i))) for i in idx.tolist()]
+    assert m.apply_indices(idx).tolist() == want
+    # a budget of |S| fits 1-site blocks only; |S|^2 splits k = 3 into blocks of 2 and 1
+    for budget in (3, 9):
+        monkeypatch.setenv("MONODUAL_PAIR_BUDGET", str(budget))
+        for k in range(4):
+            space = SiteSpace(catalog.monoid("M6"), k)
+            m = SiteMap.from_matrix(space, [[homs[(i + 2 * j) % 3] for j in range(k)] for i in range(k)])
+            every = np.arange(space.n_configs)
+            want = [space.index_of(m.apply(c)) for c in space.configs()]
+            assert m.apply_indices(every[:-1]).tolist() == want[:-1], (budget, k)  # mapped directly
+            assert m.apply_indices(every).tolist() == want, (budget, k)  # tabulated
 
 
 def test_a_space_past_int64_indices_is_refused():

@@ -149,14 +149,6 @@ class Semiring:
     def opposite(self) -> "Semiring":
         return Semiring(self.add, CayleyTable(transpose(self.mul.rows)), self.one)
 
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps({
-            "add": {"order": self.order, "table": [list(r) for r in self.add.rows]},
-            "mul": {"order": self.order, "table": [list(r) for r in self.mul.rows]},
-        })
-
     @classmethod
     def from_json(cls, text: str) -> "Semiring":
         import json

@@ -15,19 +15,20 @@ is an implementation bug, never noise.
 Randomness: every draw comes from ``np.random.default_rng(key)``, and there
 are three kinds.  The event stream of a pathwise check uses key ``seed``: a
 Poisson jump count, then that many sorted uniform times and uniform marks.
-Its sampled configuration pairs use key ``(seed, 2)`` (``dual_map`` uses key
-``0``), drawn by ``product.sample_pairs``.  A Monte-Carlo side splits its
-replicates into blocks of MC_BLOCK; block b of side `side` uses key
-``(seed, side, b)``: first every replicate's jump count, then, step by step,
-one mark for each replicate still jumping.  The draws depend only on their
-key, so results are independent of scheduling.  A path whose expected jump
-count (total rate times time span) exceeds the pair budget raises
-SizeBudgetExceeded before anything is drawn, since the work and memory of
-every path grow with that count; so does a Monte-Carlo estimate whose
-replicates times expected jump count exceeds it, since its work grows with
-that product.  Pathwise checks and Monte-Carlo estimates tabulate whole
-sides, so they raise StateSpaceTooLarge, also before anything is drawn, for
-a side with more configurations than the pair budget.
+Its sampled configuration pairs use key ``(seed, 2)``, all x indices first;
+``dual_map`` draws nothing, as single-site pairs decide its bi-additive
+identity exactly.  A Monte-Carlo side splits its replicates into blocks of
+MC_BLOCK; block b of side `side` uses key ``(seed, side, b)``: first every
+replicate's jump count, then, step by step, one mark for each replicate
+still jumping.  The draws depend only on their key, so results are
+independent of scheduling.  A path whose expected jump count (total rate
+times time span) exceeds the pair budget raises SizeBudgetExceeded before
+anything is drawn, since the work and memory of every path grow with that
+count; so does a Monte-Carlo estimate or an exact expectation whose
+replicates or states times that count exceeds it, since its work grows
+with that product.  Pathwise checks and Monte-Carlo estimates tabulate
+whole sides, so they raise StateSpaceTooLarge, also before anything is
+drawn, for a side with more configurations than the pair budget.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from .product import (
     LiftedDuality, NoRealEmbedding, SiteMap, SiteSpace, SizeBudgetExceeded, dual_map,
-    identity_holds, pair_budget, sample_pairs,
+    identity_holds, pair_budget,
 )
 
 MAX_EXACT_STATES = 10 ** 4
@@ -285,7 +286,8 @@ def check_pathwise_duality(
     stream = sample_event_stream(model, (s, u), seed)
     dmodel = dual_model(model, lifted) if dual is None else dual
     if not exhaustive:
-        xi, yi = sample_pairs((seed, 2), n_samples, ssp, rsp)
+        rng = np.random.default_rng((seed, 2))
+        xi, yi = rng.integers(ssp.n_configs, size=n_samples), rng.integers(rsp.n_configs, size=n_samples)
     for conv in ("+", "-"):
         events = stream.events_in(s, u, conv)
         X = flow_index_table(model, events)
@@ -459,7 +461,8 @@ def exact_semigroup_expectation(
     Poisson tail mass times max|f| drops below tol/m; the steps are sup-norm
     contractions, so the total truncation error is certified below tol.  With
     evolving="r", the model must act on the R side and the roles of x and y
-    swap (the second argument evolves from y).
+    swap (the second argument evolves from y).  States times expected jumps
+    past the pair budget raise SizeBudgetExceeded before anything is built.
     """
     if evolving not in ("s", "r"):
         raise ValueError("evolving must be 's' or 'r'")
@@ -471,9 +474,12 @@ def exact_semigroup_expectation(
         raise ValueError("model does not act on the evolving side")
     if space.n_configs > MAX_EXACT_STATES:
         raise StateSpaceTooLarge(f"{space.n_configs} states exceed {MAX_EXACT_STATES}")
-    values, start = _embedded_values(lifted, x, y, evolving)
-
     lam = _expected_jumps(model, t)
+    if space.n_configs * lam > pair_budget():
+        raise SizeBudgetExceeded(
+            f"{space.n_configs} states times {lam:.6g} expected jumps exceed the budget of {pair_budget()}"
+        )
+    values, start = _embedded_values(lifted, x, y, evolving)
     if lam == 0.0:
         return float(values[start])
     arrs = [e.site_map.index_table() for e in model.entries]

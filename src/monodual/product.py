@@ -15,17 +15,16 @@ maps S^k -> S, and one output site of a matrix map over a block of input
 sites.  ``_peel`` splits the sites into the fewest near-equal blocks whose
 tables fit the pair budget and peels each block's digits off index arrays.
 ``LiftedDuality.values_at`` sums the block values of Psi in T;
-``SiteMap._images`` sums them in S for each output site and builds the
-image index by Horner's rule.  ``LiftedDuality.table`` is the one-block
+``SiteMap.apply_indices`` sums them in S for each output site and builds
+the image index by Horner's rule.  ``LiftedDuality.table`` is the one-block
 case.  All values stay uint8; the scalar ``SiteMap.apply`` and
 ``LiftedDuality.evaluate`` are the test oracles.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 from math import prod
 
 import numpy as np
@@ -143,11 +142,14 @@ class SiteMap:
             out.append(acc)
         return tuple(out)
 
-    def _images(self, idx: np.ndarray) -> np.ndarray:
-        """The images of configuration indices, as indices, one output site at a time.
+    def apply_indices(self, idx: np.ndarray) -> np.ndarray:
+        """The images of an array of configuration indices, as indices, one output site at a time.
 
         Output site j is sum_i M[i][j](x_i) in S, summed over its block tables
         at the peeled digits; the sites build the image index by Horner's rule.
+        Only the given configurations are mapped, so any side size works:
+        beyond the pair budget ``dual_map`` maps just its configurations with
+        at most one non-neutral site, which generate S^k, and draws nothing.
         """
         local, k = self.space.local, self.space.sites
         entries = np.asarray(self.matrix, dtype=np.uint8).reshape(k, k, local.order)
@@ -162,31 +164,13 @@ class SiteMap:
             out = out * local.order + acc
         return out
 
-    def apply_indices(self, idx: np.ndarray) -> np.ndarray:
-        """The images of an array of configuration indices, as indices.
-
-        A space with no more configurations than ``idx`` has entries is
-        tabulated once (``index_table``); a larger one is mapped only at the
-        given configurations.
-        """
-        if self.space.n_configs <= len(idx):
-            return self.index_table()[idx]
-        return self._images(idx)
-
     def index_table(self) -> np.ndarray:
         """The map as a read-only table on configuration indices, built once per instance."""
         if "_index_table" not in self.__dict__:
-            table = self._images(np.arange(self.space.n_configs))
+            table = self.apply_indices(np.arange(self.space.n_configs))
             table.flags.writeable = False
             object.__setattr__(self, "_index_table", table)
         return self._index_table
-
-    def to_json(self) -> str:
-        return json.dumps([[list(e) for e in row] for row in self.matrix])
-
-    @classmethod
-    def from_json(cls, space: SiteSpace, text: str) -> "SiteMap":
-        return cls.from_matrix(space, json.loads(text))
 
 
 def product_monoid(local: Monoid, k: int) -> Monoid:
@@ -377,8 +361,9 @@ def identity_holds(lifted: LiftedDuality, X, Y, pairs=None):
 
     X and Y are configuration indices.  Without ``pairs`` they are index
     tables of maps on S^k and R^k and every pair is compared through the
-    cached Psi table.  With ``pairs=(xi, yi)``, paired index arrays, they are
-    the images of xi and yi, and only those pairs are compared, in order.
+    cached Psi table.  With ``pairs=(xi, yi)``, index arrays broadcast
+    together, they are the images of xi and yi, and only those pairs are
+    compared, in row-major order.
     """
     if pairs is None:
         psi = lifted.table()
@@ -386,7 +371,7 @@ def identity_holds(lifted: LiftedDuality, X, Y, pairs=None):
         xi, yi = np.unravel_index(bad.argmax(), bad.shape)
     else:
         bad = lifted.values_at(X, pairs[1]) != lifted.values_at(pairs[0], Y)
-        xi, yi = (p[bad.argmax()] for p in pairs)
+        xi, yi = (np.broadcast_to(p, bad.shape).flat[bad.argmax()] for p in pairs)
     if not bad.any():
         return None
     return lifted.s_space.config_of(xi), lifted.r_space.config_of(yi)
@@ -429,35 +414,50 @@ def _check_real_embedding(t: Monoid, emb) -> None:
                 raise NoRealEmbedding(f"embedding not multiplicative at ({a},{b})")
 
 
-def sample_pairs(key, n: int, x_space: SiteSpace, y_space: SiteSpace) -> tuple[np.ndarray, np.ndarray]:
-    """n configuration index pairs drawn from default_rng(key): all x indices, then all y indices."""
-    rng = np.random.default_rng(key)
-    return rng.integers(x_space.n_configs, size=n), rng.integers(y_space.n_configs, size=n)
+def _single_site_indices(space: SiteSpace) -> np.ndarray:
+    """The indices of the configurations with at most one non-neutral site, the neutral one first."""
+    n, e, base = space.local.order, space.local.neutral, space.index_of(space.neutral_config())
+    steps = [(a - e) * n ** i for i in reversed(range(space.sites)) for a in range(n) if a != e]
+    return base + np.array([0, *steps], dtype=np.int64)
 
 
-def dual_map(lifted: LiftedDuality, m: SiteMap, samples: int = 100_000) -> SiteMap:
+def dual_map(lifted: LiftedDuality, m: SiteMap) -> SiteMap:
     """The unique site map with Psi(m(x), y) = Psi(x, mhat(y)) for all pairs.
 
-    Built entrywise from local duals and transposed; the defining identity is
-    then re-checked on every configuration pair within the budget, and on
-    ``samples`` deterministically drawn pairs beyond it.
+    Built entrywise from local duals and transposed (``SiteMap.from_matrix``
+    checks every entry); the identity is then re-checked exactly, with no
+    random draw.  Within the pair budget every pair is compared.  Beyond it,
+    once m's entries and psi's rows and columns are checked to be
+    homomorphisms, both sides are additive in x and in y, so the pairs of
+    configurations with at most one non-neutral site, which generate S^k and
+    R^k, decide every pair: (1 + k(|S|-1)) (1 + k(|R|-1)) of them.
+    AssertionError names the first failing pair.
     """
     k = lifted.sites
     if m.space.sites != k or m.space.local.op != lifted.local.s.op:
         raise ValueError("site map does not act on the S side of this duality")
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
     duals = [[lifted.local_dual(entry) for entry in row] for row in m.matrix]
     for i, j in iproduct(range(k), repeat=2):
         if duals[i][j] is None:
             raise NoDual(f"matrix entry ({i},{j}) admits no local dual")
     rsp = lifted.r_space
-    mhat = SiteMap(rsp, tuple(tuple(duals[i][j] for i in range(k)) for j in range(k)))
-    if m.space.n_configs * rsp.n_configs <= pair_budget():
+    mhat = SiteMap.from_matrix(rsp, [[duals[i][j] for i in range(k)] for j in range(k)])
+    n_pairs = m.space.n_configs * rsp.n_configs
+    if n_pairs <= pair_budget():
         hit = identity_holds(lifted, m.index_table(), mhat.index_table())
     else:
-        xi, yi = sample_pairs(0, samples, m.space, rsp)
-        hit = identity_holds(lifted, m.apply_indices(xi), mhat.apply_indices(yi), pairs=(xi, yi))
+        s, r, t = lifted.local.s, lifted.local.r, lifted.local.t
+        maps = [(f"matrix entry {e}", s, s, e) for e in sorted(set(chain.from_iterable(m.matrix)))]
+        maps += [(f"row {x} of psi", r, t, row) for x, row in enumerate(lifted.local.values)]
+        maps += [(f"column {y} of psi", s, t, lifted.local.column(y)) for y in range(r.order)]
+        for name, source, target, values in maps:
+            if not is_homomorphism(source, target, values):
+                raise SizeBudgetExceeded(
+                    f"{n_pairs} configuration pairs exceed the pair budget, and {name} is no homomorphism, "
+                    "so single-site pairs do not decide the identity"
+                )
+        xs, ys = _single_site_indices(m.space)[:, None], _single_site_indices(rsp)[None, :]
+        hit = identity_holds(lifted, m.apply_indices(xs), mhat.apply_indices(ys), pairs=(xs, ys))
     if hit is not None:
         raise AssertionError(f"dual-map identity fails at {hit[0]}, {hit[1]}")
     return mhat

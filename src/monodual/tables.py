@@ -80,9 +80,6 @@ class CayleyTable:
     def order(self) -> int:
         return len(self.rows)
 
-    def apply(self, x: int, y: int) -> int:
-        return self.rows[x][y]
-
     def to_json(self) -> str:
         return json.dumps({"order": self.order, "table": [list(r) for r in self.rows]})
 

@@ -225,16 +225,29 @@ def test_dual_maps_for_dualities_between_different_monoids():
                 assert all(e in r_homs for row in mhat.matrix for e in row), name
 
 
-def test_dual_map_sampled_verification_above_budget():
+def test_dual_map_sampled_verification_above_budget(monkeypatch):
     # 3^7 x 3^7 configuration pairs exceed the default budget, so the
-    # identity check falls back to deterministic sampling
+    # identity is checked on the 15 x 15 pairs of single-site configurations
     psi = named_duality("psi5").transposed()
     lifted = lift_duality(psi, 7)
     homs = hom_values("M6")
     m = SiteMap.from_matrix(
         lifted.s_space, [[homs[(i + j) % 3] for j in range(7)] for i in range(7)]
     )
-    mhat = dual_map(lifted, m, samples=2000)
+    seen, values_at = [], LiftedDuality.values_at
+
+    def spy(self, xi, yi):
+        seen.append(np.broadcast_arrays(xi, yi))
+        return values_at(self, xi, yi)
+
+    monkeypatch.setattr(LiftedDuality, "values_at", spy)
+    mhat = dual_map(lifted, m)
+    # Psi(m(x), y) is looked up first and Psi(x, mhat(y)) second: x from the second call, y from the first
+    xi, yi = seen[1][0].ravel().tolist(), seen[0][1].ravel().tolist()
+    assert len(seen) == 2 and len(xi) == 15 * 15
+    single = [{c for c in sp.configs() if sum(v != 0 for v in c) <= 1} for sp in (lifted.s_space, lifted.r_space)]
+    pairs = {(lifted.s_space.config_of(x), lifted.r_space.config_of(y)) for x, y in zip(xi, yi)}
+    assert pairs == set(iproduct(*single))
     xs, ys = (1, 2, 0, 1, 2, 0, 1), (0, 1, 2, 0, 1, 2, 0)
     assert lifted.evaluate(m.apply(xs), ys) == lifted.evaluate(xs, mhat.apply(ys))
 
@@ -470,23 +483,11 @@ def test_index_of_rejects_malformed_configurations():
             space.config_of(bad)
 
 
-def test_sampled_dual_map_check_needs_at_least_one_pair():
-    lifted = lift_duality(named_duality("psi5").transposed(), 7)
-    assert lifted.s_space.n_configs * lifted.r_space.n_configs > pair_budget()
-    m = SiteMap.identity(lifted.s_space)
-    for samples in (0, -3):
-        with pytest.raises(ValueError):
-            dual_map(lifted, m, samples=samples)
-
-
 def test_sampled_dual_map_check_rejects_a_corrupted_dual(monkeypatch):
-    # 3^7 x 3^7 pairs exceed the budget, so only the sampled branch can catch it
+    # 3^7 x 3^7 pairs exceed the budget, so only the single-site pairs can catch it
     lifted = lift_duality(named_duality("psi5").transposed(), 7)
     assert lifted.s_space.n_configs * lifted.r_space.n_configs > pair_budget()
     homs = hom_values("M6")
-    m = SiteMap.from_matrix(
-        lifted.s_space, [[homs[(i + j) % 3] for j in range(7)] for i in range(7)]
-    )
     true_dual = LiftedDuality.local_dual
     assert true_dual(lifted, homs[1]) != true_dual(lifted, homs[2])
 
@@ -494,14 +495,17 @@ def test_sampled_dual_map_check_rejects_a_corrupted_dual(monkeypatch):
         return true_dual(self, homs[2] if values == homs[1] else values)
 
     monkeypatch.setattr(LiftedDuality, "local_dual", corrupted)
-    # 100 000 default samples outnumber the 3^7 configurations, so the images
-    # come from index tables; 2000 samples map only the sampled configurations
-    assert 2000 < lifted.s_space.n_configs <= 100_000
-    for samples in ({}, {"samples": 2000}):
-        with pytest.raises(AssertionError, match="dual-map identity fails"):
-            dual_map(lifted, m, **samples)
-    # At 39 sites each side far outnumbers 2000 samples, so both are mapped by blocks.  psi2 is
-    # used there because psi5.T's Psi is the absorbing 2 on almost every such pair, whatever the dual.
+    # At 39 sites psi5.T's Psi is its absorbing value 2 on all but about (7/9)^39 of uniform
+    # pairs, whatever the dual; single-site pairs stay away from it.  The corner matrix has
+    # homs[1] only at (0, k - 1), so only x non-neutral at site 0 and y at site k - 1 show it.
+    for k in (7, 39):
+        lifted = lift_duality(named_duality("psi5").transposed(), k)
+        spread = [[homs[(i + j) % 3] for j in range(k)] for i in range(k)]
+        corner = [[homs[1] if (i, j) == (0, k - 1) else homs[0] for j in range(k)] for i in range(k)]
+        for matrix in (spread, corner):
+            with pytest.raises(AssertionError, match="dual-map identity fails"):
+                dual_map(lifted, SiteMap.from_matrix(lifted.s_space, matrix))
+    # psi2 at 39 sites with the duals of the zero and identity maps swapped
     lifted = lift_duality(named_duality("psi2"), 39)
     zero, ident = (0, 0), (0, 1)
     m = SiteMap.from_matrix(lifted.s_space, [[(zero, ident)[(i * j + i) % 2] for j in range(39)]
@@ -512,7 +516,26 @@ def test_sampled_dual_map_check_rejects_a_corrupted_dual(monkeypatch):
 
     monkeypatch.setattr(LiftedDuality, "local_dual", swapped)
     with pytest.raises(AssertionError, match="dual-map identity fails"):
-        dual_map(lifted, m, samples=2000)
+        dual_map(lifted, m)
+
+
+def test_dual_map_beyond_the_budget_refuses_a_table_that_is_not_bi_additive(monkeypatch):
+    # row and column 1 of psi send 1 to 1, but 1 + 1 is 1 in M1 and 2 in M6: no homomorphisms M1 -> M6
+    two = catalog.monoid("M1")
+    lifted = LiftedDuality(DualityFunction(two, two, catalog.monoid("M6"), ((0, 0), (0, 1))), 2)
+    m = SiteMap.identity(lifted.s_space)
+    assert dual_map(lifted, m).matrix == m.matrix  # 16 pairs: every one compared
+    # the unvalidated entry (0, 1, 1) is no homomorphism of M6, where 1 + 1 = 2, yet has a dual,
+    # as rows 1 and 2 of psi agree
+    six = catalog.monoid("M6")
+    rows_agree = LiftedDuality(DualityFunction(six, two, two, ((0, 0), (0, 1), (0, 1))), 2)
+    bad = SiteMap(rows_agree.s_space, (((0, 1, 1), (0, 0, 0)), ((0, 0, 0), (0, 1, 2))))
+    assert dual_map(rows_agree, bad).matrix == (((0, 1), (0, 0)), ((0, 0), (0, 1)))  # 36 pairs
+    monkeypatch.setenv("MONODUAL_PAIR_BUDGET", "15")
+    with pytest.raises(SizeBudgetExceeded, match="row 1 of psi is no homomorphism"):
+        dual_map(lifted, m)
+    with pytest.raises(SizeBudgetExceeded, match=re.escape("matrix entry (0, 1, 1) is no homomorphism")):
+        dual_map(rows_agree, bad)
 
 
 def test_apply_indices_matches_scalar_apply_on_both_routes(monkeypatch):
@@ -521,11 +544,11 @@ def test_apply_indices_matches_scalar_apply_on_both_routes(monkeypatch):
     m = SiteMap.from_matrix(space, [[homs[(i * j) % 3] for j in range(4)] for i in range(4)])
     idx = np.random.default_rng(5).integers(space.n_configs, size=200)
     want = [space.index_of(m.apply(space.config_of(i))) for i in idx.tolist()]
-    assert "_index_table" not in m.__dict__
-    assert m.apply_indices(idx[:50]).tolist() == want[:50]  # 50 < 81 configurations: mapped directly
-    assert "_index_table" not in m.__dict__
-    assert m.apply_indices(idx).tolist() == want  # 200 >= 81: tabulated
-    assert "_index_table" in m.__dict__
+    assert m.apply_indices(idx[:50]).tolist() == want[:50]
+    assert m.apply_indices(idx).tolist() == want
+    assert m.apply_indices(idx.reshape(10, 20)).tolist() == np.reshape(want, (10, 20)).tolist()
+    assert "_index_table" not in m.__dict__  # only index_table() tabulates
+    assert m.index_table()[idx].tolist() == want
     # 2^63 configurations of psi2's side: four blocks at the default budget, digits up to the top index
     space = lift_duality(named_duality("psi2"), 63).s_space
     assert space.local == catalog.monoid("M2")
@@ -542,8 +565,8 @@ def test_apply_indices_matches_scalar_apply_on_both_routes(monkeypatch):
             m = SiteMap.from_matrix(space, [[homs[(i + 2 * j) % 3] for j in range(k)] for i in range(k)])
             every = np.arange(space.n_configs)
             want = [space.index_of(m.apply(c)) for c in space.configs()]
-            assert m.apply_indices(every[:-1]).tolist() == want[:-1], (budget, k)  # mapped directly
-            assert m.apply_indices(every).tolist() == want, (budget, k)  # tabulated
+            assert m.apply_indices(every[:-1]).tolist() == want[:-1], (budget, k)
+            assert m.index_table().tolist() == want, (budget, k)
 
 
 def test_a_space_past_int64_indices_is_refused():

@@ -22,7 +22,6 @@ from .algebra import (
     Monoid,
     Semiring,
     are_isomorphic,
-    are_isomorphic_semirings,
     automorphisms,
     chain,
     diamond,
@@ -37,7 +36,6 @@ from .enumeration import (
     EnumerationReport,
     OrderTooLarge,
     enumerate_commutative_monoids,
-    enumerate_commutative_monoids_naive,
     enumerate_monoids_with_absorbing,
     enumerate_semiring_multiplications,
 )
@@ -49,12 +47,9 @@ from .homdual import (
     Quadruple,
     ReducedClass,
     UnmatchedClass,
-    adjoint_embedding,
-    candidate_duality,
     check_pairing,
     duality_from_dict,
     duality_to_dict,
-    evaluation_duality,
     find_all_duality_quadruples,
     hom_set,
     is_homomorphism,

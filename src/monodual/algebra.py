@@ -219,21 +219,6 @@ def automorphisms(m: Monoid):
     return list(iter_isomorphisms(m, m))
 
 
-def are_isomorphic_semirings(a: Semiring, b: Semiring, include_opposite: bool = False):
-    """Bijection preserving both tables (and hence zero and unit), or None.
-
-    The candidates are the additive isomorphisms, in lex order.  With
-    include_opposite, a witness onto the opposite multiplication of b is also
-    accepted; the returned permutation is then tagged ("op", perm).
-    """
-    variants = [("id", b.mul.rows)] + ([("op", transpose(b.mul.rows))] if include_opposite else [])
-    for tag, bm in variants:
-        for p in iter_isomorphisms(a.add, b.add):
-            if preservation_witness(p, a.mul.rows, bm) is None:
-                return p if tag == "id" else ("op", p)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # lattices
 

@@ -32,7 +32,6 @@ checks are a pruning device, the full check is the correctness argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .algebra import Monoid, Semiring, automorphisms, validate_semiring
 from . import catalog
@@ -41,12 +40,10 @@ from .tables import (
     Rows,
     absorbing_of,
     associativity_witness,
-    canonical_form,
     class_group,
     compare_image,
     distributivity_witness,
     is_commutative,
-    neutral_of,
     relabelings_fixing,
 )
 
@@ -148,22 +145,6 @@ def enumerate_commutative_monoids(order: int) -> EnumerationReport:
         raise OrderTooLarge(order, MONOID_ORDER_CAP)
     reps = list(_fill_monoid_tables(order, commutative=True))
     return _report(order, reps, _labels_for(reps, include_opposite=False) if order <= 4 else None)
-
-
-def enumerate_commutative_monoids_naive(order: int) -> EnumerationReport:
-    """Oracle pipeline: generate every table, filter, then quotient.  Order <= 3 only."""
-    if not 1 <= order <= 3:
-        raise OrderTooLarge(order, 3)
-    n = order
-    classes = set()
-    for flat in product(range(n), repeat=n * n):
-        rows = tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
-        e = neutral_of(rows)
-        if e is None or not is_commutative(rows) or associativity_witness(rows) is not None:
-            continue
-        classes.add(canonical_form(rows, neutral=e))
-    reps = sorted(classes)
-    return _report(order, reps, _labels_for(reps, include_opposite=False))
 
 
 def enumerate_monoids_with_absorbing(order: int, commutative=None) -> EnumerationReport:

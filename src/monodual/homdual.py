@@ -12,6 +12,13 @@ Homomorphism sets are computed exactly: candidate values are enumerated on a
 generating set of the source (values elsewhere are forced by additivity) and
 every candidate is then re-checked on all argument pairs.  The test suite
 holds this against the plain filter over all |T|^|S| value tables.
+
+The four conditions are checked in one place, ``check_pairing``; given the
+table, ``verify_duality`` searches both hom sets for it.  The quadruple
+census searches H(S, T) and H(R, T) once per pair of carriers instead: by
+(2)-(4), y -> psi(., y) is an isomorphism of R onto H(S, T), so each
+candidate is the adjoint's evaluation table with its columns relabelled by
+one isomorphism R -> H(S, T), and each is checked against the same two sets.
 """
 
 from __future__ import annotations
@@ -50,10 +57,6 @@ class Condition3Fail(DualityError):
 class Condition4Fail(DualityError):
     def __init__(self, detail):
         super().__init__(f"rows do not equal H(R,T): {detail}")
-
-
-class NotIsomorphism(DualityError):
-    pass
 
 
 class UnmatchedClass(DualityError):
@@ -168,23 +171,6 @@ def hom_set(source: Monoid, target: Monoid) -> AdjointMonoid:
     return AdjointMonoid(source, target, tuple(Hom(source, target, h) for h in _all_homs(source, target)))
 
 
-def adjoint_embedding(source: Monoid, target: Monoid) -> Hom:
-    """The evaluation map x -> (h -> h(x)) from S into the double adjoint H(H(S,T),T)."""
-    adj = hom_set(source, target)
-    double = hom_set(adj.monoid(), target)
-    index = {h.values: i for i, h in enumerate(double.base)}
-    vals = []
-    for x in range(source.order):
-        ev = tuple(h.values[x] for h in adj.base)
-        if ev not in index:
-            raise AssertionError("evaluation functional is not a homomorphism")
-        vals.append(index[ev])
-    emb = Hom(source, double.monoid(), tuple(vals))
-    if not is_homomorphism(source, double.monoid(), emb.values):
-        raise AssertionError("evaluation embedding is not a homomorphism")
-    return emb
-
-
 def is_reflexive(source: Monoid, target: Monoid) -> bool:
     """Whether the evaluation embedding into the double adjoint is a bijection.
 
@@ -201,7 +187,12 @@ def _reflexive(adj: AdjointMonoid) -> bool:
 
 @dataclass(frozen=True)
 class DualityFunction:
-    """An |S| x |R| table into T, rows indexed by S; ``verified`` is set only by ``checked()``."""
+    """An |S| x |R| table into T, rows indexed by S.
+
+    ``verified`` is set in two places: by ``checked()``, after
+    ``verify_duality``, and by the quadruple census, after every candidate
+    of the pair passes ``check_pairing``.
+    """
 
     s: Monoid
     r: Monoid
@@ -255,32 +246,6 @@ def verify_duality(psi: DualityFunction) -> None:
     if len(psi.values) != psi.s.order or any(len(row) != psi.r.order for row in psi.values):
         raise DualityError("table dimensions disagree with the carriers")
     check_pairing(psi.values, lambda: hom_set(psi.s, psi.t).values(), lambda: hom_set(psi.r, psi.t).values())
-
-
-def evaluation_duality(source: Monoid, target: Monoid) -> DualityFunction:
-    """The table psi(x, h) = h(x) on S x H(S,T); a duality whenever S is T-reflexive."""
-    adj = hom_set(source, target)
-    return DualityFunction(source, adj.monoid(), target, tuple(zip(*adj.values()))).checked()
-
-
-def candidate_duality(source: Monoid, target: Monoid, r: Monoid, iso) -> DualityFunction:
-    """Build psi(x, y) = f_y(x) from an isomorphism y -> f_y of R onto H(S,T).
-
-    ``iso`` maps R-elements to indices into hom_set(source, target).  The
-    candidate is a duality function iff its rows are pairwise distinct; the
-    returned table is verified (``checked``) when they are.
-    """
-    adj = hom_set(source, target)
-    iso = tuple(iso)
-    if sorted(iso) != list(range(adj.size)) or r.order != adj.size:
-        raise NotIsomorphism("not a bijection onto the hom set")
-    w = preservation_witness(iso, r.rows, adj.op.rows)
-    if w is not None:
-        raise NotIsomorphism("addition not preserved at ({},{})".format(*w))
-    if iso[r.neutral] != adj.index_of_zero:
-        raise NotIsomorphism("neutral element not mapped to the constant map")
-    psi = DualityFunction(source, r, target, tuple(zip(*(adj.base[i].values for i in iso))))
-    return psi.checked() if len(set(psi.values)) == source.order else psi
 
 
 def named_duality(name: str) -> DualityFunction:
@@ -365,10 +330,12 @@ def find_all_duality_quadruples(max_order: int = 4) -> list[Quadruple]:
     The census is the T-reflexive pairs: for each catalog monoid S (one per
     catalog class) and T, the adjoint H(S, T) is computed once, and the pair
     is kept when 2 <= |H(S, T)| <= max_order and S is T-reflexive.  R is the
-    adjoint's catalog class.  Every isomorphism of R onto the adjoint
-    produces a candidate table, all of which are required to verify (a
-    census-wide sanity law this search re-checks each run).  The quadruple
-    recorded for the triple carries the lexicographically smallest candidate.
+    adjoint's catalog class.  Every isomorphism y -> f_y of R onto the adjoint
+    gives a candidate table psi(x, y) = f_y(x), and every candidate must pass
+    ``check_pairing`` against the adjoint's maps and H(R, T), searched once
+    per pair (a census-wide sanity law this search re-checks each run; a
+    failure raises its ``DualityError``).  The quadruple recorded for the
+    triple carries the lexicographically smallest candidate, marked verified.
     """
     if max_order not in QUADRUPLE_ORDERS:
         raise ValueError("max_order must be between 2 and 4")
@@ -390,13 +357,17 @@ def find_all_duality_quadruples(max_order: int = 4) -> list[Quadruple]:
             if hit is None:
                 continue
             r_lab, r = hit[0].label, hit[0].monoid()
-            cands = [candidate_duality(s, t, r, p) for p in iter_isomorphisms(r, adj.monoid())]
+            h_rt = hom_set(r, t).values()
+            cands = []
+            for iso in iter_isomorphisms(r, adj.monoid()):
+                table = tuple(zip(*(adj.base[i].values for i in iso)))
+                check_pairing(table, adj.values, lambda: h_rt)
+                cands.append(table)
             if not cands:
                 raise AssertionError("no isomorphism found onto the adjoint")
-            if not all(c.verified for c in cands):
-                raise AssertionError(f"candidate failed for ({r_lab},{s_lab},{t_lab})")
             out.append(Quadruple(r_label=r_lab, s_label=s_lab, t_label=t_lab,
-                                 psi=min(cands, key=lambda c: c.values), isomorphism_count=len(cands)))
+                                 psi=DualityFunction(s, r, t, min(cands), verified=True),
+                                 isomorphism_count=len(cands)))
     out.sort(key=Quadruple.key)
     return out
 

@@ -54,7 +54,13 @@ class SiteSpace:
     sites: int
 
     def __post_init__(self):
-        n, k = self.local.order, self.sites
+        try:
+            k = as_int(self.sites)
+        except TypeError:
+            k = -1
+        if k < 0:
+            raise ValueError(f"sites must be a non-negative integer, got {self.sites!r}")
+        n = self.local.order
         # past 63 sites n >= 2 overflows, and n ** k need not be computed
         if n > 1 and (k > 63 or n ** k > MAX_CONFIGS):
             raise SizeBudgetExceeded(f"{n}^{k} configurations exceed the {MAX_CONFIGS} int64 indices can number")
@@ -110,12 +116,15 @@ class SiteMap:
             raise ValueError("matrix must be a list of rows of integer value tables") from None
         if len(rows) != k or any(len(row) != k for row in rows):
             raise ValueError(f"matrix must be {k}x{k}")
-        for i, row in enumerate(rows):
-            for j, entry in enumerate(row):
-                if len(entry) != n or not all(0 <= v < n for v in entry):
-                    raise ValueError(f"matrix entry ({i},{j}) must list {n} values in 0..{n - 1}")
-                if not is_homomorphism(space.local, space.local, entry):
-                    raise ValueError(f"matrix entry ({i},{j}) is not a local homomorphism")
+        entries = list(chain.from_iterable(rows))
+        for entry in dict.fromkeys(entries):  # each distinct entry once, in row-major order of first sight
+            if len(entry) != n or not all(0 <= v < n for v in entry):
+                fault = f"must list {n} values in 0..{n - 1}"
+            elif not is_homomorphism(space.local, space.local, entry):
+                fault = "is not a local homomorphism"
+            else:
+                continue
+            raise ValueError("matrix entry ({},{}) {}".format(*divmod(entries.index(entry), k), fault))
         return cls(space, rows)
 
     @classmethod
@@ -424,9 +433,10 @@ def _single_site_indices(space: SiteSpace) -> np.ndarray:
 def dual_map(lifted: LiftedDuality, m: SiteMap) -> SiteMap:
     """The unique site map with Psi(m(x), y) = Psi(x, mhat(y)) for all pairs.
 
-    Built entrywise from local duals and transposed (``SiteMap.from_matrix``
-    checks every entry); the identity is then re-checked exactly, with no
-    random draw.  Within the pair budget every pair is compared.  Beyond it,
+    Built from the local dual of each distinct entry, placed at the
+    transposed positions (``SiteMap.from_matrix`` checks each distinct
+    entry); the identity is then re-checked exactly, with no random draw.
+    Within the pair budget every pair is compared.  Beyond it,
     once m's entries and psi's rows and columns are checked to be
     homomorphisms, both sides are additive in x and in y, so the pairs of
     configurations with at most one non-neutral site, which generate S^k and
@@ -436,18 +446,20 @@ def dual_map(lifted: LiftedDuality, m: SiteMap) -> SiteMap:
     k = lifted.sites
     if m.space.sites != k or m.space.local.op != lifted.local.s.op:
         raise ValueError("site map does not act on the S side of this duality")
-    duals = [[lifted.local_dual(entry) for entry in row] for row in m.matrix]
-    for i, j in iproduct(range(k), repeat=2):
-        if duals[i][j] is None:
-            raise NoDual(f"matrix entry ({i},{j}) admits no local dual")
+    entries = list(chain.from_iterable(m.matrix))
+    duals = {}
+    for entry in dict.fromkeys(entries):  # each distinct entry once; a failure names its first position
+        duals[entry] = lifted.local_dual(entry)
+        if duals[entry] is None:
+            raise NoDual("matrix entry ({},{}) admits no local dual".format(*divmod(entries.index(entry), k)))
     rsp = lifted.r_space
-    mhat = SiteMap.from_matrix(rsp, [[duals[i][j] for i in range(k)] for j in range(k)])
+    mhat = SiteMap.from_matrix(rsp, [[duals[m.matrix[i][j]] for i in range(k)] for j in range(k)])
     n_pairs = m.space.n_configs * rsp.n_configs
     if n_pairs <= pair_budget():
         hit = identity_holds(lifted, m.index_table(), mhat.index_table())
     else:
         s, r, t = lifted.local.s, lifted.local.r, lifted.local.t
-        maps = [(f"matrix entry {e}", s, s, e) for e in sorted(set(chain.from_iterable(m.matrix)))]
+        maps = [(f"matrix entry {e}", s, s, e) for e in sorted(duals)]
         maps += [(f"row {x} of psi", r, t, row) for x, row in enumerate(lifted.local.values)]
         maps += [(f"column {y} of psi", s, t, lifted.local.column(y)) for y in range(r.order)]
         for name, source, target, values in maps:

@@ -1,0 +1,63 @@
+"""Reference implementations the tests hold the library against; none of them is part of monodual."""
+
+from itertools import product
+
+from monodual.algebra import Semiring, iter_isomorphisms
+from monodual.homdual import Hom, hom_set, is_homomorphism
+from monodual.tables import (
+    CayleyTable,
+    associativity_witness,
+    canonical_form,
+    is_commutative,
+    neutral_of,
+    preservation_witness,
+    transpose,
+)
+
+
+def adjoint_embedding(source, target) -> Hom:
+    """The evaluation map x -> (h -> h(x)) from S into the double adjoint H(H(S,T),T)."""
+    adj = hom_set(source, target)
+    double = hom_set(adj.monoid(), target)
+    index = {h.values: i for i, h in enumerate(double.base)}
+    vals = []
+    for x in range(source.order):
+        ev = tuple(h.values[x] for h in adj.base)
+        if ev not in index:
+            raise AssertionError("evaluation functional is not a homomorphism")
+        vals.append(index[ev])
+    emb = Hom(source, double.monoid(), tuple(vals))
+    if not is_homomorphism(source, double.monoid(), emb.values):
+        raise AssertionError("evaluation embedding is not a homomorphism")
+    return emb
+
+
+def are_isomorphic_semirings(a: Semiring, b: Semiring, include_opposite: bool = False):
+    """Bijection preserving both tables (and hence zero and unit), or None.
+
+    The candidates are the additive isomorphisms, in lex order.  With
+    include_opposite, a witness onto the opposite multiplication of b is also
+    accepted; the returned permutation is then tagged ("op", perm).
+    """
+    variants = [("id", b.mul.rows)] + ([("op", transpose(b.mul.rows))] if include_opposite else [])
+    for tag, bm in variants:
+        for p in iter_isomorphisms(a.add, b.add):
+            if preservation_witness(p, a.mul.rows, bm) is None:
+                return p if tag == "id" else ("op", p)
+    return None
+
+
+def enumerate_commutative_monoids_naive(order: int) -> tuple[CayleyTable, ...]:
+    """The canonical class representatives, sorted: generate every table, filter, then quotient.
+
+    It visits all n^(n^2) tables, so order 3 is its practical limit.
+    """
+    n = order
+    classes = set()
+    for flat in product(range(n), repeat=n * n):
+        rows = tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
+        e = neutral_of(rows)
+        if e is None or not is_commutative(rows) or associativity_witness(rows) is not None:
+            continue
+        classes.add(canonical_form(rows, neutral=e))
+    return tuple(CayleyTable(r) for r in sorted(classes))

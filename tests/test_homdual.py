@@ -1,11 +1,11 @@
 import random
 import time
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 
 import pytest
 
 from monodual import catalog
-from monodual.algebra import Monoid, are_isomorphic, automorphisms, validate_semiring
+from monodual.algebra import Monoid, are_isomorphic, automorphisms, iter_isomorphisms, validate_semiring
 from monodual.homdual import (
     Condition1Fail,
     Condition2Fail,
@@ -13,13 +13,9 @@ from monodual.homdual import (
     Condition4Fail,
     DualityError,
     DualityFunction,
-    NotIsomorphism,
     UnmatchedClass,
-    adjoint_embedding,
-    candidate_duality,
     duality_from_dict,
     duality_to_dict,
-    evaluation_duality,
     find_all_duality_quadruples,
     hom_set,
     is_homomorphism,
@@ -32,6 +28,7 @@ from monodual.homdual import (
 )
 from monodual.product import module_maps
 from monodual.tables import CayleyTable, relabel, transpose
+from oracles import adjoint_embedding
 
 
 def brute_force_homs(source, target):
@@ -212,58 +209,38 @@ def test_psi5_real_coordinates():
     assert signed == [[1.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [1.0, 0.0, 1.0]]
 
 
-def test_candidate_duality_reproduces_named_tables():
+def _census_by_triple():
+    return {(q.s_label, q.r_label, q.t_label): q for q in find_all_duality_quadruples(4)}
+
+
+def test_census_reproduces_named_tables():
+    quads = _census_by_triple()
     for name in ("psi1", "psi2"):
         s_lab, r_lab, t_lab, table = catalog.PSI_TABLES[name]
-        s, r, t = catalog.monoid(s_lab), catalog.monoid(r_lab), catalog.monoid(t_lab)
-        adj = hom_set(s, t)
-        # the unique isomorphism: hom index of each column of the named table
-        index = {h.values: i for i, h in enumerate(adj.base)}
-        iso = tuple(index[tuple(table[x][y] for x in range(s.order))] for y in range(r.order))
-        psi = candidate_duality(s, t, r, iso)
-        assert psi.values == table and psi.verified
+        q = quads[(s_lab, r_lab, t_lab)]
+        assert q.psi.values == table and q.psi.verified and q.isomorphism_count == 1
 
 
-def test_candidate_duality_mod3():
-    m7 = catalog.monoid("M7")
-    adj = hom_set(m7, m7)
-    from monodual.algebra import iter_isomorphisms
-
-    tables = []
-    for p in iter_isomorphisms(m7, adj.monoid()):
-        psi = candidate_duality(m7, m7, m7, p)
-        assert psi.verified
-        tables.append(psi.values)
-    want = tuple(tuple((x * y) % 3 for y in range(3)) for x in range(3))
-    assert want in tables  # multiplication mod 3, up to the R relabeling
-    assert len(tables) == 2
-
-
-def test_candidate_duality_rejects_non_isomorphism():
-    m2 = catalog.monoid("M2")
-    with pytest.raises(NotIsomorphism):
-        candidate_duality(m2, m2, m2, (0, 0))
-    with pytest.raises(NotIsomorphism):
-        candidate_duality(m2, m2, m2, (1, 0))  # bijective but neutral goes astray
-
-
-def test_candidate_duality_names_the_first_unpreserved_sum():
-    s, t = catalog.monoid("M6"), catalog.monoid("M1")
-    r = hom_set(s, t).monoid()
-    with pytest.raises(NotIsomorphism, match=r"^addition not preserved at \(0,1\)$"):
-        candidate_duality(s, t, r, (1, 0))
+def test_census_mod3():
+    q = _census_by_triple()[("M7", "M7", "M7")]
+    # multiplication mod 3 is the least of the two candidates; the other swaps columns 1 and 2
+    assert q.psi.values == tuple(tuple((x * y) % 3 for y in range(3)) for x in range(3))
+    assert q.psi.verified and q.isomorphism_count == 2
 
 
 def test_evaluation_duality_for_reflexive_pairs():
     for s_lab, t_lab in [("M2", "M2"), ("M4", "M1"), ("M6", "M5"), ("M7", "M7")]:
         s, t = catalog.monoid(s_lab), catalog.monoid(t_lab)
         assert is_reflexive(s, t)
-        psi = evaluation_duality(s, t)
+        adj = hom_set(s, t)  # psi(x, h) = h(x) on S x H(S,T), a duality whenever S is T-reflexive
+        psi = DualityFunction(s, adj.monoid(), t, tuple(zip(*adj.values()))).checked()
         assert psi.verified
 
 
 def test_transposed_keeps_a_non_square_table_whole():
-    psi = evaluation_duality(catalog.monoid("M20"), catalog.monoid("M6"))  # 4 x 5
+    s, t = catalog.monoid("M20"), catalog.monoid("M6")
+    adj = hom_set(s, t)
+    psi = DualityFunction(s, adj.monoid(), t, tuple(zip(*adj.values()))).checked()  # 4 x 5
     assert (psi.s.order, psi.r.order) == (4, 5)
     back = psi.transposed()
     assert (back.s, back.r, back.t) == (psi.r, psi.s, psi.t)
@@ -403,7 +380,7 @@ def test_census_keeps_one_source_per_catalog_class(monkeypatch):
 def test_census_looks_up_each_source_and_adjoint_once_and_verifies_every_candidate(monkeypatch):
     import monodual.homdual as homdual
 
-    calls = {"lookup": 0, "verify": 0}
+    calls = {"lookup": 0, "check": 0, "verify": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -412,10 +389,34 @@ def test_census_looks_up_each_source_and_adjoint_once_and_verifies_every_candida
         return wrapper
 
     monkeypatch.setattr(catalog, "catalog_lookup", counted("lookup", catalog.catalog_lookup))
+    monkeypatch.setattr(homdual, "check_pairing", counted("check", homdual.check_pairing))
     monkeypatch.setattr(homdual, "verify_duality", counted("verify", homdual.verify_duality))
     quads = find_all_duality_quadruples(4)
     assert calls["lookup"] <= 136
-    assert calls["verify"] == sum(q.isomorphism_count for q in quads) == 164
+    assert calls["check"] == sum(q.isomorphism_count for q in quads) == 164
+    assert calls["verify"] == 0
+    assert all(q.psi.verified for q in quads)
+
+
+def test_census_searches_no_hom_set_per_candidate(monkeypatch):
+    # 676 adjoints H(S, T), 134 double adjoints for reflexivity, one H(R, T) per kept pair
+    calls = _counting(monkeypatch, "_all_homs")
+    assert len(find_all_duality_quadruples(4)) == 110
+    assert len(calls) <= 920
+
+
+def test_census_raises_on_a_candidate_that_is_no_duality(monkeypatch):
+    # a bijection R -> H(S, T) that fixes the neutral element but is not additive: some row leaves H(R, T)
+    import monodual.homdual as homdual
+
+    def with_a_forgery(a, b):
+        isos = list(iter_isomorphisms(a, b))
+        yield from isos
+        yield from [p for p in permutations(range(a.order)) if p[a.neutral] == b.neutral and p not in isos][:1]
+
+    monkeypatch.setattr(homdual, "iter_isomorphisms", with_a_forgery)
+    with pytest.raises(Condition4Fail):
+        find_all_duality_quadruples(4)
 
 
 def test_f4_has_twelve_nonlinear_additive_endomorphisms():

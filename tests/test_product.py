@@ -483,6 +483,38 @@ def test_index_of_rejects_malformed_configurations():
             space.config_of(bad)
 
 
+def test_site_spaces_refuse_sites_that_are_no_non_negative_integer():
+    psi = named_duality("psi5").transposed()
+    for bad in (-1, 2.5, True, "3", None):
+        with pytest.raises(ValueError, match="sites must be a non-negative integer"):
+            SiteSpace(catalog.monoid("M6"), bad)
+        with pytest.raises(ValueError, match="sites must be a non-negative integer"):
+            lift_duality(psi, bad)
+    assert SiteSpace(catalog.monoid("M6"), np.int64(3)).n_configs == 27
+
+
+def test_matrix_faults_name_the_first_position_in_row_major_order():
+    space = SiteSpace(catalog.monoid("M6"), 3)
+    good = hom_values("M6")
+    matrix = [[good[1]] * 3 for _ in range(3)]
+    matrix[1][2] = matrix[2][0] = (1, 1, 1)  # no homomorphism, seen twice
+    matrix[2][1] = (0, 3, 0)  # out of range, later in row-major order
+    with pytest.raises(ValueError, match=re.escape("matrix entry (1,2) is not a local homomorphism")):
+        SiteMap.from_matrix(space, matrix)
+    matrix[0][1] = (0, 3, 0)
+    with pytest.raises(ValueError, match=re.escape("matrix entry (0,1) must list 3 values in 0..2")):
+        SiteMap.from_matrix(space, matrix)
+    # additive maps of F4 that are not linear have no dual under the inner pairing
+    f4 = validate_semiring(catalog.MONOID_TABLES["M25"], catalog.MONOID_TABLES["F4-mult"])
+    lifted = semiring_inner_duality(f4, 2)
+    linear = set(module_maps(f4, "left"))
+    without = [h.values for h in hom_set(f4.add, f4.add).base if h.values not in linear]
+    ident = tuple(range(4))
+    m = SiteMap.from_matrix(lifted.s_space, [[ident, without[0]], [without[1], without[0]]])
+    with pytest.raises(NoDual, match=re.escape("matrix entry (0,1) admits no local dual")):
+        dual_map(lifted, m)
+
+
 def test_sampled_dual_map_check_rejects_a_corrupted_dual(monkeypatch):
     # 3^7 x 3^7 pairs exceed the budget, so only the single-site pairs can catch it
     lifted = lift_duality(named_duality("psi5").transposed(), 7)

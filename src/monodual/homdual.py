@@ -8,27 +8,35 @@ commutative monoid T is an |S| x |R| table psi satisfying four conditions:
   (3) the columns are pairwise distinct,
   (4) the rows are exactly H(R, T).
 
-Homomorphism sets are computed exactly: candidate values are enumerated on a
-generating set of the source (values elsewhere are forced by additivity) and
-every candidate is then re-checked on all argument pairs.  The test suite
-holds this against the plain filter over all |T|^|S| value tables.
+Homomorphism sets are computed exactly from restricted generator images,
+then additivity on generator rows.  Values are enumerated on a generating
+set of the source, each generator g only over the t in T with
+i.t = (i + p).t, where i.g = (i + p).g in S (a homomorphism keeps that
+relation); the values elsewhere are forced by sums.  A candidate is kept
+when f(g + y) = f(g) + f(y) for every generator g and every y, which with
+f(0) = 0 is exact: by induction on word length, f(g1 + ... + gk + y) =
+f(g1) + ... + f(gk) + f(y), using associativity only.  The test suite holds
+this against the search that re-checks all argument pairs and against the
+plain filter over all |T|^|S| value tables.
 
 The four conditions are checked in one place, ``check_pairing``; given the
 table, ``verify_duality`` searches both hom sets for it.  The quadruple
-census searches H(S, T) and H(R, T) once per pair of carriers instead: by
-(2)-(4), y -> psi(., y) is an isomorphism of R onto H(S, T), so each
-candidate is the adjoint's evaluation table with its columns relabelled by
-one isomorphism R -> H(S, T), and each is checked against the same two sets.
+census searches H(S, T) once per pair of carriers instead, and takes H(R, T)
+from the double adjoint its reflexivity test already searched: by (2)-(4),
+y -> psi(., y) is an isomorphism of R onto H(S, T), so each candidate is the
+adjoint's evaluation table with its columns relabelled by one isomorphism
+R -> H(S, T), and each is checked against the same two sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 from itertools import product
 
 from . import catalog
 from .algebra import Monoid, iter_isomorphisms
-from .tables import CayleyTable, Rows, SizeBudgetExceeded, as_int, pair_budget, preservation_witness, transpose
+from .tables import CayleyTable, Rows, SizeBudgetExceeded, as_int, pair_budget, transpose
 
 QUADRUPLE_ORDERS = range(2, 5)  # the max_order values the census search accepts
 
@@ -73,10 +81,19 @@ class Hom:
 
 
 def is_homomorphism(source: Monoid, target: Monoid, values) -> bool:
-    vals = tuple(values)
+    """Whether the value table ``values`` (the image of each of 0..|S|-1) is a homomorphism S -> T.
+
+    ValueError if it is no value table: not |S| integers (booleans refused) in 0..|T|-1.
+    """
+    try:
+        vals = tuple(map(as_int, values))
+    except TypeError:
+        raise ValueError("a value table must list integers") from None
+    if len(vals) != source.order or not all(0 <= v < target.order for v in vals):
+        raise ValueError(f"a value table must list {source.order} values in 0..{target.order - 1}")
     if vals[source.neutral] != target.neutral:
         return False
-    return preservation_witness(vals, source.rows, target.rows) is None
+    return _additive_on_generator_rows(vals, _search_plan(source)[0], source.rows, target.rows)
 
 
 @dataclass(frozen=True)
@@ -121,8 +138,8 @@ def _generating_plan(m: Monoid):
     Greedy over 0..n-1: an element outside the current span becomes a
     generator and the span is re-closed, recording for every newly reached
     element one pair of already-reached elements whose sum it is.  Assigning
-    target values to the generators then forces the value everywhere, and a
-    full additivity re-check keeps the search exact.
+    target values to the generators then forces the value everywhere, and
+    the generator-row check keeps the search exact.
     """
     rows = m.rows
     generators: list[int] = []
@@ -146,19 +163,66 @@ def _generating_plan(m: Monoid):
     return generators, plan
 
 
-def _all_homs(source: Monoid, target: Monoid):
-    """Every homomorphism as a value table, by exhausting generator assignments."""
+def _cycle(m: Monoid, x: int) -> tuple[int, int]:
+    """The least index i and period p >= 1 with i.x = (i + p).x, where 0.x is the neutral element."""
+    seen: dict[int, int] = {}
+    y = m.neutral
+    while y not in seen:
+        seen[y] = len(seen)
+        y = m.rows[x][y]
+    return seen[y], len(seen) - seen[y]
+
+
+def _multiple(m: Monoid, x: int, k: int) -> int:
+    y = m.neutral
+    for _ in range(k):
+        y = m.rows[x][y]
+    return y
+
+
+@cache
+def _search_plan(source: Monoid) -> tuple:
+    """``_generating_plan`` of the source, with each generator's ``_cycle``."""
     generators, plan = _generating_plan(source)
-    s_rows, t_rows = source.rows, target.rows
+    return tuple(generators), tuple(plan), tuple(_cycle(source, g) for g in generators)
+
+
+@cache
+def _images_with_cycle(target: Monoid, index: int, period: int) -> tuple[int, ...]:
+    """The t in T with index.t = (index + period).t: the images a generator with this cycle may have."""
+    return tuple(t for t in range(target.order) if _multiple(target, t, index) == _multiple(target, t, index + period))
+
+
+def _additive_on_generator_rows(vals, generators, s_rows, t_rows) -> bool:
+    """Whether f(g + y) = f(g) + f(y) for every generator g and every y; with f(0) = 0, whether f is additive."""
+    for g in generators:
+        sg, tg = s_rows[g], t_rows[vals[g]]
+        for y, fy in enumerate(vals):
+            if vals[sg[y]] != tg[fy]:
+                return False
+    return True
+
+
+def _all_homs(source: Monoid, target: Monoid) -> list[tuple[int, ...]]:
+    """Every homomorphism as a value table, sorted: restricted generator images, then additivity on generator rows.
+
+    Each generator g with i.g = (i + p).g takes only the images t with
+    i.t = (i + p).t (``_images_with_cycle``), which drops no homomorphism;
+    the plan forces the other values, and ``_additive_on_generator_rows``
+    keeps the candidate exactly when it is additive, since every element is
+    a word in the generators and f(g1 + ... + gk + y) = f(g1) + ... + f(gk)
+    + f(y) follows by induction on k.
+    """
+    generators, plan, cycles = _search_plan(source)
+    s_rows, t_rows, blank = source.rows, target.rows, [target.neutral] * source.order
     homs = []
-    for assignment in product(range(target.order), repeat=len(generators)):
-        vals = [None] * source.order
-        vals[source.neutral] = target.neutral
+    for assignment in product(*(_images_with_cycle(target, i, p) for i, p in cycles)):
+        vals = blank.copy()
         for g, v in zip(generators, assignment):
             vals[g] = v
         for elem, a, b in plan:
             vals[elem] = t_rows[vals[a]][vals[b]]
-        if preservation_witness(vals, s_rows, t_rows) is None:
+        if _additive_on_generator_rows(vals, generators, s_rows, t_rows):
             homs.append(tuple(vals))
     homs.sort()
     return homs
@@ -177,12 +241,15 @@ def is_reflexive(source: Monoid, target: Monoid) -> bool:
     Decided by counting, without the double adjoint's table: the evaluation
     map x -> (h -> h(x)) is injective and H(H(S,T),T) has exactly |S| maps.
     """
-    return _reflexive(hom_set(source, target))
+    return _reflexive(hom_set(source, target)) is not None
 
 
-def _reflexive(adj: AdjointMonoid) -> bool:
-    """``is_reflexive`` for the source and target of an adjoint already computed."""
-    return len(set(zip(*adj.values()))) == adj.source.order == len(_all_homs(adj.monoid(), adj.target))
+def _reflexive(adj: AdjointMonoid) -> list[tuple[int, ...]] | None:
+    """The double adjoint's maps H(H(S, T), T) if S is T-reflexive, else None, for an adjoint already computed."""
+    if len(set(zip(*adj.values()))) != adj.source.order:
+        return None
+    double = _all_homs(adj.monoid(), adj.target)
+    return double if len(double) == adj.source.order else None
 
 
 @dataclass(frozen=True)
@@ -332,10 +399,12 @@ def find_all_duality_quadruples(max_order: int = 4) -> list[Quadruple]:
     is kept when 2 <= |H(S, T)| <= max_order and S is T-reflexive.  R is the
     adjoint's catalog class.  Every isomorphism y -> f_y of R onto the adjoint
     gives a candidate table psi(x, y) = f_y(x), and every candidate must pass
-    ``check_pairing`` against the adjoint's maps and H(R, T), searched once
-    per pair (a census-wide sanity law this search re-checks each run; a
-    failure raises its ``DualityError``).  The quadruple recorded for the
-    triple carries the lexicographically smallest candidate, marked verified.
+    ``check_pairing`` against the adjoint's maps and H(R, T) (a census-wide
+    sanity law this search re-checks each run; a failure raises its
+    ``DualityError``).  H(R, T) is {h o iso} for the double adjoint's maps h,
+    which the reflexivity test searched, and the first isomorphism iso.  The
+    quadruple recorded for the triple carries the lexicographically smallest
+    candidate, marked verified.
     """
     if max_order not in QUADRUPLE_ORDERS:
         raise ValueError("max_order must be between 2 and 4")
@@ -351,20 +420,21 @@ def find_all_duality_quadruples(max_order: int = 4) -> list[Quadruple]:
         for t_lab in labels:
             t = catalog.monoid(t_lab)
             adj = hom_set(s, t)
-            if not 2 <= adj.size <= max_order or not _reflexive(adj):
+            if not 2 <= adj.size <= max_order or (double := _reflexive(adj)) is None:
                 continue
             hit = catalog.catalog_lookup(adj.monoid())
             if hit is None:
                 continue
             r_lab, r = hit[0].label, hit[0].monoid()
-            h_rt = hom_set(r, t).values()
+            isos = list(iter_isomorphisms(r, adj.monoid()))
+            if not isos:
+                raise AssertionError("no isomorphism found onto the adjoint")
+            h_rt = sorted(tuple(h[i] for i in isos[0]) for h in double)
             cands = []
-            for iso in iter_isomorphisms(r, adj.monoid()):
+            for iso in isos:
                 table = tuple(zip(*(adj.base[i].values for i in iso)))
                 check_pairing(table, adj.values, lambda: h_rt)
                 cands.append(table)
-            if not cands:
-                raise AssertionError("no isomorphism found onto the adjoint")
             out.append(Quadruple(r_label=r_lab, s_label=s_lab, t_label=t_lab,
                                  psi=DualityFunction(s, r, t, min(cands), verified=True),
                                  isomorphism_count=len(cands)))

@@ -3,7 +3,7 @@
 from itertools import product
 
 from monodual.algebra import Semiring, iter_isomorphisms
-from monodual.homdual import Hom, hom_set, is_homomorphism
+from monodual.homdual import Hom, _generating_plan, hom_set, is_homomorphism
 from monodual.tables import (
     CayleyTable,
     associativity_witness,
@@ -13,6 +13,24 @@ from monodual.tables import (
     preservation_witness,
     transpose,
 )
+
+
+def all_homs_reference(source, target) -> list[tuple[int, ...]]:
+    """Every homomorphism as a value table, sorted: each target value on each generator, all n^2 pairs checked."""
+    generators, plan = _generating_plan(source)
+    s_rows, t_rows = source.rows, target.rows
+    homs = []
+    for assignment in product(range(target.order), repeat=len(generators)):
+        vals = [None] * source.order
+        vals[source.neutral] = target.neutral
+        for g, v in zip(generators, assignment):
+            vals[g] = v
+        for elem, a, b in plan:
+            vals[elem] = t_rows[vals[a]][vals[b]]
+        if preservation_witness(vals, s_rows, t_rows) is None:
+            homs.append(tuple(vals))
+    homs.sort()
+    return homs
 
 
 def adjoint_embedding(source, target) -> Hom:

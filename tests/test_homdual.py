@@ -4,6 +4,7 @@ from itertools import permutations, product as iproduct
 
 import pytest
 
+import monodual.homdual as homdual
 from monodual import catalog
 from monodual.algebra import Monoid, are_isomorphic, automorphisms, iter_isomorphisms, validate_semiring
 from monodual.homdual import (
@@ -27,8 +28,9 @@ from monodual.homdual import (
     verify_duality,
 )
 from monodual.product import module_maps
-from monodual.tables import CayleyTable, relabel, transpose
-from oracles import adjoint_embedding
+from monodual.enumeration import enumerate_commutative_monoids
+from monodual.tables import CayleyTable, preservation_witness, relabel, transpose
+from oracles import adjoint_embedding, all_homs_reference
 
 
 def brute_force_homs(source, target):
@@ -55,6 +57,66 @@ def test_hom_set_on_a_product_monoid_matches_brute_force():
     s = product_monoid(catalog.monoid("M6"), 2)
     t = catalog.monoid("M5")
     assert [h.values for h in hom_set(s, t).base] == brute_force_homs(s, t)
+
+
+def _search_inputs(case):
+    """The (source, target) pairs on which the hom search is held against the reference search."""
+    from monodual.product import product_monoid
+
+    ms = [catalog.monoid(lab) for lab in catalog.M_LABELS]
+    if case == "catalog":
+        return [(s, t) for s in ms for t in ms]
+    if case == "non-commutative sources":
+        ns = [catalog.monoid(lab) for lab in catalog.N_LABELS]
+        return [(s, t) for s in ns for t in ms + ns]
+    if case == "adjoint sources":  # into the reversed targets, the neutral map is the last, not 0
+        adjoints = [hom_set(s, t) for s in ms for t in ms + [_reversed(m) for m in ms]]
+        sources = {adj.monoid() for adj in adjoints if 2 <= adj.size <= 4}
+        assert any(a.neutral != 0 for a in sources)
+        return [(s, t) for s in sorted(sources, key=repr) for t in ms]
+    return [(product_monoid(catalog.monoid("M6"), 2), catalog.monoid("M5"))]
+
+
+@pytest.mark.parametrize("case", ["catalog", "non-commutative sources", "adjoint sources", "product"])
+def test_hom_search_equals_the_reference_search(case):
+    for s, t in _search_inputs(case):
+        assert homdual._all_homs(s, t) == all_homs_reference(s, t), (s, t)
+
+
+@pytest.mark.slow
+def test_hom_search_equals_the_reference_search_to_order_five():
+    ms = [Monoid(t, 0) for n in range(1, 6) for t in enumerate_commutative_monoids(n).representatives]
+    assert len(ms) == 105
+    for s in ms:
+        for t in ms:
+            assert homdual._all_homs(s, t) == all_homs_reference(s, t), (s, t)
+
+
+@pytest.mark.parametrize("s_lab, t_lab, values", [
+    ("M6", "M5", (0,)),
+    ("M6", "M5", (0, 1, 7)),
+    ("M6", "M5", (0, 1, 2, 3)),
+    ("M6", "M5", (0, 1.0, 1)),
+    ("M6", "M5", (0, -1, 1)),
+    ("M6", "M5", (0, "1", 1)),
+    ("M1", "M1", (0, True)),
+    ("M1", "M1", None),
+])
+def test_is_homomorphism_refuses_malformed_value_tables(s_lab, t_lab, values):
+    with pytest.raises(ValueError):
+        is_homomorphism(catalog.monoid(s_lab), catalog.monoid(t_lab), values)
+
+
+def test_is_homomorphism_equals_the_check_on_all_pairs():
+    labels = catalog.M_LABELS + catalog.N_LABELS
+    for a in labels:
+        for b in labels:
+            s, t = catalog.monoid(a), catalog.monoid(b)
+            if t.order ** s.order > 256:
+                continue
+            for vals in iproduct(range(t.order), repeat=s.order):
+                full = vals[s.neutral] == t.neutral and preservation_witness(vals, s.rows, t.rows) is None
+                assert is_homomorphism(s, t, vals) == full, (a, b, vals)
 
 
 def test_hom_set_examples():
@@ -399,10 +461,10 @@ def test_census_looks_up_each_source_and_adjoint_once_and_verifies_every_candida
 
 
 def test_census_searches_no_hom_set_per_candidate(monkeypatch):
-    # 676 adjoints H(S, T), 134 double adjoints for reflexivity, one H(R, T) per kept pair
+    # 676 adjoints H(S, T) and 134 double adjoints for reflexivity; H(R, T) is the double adjoint relabelled
     calls = _counting(monkeypatch, "_all_homs")
     assert len(find_all_duality_quadruples(4)) == 110
-    assert len(calls) <= 920
+    assert len(calls) <= 810
 
 
 def test_census_raises_on_a_candidate_that_is_no_duality(monkeypatch):

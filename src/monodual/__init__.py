@@ -2,8 +2,8 @@
 
 The library covers four layers:
 
-* small finite algebra: validated monoids, semirings and lattices over
-  carriers 0..n-1 (:mod:`monodual.algebra`), plus the embedded catalog of
+* small finite algebra: validated monoids and semirings over carriers
+  0..n-1 (:mod:`monodual.algebra`), plus the embedded catalog of
   named tables (:mod:`monodual.catalog`);
 * exhaustive enumeration of the small structures up to isomorphism
   (:mod:`monodual.enumeration`);
@@ -17,16 +17,10 @@ The library covers four layers:
 from .tables import CayleyTable, MalformedTable, render_table
 from .algebra import (
     AlgebraError,
-    InvalidLattice,
-    Lattice,
     Monoid,
     Semiring,
     are_isomorphic,
     automorphisms,
-    chain,
-    diamond,
-    dual_lattice,
-    lattice_join_monoid,
     one_generates_addition,
     validate_monoid,
     validate_semiring,

@@ -1,4 +1,4 @@
-"""Finite monoids, semirings and lattices with exhaustive validators.
+"""Finite monoids and semirings with exhaustive validators.
 
 All carriers are 0..n-1.  Validation is exhaustive (O(n^3) for associativity
 and distributivity); the orders handled here are tiny, so there is no reason
@@ -67,17 +67,13 @@ class NotDistributive(AlgebraError):
         super().__init__(f"distributivity fails on the {side} at ({x},{y},{z})")
 
 
-class InvalidLattice(AlgebraError):
-    pass
-
-
 @dataclass(frozen=True)
 class Monoid:
     """An associative operation table with its neutral element.
 
     Catalog-normalised instances have neutral == 0; instances produced from
-    other sources (dual lattices, adjoint monoids before relabeling) may
-    carry the neutral elsewhere.
+    other sources (a lattice's meet monoid, adjoint monoids before
+    relabeling) may carry the neutral elsewhere.
     """
 
     op: CayleyTable
@@ -149,13 +145,6 @@ class Semiring:
     def opposite(self) -> "Semiring":
         return Semiring(self.add, CayleyTable(transpose(self.mul.rows)), self.one)
 
-    @classmethod
-    def from_json(cls, text: str) -> "Semiring":
-        import json
-
-        obj = json.loads(text)
-        return validate_semiring(obj["add"]["table"], obj["mul"]["table"])
-
 
 def validate_semiring(add_table, mul_table) -> Semiring:
     """Check all four semiring axioms exhaustively."""
@@ -217,103 +206,3 @@ def are_isomorphic(a: Monoid, b: Monoid):
 
 def automorphisms(m: Monoid):
     return list(iter_isomorphisms(m, m))
-
-
-# ---------------------------------------------------------------------------
-# lattices
-
-@dataclass(frozen=True)
-class Lattice:
-    """A finite lattice given by its order relation; leq[x][y] means x <= y."""
-
-    leq: tuple[tuple[bool, ...], ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.leq)
-
-    @classmethod
-    def from_leq(cls, leq) -> "Lattice":
-        rel = tuple(tuple(bool(v) for v in row) for row in leq)
-        n = len(rel)
-        if any(len(row) != n for row in rel):
-            raise InvalidLattice("relation is not square")
-        lat = cls(rel)
-        lat._validate()
-        return lat
-
-    def _validate(self):
-        n = self.order
-        leq = self.leq
-        for x in range(n):
-            if not leq[x][x]:
-                raise InvalidLattice(f"not reflexive at {x}")
-        for x in range(n):
-            for y in range(n):
-                if x != y and leq[x][y] and leq[y][x]:
-                    raise InvalidLattice(f"not antisymmetric at ({x},{y})")
-                if leq[x][y]:
-                    for z in range(n):
-                        if leq[y][z] and not leq[x][z]:
-                            raise InvalidLattice(f"not transitive at ({x},{y},{z})")
-        # joins and meets must exist and be unique
-        self.join_table()
-        self.meet_table()
-        if len([x for x in range(n) if all(leq[x][y] for y in range(n))]) != 1:
-            raise InvalidLattice("no unique minimal element")
-
-    def _bound(self, x: int, y: int, upper: bool) -> int:
-        n = self.order
-        leq = self.leq
-        if upper:
-            cands = [z for z in range(n) if leq[x][z] and leq[y][z]]
-        else:
-            cands = [z for z in range(n) if leq[z][x] and leq[z][y]]
-        for z in cands:
-            if all((leq[z][w] if upper else leq[w][z]) for w in cands):
-                return z
-        kind = "least upper" if upper else "greatest lower"
-        raise InvalidLattice(f"pair ({x},{y}) has no {kind} bound")
-
-    def join_table(self) -> Rows:
-        n = self.order
-        return tuple(tuple(self._bound(x, y, True) for y in range(n)) for x in range(n))
-
-    def meet_table(self) -> Rows:
-        n = self.order
-        return tuple(tuple(self._bound(x, y, False) for y in range(n)) for x in range(n))
-
-    @property
-    def bottom(self) -> int:
-        return next(x for x in range(self.order) if all(self.leq[x]))
-
-    @property
-    def top(self) -> int:
-        return next(
-            x for x in range(self.order) if all(self.leq[y][x] for y in range(self.order))
-        )
-
-
-def chain(n: int) -> Lattice:
-    return Lattice.from_leq([[x <= y for y in range(n)] for x in range(n)])
-
-
-def diamond() -> Lattice:
-    """Bottom, two incomparable middle elements, top."""
-    leq = [[True, True, True, True],
-           [False, True, False, True],
-           [False, False, True, True],
-           [False, False, False, True]]
-    return Lattice.from_leq(leq)
-
-
-def lattice_join_monoid(lat: Lattice) -> Monoid:
-    """The join operation as a commutative monoid, neutral at the bottom element."""
-    return Monoid(CayleyTable(lat.join_table()), lat.bottom)
-
-
-def dual_lattice(lat: Lattice):
-    """Order-reversed lattice plus the star bijection (identity on the carrier)."""
-    n = lat.order
-    rev = Lattice.from_leq([[lat.leq[y][x] for y in range(n)] for x in range(n)])
-    return rev, tuple(range(n))

@@ -13,9 +13,11 @@ go through two helpers.  ``_sitewise_sums`` folds one local table per site
 into the table of sums over a block of sites: Psi over a block, the module
 maps S^k -> S, and one output site of a matrix map over a block of input
 sites.  ``_peel`` splits the sites into the fewest near-equal blocks whose
-tables fit the pair budget and peels each block's digits off index arrays.
-``LiftedDuality.values_at`` sums the block values of Psi in T;
-``SiteMap.apply_indices`` sums them in S for each output site and builds
+tables fit a cell cap and peels each block's digits off index arrays.
+``LiftedDuality.values_at`` caches its Psi block tables per width, so its
+cap is the pair budget, and sums the block values in T;
+``SiteMap.apply_indices`` rebuilds its tables on every call, so the number
+of indices caps them too, and sums them in S for each output site, building
 the image index by Horner's rule.  ``LiftedDuality.table`` is the one-block
 case.  All values stay uint8; the scalar ``SiteMap.apply`` and
 ``LiftedDuality.evaluate`` are the test oracles.
@@ -24,12 +26,13 @@ case.  All values stay uint8; the scalar ``SiteMap.apply`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, product as iproduct
 from math import prod
 
 import numpy as np
 
-from .algebra import Lattice, Monoid, Semiring, dual_lattice, lattice_join_monoid
+from .algebra import Monoid, Semiring
 from .homdual import DualityFunction, check_pairing, hom_set, is_homomorphism, verify_duality
 from .tables import CayleyTable, SizeBudgetExceeded, as_int, pair_budget
 
@@ -159,11 +162,14 @@ class SiteMap:
         Only the given configurations are mapped, so any side size works:
         beyond the pair budget ``dual_map`` maps just its configurations with
         at most one non-neutral site, which generate S^k, and draws nothing.
+        Besides the pair budget, its block tables are held to max(|S|, number
+        of indices) cells.
         """
         local, k = self.space.local, self.space.sites
         entries = np.asarray(self.matrix, dtype=np.uint8).reshape(k, k, local.order)
         add = np.asarray(local.rows, dtype=np.uint8)
-        blocks = list(_peel(k, (idx,), (local.order,)))
+        cap = min(pair_budget(), max(local.order, np.size(idx)))
+        blocks = list(_peel(k, (idx,), (local.order,), cap))
         out = np.zeros(np.shape(idx), dtype=np.int64)
         for j in range(k):
             acc = None
@@ -257,17 +263,17 @@ def _sitewise_sums(t: Monoid, local: np.ndarray) -> np.ndarray:
     return table
 
 
-def _peel(sites: int, indices, orders):
+def _peel(sites: int, indices, orders, cap: int):
     """Yield (lo, hi, digits...) for each block of sites lo..hi-1, the last block first.
 
     The fewest near-equal blocks of at most h sites, h the widest whose table
-    of prod(orders) ** h cells fits the pair budget (at least 1).  The digits
+    of prod(orders) ** h cells fits ``cap`` (at least 1).  The digits
     number each block's configurations, one array per ``indices`` array over
     a space of the matching local order.  The first block takes the quotients
     the others leave, so no index is divided by its whole space's size.
     """
-    cells, h, budget = prod(orders), 1, pair_budget()
-    while h < sites and cells ** (h + 1) <= budget:
+    cells, h = prod(orders), 1
+    while h < sites and cells ** (h + 1) <= cap:
         h += 1
     n_blocks = -(-sites // h)
     hi = sites
@@ -340,7 +346,7 @@ class LiftedDuality:
         orders = (self.local.s.order, self.local.r.order)
         add = np.asarray(self.local.t.rows, dtype=np.uint8)
         acc = None
-        for lo, hi, xd, yd in _peel(self.sites, (xi, yi), orders):
+        for lo, hi, xd, yd in _peel(self.sites, (xi, yi), orders, pair_budget()):
             value = self._block_table(hi - lo)[xd, yd]
             acc = value if acc is None else add[acc, value]
         return acc
@@ -537,21 +543,28 @@ def verify_module_duality(lifted: LiftedDuality) -> None:
     )
 
 
-def lattice_duality_function(lat: Lattice) -> DualityFunction:
-    """The indicator table of the lattice order, a duality into the two-point join monoid.
+def lattice_duality_function(join: Monoid) -> DualityFunction:
+    """The indicator table of a lattice's order, a duality into the two-point join monoid.
 
-    Rows are indexed by the lattice, columns by its order-reversed dual (same
-    carrier, star bijection the identity); the entry is 0 when x lies below
-    the column's image and 1 otherwise.
+    A finite lattice is given by its join monoid: a commutative monoid whose
+    every element is idempotent (ValueError otherwise), ordered by x <= y iff
+    x + y = y, with the bottom as neutral element.  Rows are indexed by the
+    join monoid, columns by the meet monoid on the same carrier: the meet of
+    x and y is the sum of their common lower bounds, and its neutral element
+    is the top, the sum of all elements.  The entry is 0 when x <= y and 1
+    otherwise.
     """
     from . import catalog
 
-    s = lattice_join_monoid(lat)
-    rev, _star = dual_lattice(lat)
-    r = lattice_join_monoid(rev)
-    t = catalog.monoid("M1")
-    n = lat.order
-    values = tuple(
-        tuple(0 if lat.leq[x][y] else 1 for y in range(n)) for x in range(n)
-    )
-    return DualityFunction(s, r, t, values).checked()
+    rows, n = join.rows, join.order
+    if not join.is_commutative() or any(rows[x][x] != x for x in range(n)):
+        raise ValueError("a lattice's join monoid must be commutative with every element idempotent")
+
+    def total(elements):
+        return reduce(join.add, elements, join.neutral)
+
+    below = [{z for z in range(n) if rows[z][x] == x} for x in range(n)]
+    meet = tuple(tuple(total(below[x] & below[y]) for y in range(n)) for x in range(n))
+    values = tuple(tuple(0 if rows[x][y] == y else 1 for y in range(n)) for x in range(n))
+    r = Monoid(CayleyTable(meet), total(range(n)))
+    return DualityFunction(join, r, catalog.monoid("M1"), values).checked()

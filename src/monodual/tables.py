@@ -15,7 +15,6 @@ lives here so that every module can import it.
 
 from __future__ import annotations
 
-import json
 import operator
 import os
 from dataclasses import dataclass
@@ -72,24 +71,10 @@ class CayleyTable:
 
     rows: Rows
 
-    @classmethod
-    def from_rows(cls, rows) -> "CayleyTable":
-        return cls(as_rows(rows))
-
     @property
     def order(self) -> int:
         return len(self.rows)
 
-    def to_json(self) -> str:
-        return json.dumps({"order": self.order, "table": [list(r) for r in self.rows]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "CayleyTable":
-        obj = json.loads(text)
-        rows = as_rows(obj["table"])
-        if obj.get("order") not in (None, len(rows)) or isinstance(obj.get("order"), bool):
-            raise MalformedTable("declared order disagrees with table size")
-        return cls(rows)
 
 
 def transpose(rows: Rows) -> Rows:

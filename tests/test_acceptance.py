@@ -10,7 +10,7 @@ import time
 from itertools import product as iproduct
 
 from monodual import catalog
-from monodual.algebra import chain, diamond, validate_semiring
+from monodual.algebra import validate_semiring
 from monodual.cli import main as cli_main
 from monodual.enumeration import (
     enumerate_commutative_monoids,
@@ -134,8 +134,9 @@ def test_criterion_05_f4_count():
 
 
 def test_criterion_06_lattice_bridge():
-    targets = [(chain(2), "psi1"), (chain(3), "psi4"), (diamond(), "psi11"), (chain(4), "psi15")]
-    ok = all(match_named_duality(lattice_duality_function(lat)) == want for lat, want in targets)
+    # the 2-, 3- and 4-chain and the diamond, each as its join monoid
+    targets = [("M1", "psi1"), ("M4", "psi4"), ("M11", "psi11"), ("M15", "psi15")]
+    ok = all(match_named_duality(lattice_duality_function(catalog.monoid(m))) == want for m, want in targets)
     classes = reduce_duality_quadruples(find_all_duality_quadruples(4))
     into_m1 = sorted(c.matched_name for c in classes if c.representative.t_label == "M1")
     ok &= into_m1 == ["psi1", "psi11", "psi15", "psi4"]

@@ -31,7 +31,7 @@ def _bench_pass(workload: str) -> dict:
     return record
 
 
-@pytest.mark.parametrize("workload", ["census", "reproduce"])
+@pytest.mark.parametrize("workload", ["census", "reproduce", "sites"])
 def test_benchmark_pass_checks_out(workload):
     _bench_pass(workload)
 

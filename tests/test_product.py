@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from monodual import catalog
-from monodual.algebra import validate_semiring
+from monodual.algebra import validate_monoid, validate_semiring
+from monodual.enumeration import enumerate_commutative_monoids
 from monodual.homdual import (
     Condition1Fail,
     Condition2Fail,
@@ -29,6 +30,7 @@ from monodual.product import (
     SiteSpace,
     SizeBudgetExceeded,
     _module_maps,
+    _sitewise_sums,
     dual_map,
     global_hom_set_matrix_check,
     lattice_duality_function,
@@ -40,7 +42,6 @@ from monodual.product import (
     semiring_inner_duality,
     verify_module_duality,
 )
-from monodual.algebra import chain, diamond
 from monodual.homdual import match_named_duality
 
 
@@ -395,18 +396,43 @@ def test_one_generated_module_maps_equal_homs_on_products():
 
 
 def test_lattice_duality_functions_match_named_tables():
-    for lat, want in [(chain(2), "psi1"), (chain(3), "psi4"), (diamond(), "psi11"), (chain(4), "psi15")]:
-        psi = lattice_duality_function(lat)
+    for label, want in [("M1", "psi1"), ("M4", "psi4"), ("M11", "psi11"), ("M15", "psi15")]:
+        psi = lattice_duality_function(catalog.monoid(label))
         assert psi.verified
         assert match_named_duality(psi) == want
 
 
 def test_lattice_duality_values_are_order_indicators():
-    lat = diamond()
-    psi = lattice_duality_function(lat)
-    for x in range(lat.order):
-        for y in range(lat.order):
-            assert psi.values[x][y] == (0 if lat.leq[x][y] else 1)
+    join = catalog.monoid("M11")  # the diamond: bottom 0, atoms 1 and 2, top 3
+    psi = lattice_duality_function(join)
+    for x in range(join.order):
+        for y in range(join.order):
+            assert psi.values[x][y] == (0 if join.add(x, y) == y else 1)
+    # the columns' monoid is the meet, its neutral element the top
+    assert psi.r.rows == ((0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 2, 2), (0, 1, 2, 3))
+    assert psi.r.add(1, 2) == 0 and psi.r.neutral == 3
+
+
+def test_every_lattice_up_to_order_5_is_a_duality_into_m1_both_ways():
+    counts = []
+    for order in range(1, 6):
+        lattices = [
+            validate_monoid(table) for table in enumerate_commutative_monoids(order).representatives
+            if all(table.rows[x][x] == x for x in range(order))
+        ]
+        counts.append(len(lattices))
+        for join in lattices:
+            psi = lattice_duality_function(join)
+            assert psi.verified and psi.s == join and psi.t == catalog.monoid("M1")
+            verify_duality(psi.transposed())
+    assert counts == [1, 1, 1, 2, 5]
+
+
+def test_lattice_duality_refuses_a_monoid_that_is_no_lattice():
+    band = validate_monoid(((0, 1, 2), (1, 1, 1), (2, 2, 2)))  # idempotent, 1 + 2 != 2 + 1
+    for join in (catalog.monoid("M2"), band):
+        with pytest.raises(ValueError, match="commutative with every element idempotent"):
+            lattice_duality_function(join)
 
 
 def test_psi_table_and_pair_kernel_match_scalar_evaluate_for_every_reduced_class():
@@ -581,7 +607,7 @@ def test_apply_indices_matches_scalar_apply_on_both_routes(monkeypatch):
     assert m.apply_indices(idx.reshape(10, 20)).tolist() == np.reshape(want, (10, 20)).tolist()
     assert "_index_table" not in m.__dict__  # only index_table() tabulates
     assert m.index_table()[idx].tolist() == want
-    # 2^63 configurations of psi2's side: four blocks at the default budget, digits up to the top index
+    # 2^63 configurations of psi2's side: 22 indices take blocks of at most 4 sites, digits up to the top index
     space = lift_duality(named_duality("psi2"), 63).s_space
     assert space.local == catalog.monoid("M2")
     z2 = hom_values("M2")
@@ -599,6 +625,29 @@ def test_apply_indices_matches_scalar_apply_on_both_routes(monkeypatch):
             want = [space.index_of(m.apply(c)) for c in space.configs()]
             assert m.apply_indices(every[:-1]).tolist() == want[:-1], (budget, k)
             assert m.index_table().tolist() == want, (budget, k)
+
+
+def test_site_map_block_tables_follow_the_index_count(monkeypatch):
+    import monodual.product as product
+
+    cells = []
+
+    def spy(t, local):
+        table = _sitewise_sums(t, local)
+        cells.append(table.size)
+        return table
+
+    monkeypatch.setattr(product, "_sitewise_sums", spy)
+    space = SiteSpace(catalog.monoid("M2"), 63)
+    m = SiteMap.identity(space)
+    idx = product._single_site_indices(space)
+    assert m.apply_indices(idx).tolist() == idx.tolist()
+    assert max(cells) <= len(idx) == 64
+    # index_table() maps all |S|^k configurations, so each output site is one block
+    cells.clear()
+    space = SiteSpace(catalog.monoid("M6"), 4)
+    assert SiteMap.identity(space).index_table().tolist() == list(range(81))
+    assert cells == [81] * 4
 
 
 def test_a_space_past_int64_indices_is_refused():

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from monodual import catalog
-from monodual.reproduce import ReproductionManifest, check_pathwise, check_semiring_census, reproduce_all
+from monodual.reproduce import check_pathwise, check_semiring_census, reproduce_all
 from monodual.tables import CayleyTable
 
 
@@ -21,30 +21,26 @@ def test_fresh_checkout_passes():
     assert len(names) == len(set(names))
 
 
-def test_manifest_json_round_trip():
-    manifest = small_manifest()
-    again = ReproductionManifest.from_json(manifest.to_json())
-    assert again == manifest
-    assert again.to_json() == manifest.to_json()
-
-
 def test_corrupting_one_catalog_entry_fails_exactly_its_checks(monkeypatch):
-    # swap the M6 table for a copy of M4: still a valid monoid, wrong class
-    fake = dataclasses.replace(
-        catalog.ENTRIES["M6"], table=CayleyTable(catalog.MONOID_TABLES["M4"])
-    )
-    patched = dict(catalog.ENTRIES)
-    patched["M6"] = fake
-    monkeypatch.setitem(catalog.__dict__, "ENTRIES", patched)
-    tables = dict(catalog.MONOID_TABLES)
-    tables["M6"] = catalog.MONOID_TABLES["M4"]
-    monkeypatch.setitem(catalog.__dict__, "MONOID_TABLES", tables)
+    # each label gets a copy of another table of its order: still a valid
+    # monoid, wrong class.  M11, the diamond's join monoid, gets M10's, which
+    # differs only at 1 + 1.  The copied label comes first in the catalog, so
+    # lookups of its class still find it and no unrelated check moves
+    for label, copied in (("M6", "M4"), ("M11", "M10")):
+        with monkeypatch.context() as patch:
+            fake = dataclasses.replace(
+                catalog.ENTRIES[label], table=CayleyTable(catalog.MONOID_TABLES[copied])
+            )
+            patch.setitem(catalog.__dict__, "ENTRIES", {**catalog.ENTRIES, label: fake})
+            patch.setitem(
+                catalog.__dict__, "MONOID_TABLES", {**catalog.MONOID_TABLES, label: catalog.MONOID_TABLES[copied]}
+            )
 
-    manifest = reproduce_all(pathwise_seeds=2, replicates=500)
-    failing = {c.name for c in manifest.checks if not c.passed}
-    m6_dependent = {c.name for c in manifest.checks if "M6" in c.depends}
-    assert failing == m6_dependent
-    assert failing  # the corruption is actually detected
+            manifest = reproduce_all(pathwise_seeds=2, replicates=500)
+        failing = {c.name for c in manifest.checks if not c.passed}
+        dependent = {c.name for c in manifest.checks if label in c.depends}
+        assert failing == dependent, label
+        assert failing, label  # the corruption is actually detected
 
 
 @pytest.mark.parametrize("i, j", [(4, 5), (3, 4), (30, 31), (42, 43)])

@@ -80,6 +80,7 @@ from .ips import (
     StateSpaceTooLarge,
     WindowViolation,
     check_pathwise_duality,
+    check_pathwise_seeds,
     dual_model,
     estimate_expectation_duality,
     exact_semigroup_expectation,

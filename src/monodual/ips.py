@@ -12,6 +12,16 @@ identity
 holds exactly for every realisation, not just in expectation; any violation
 is an implementation bug, never noise.
 
+A stream is held as two arrays, its sorted times and the indices of its
+marks, tied times ordered by map id; the ``EventStream`` tuples are built
+only by ``sample_event_stream`` and for a violation's witness.
+``check_pathwise_seeds`` checks many seeds at once: each seed's events
+under the "+" convention are one row of marks, and the "-" convention adds
+a second row only when a window end is an event time, since otherwise one
+flow pair decides both (``pairs_checked`` still counts both).  The rows are
+padded with the identity and composed together, FLOW_CHUNK cells of index
+tables at a time, by pairwise tree reduction.
+
 Randomness: every draw comes from ``np.random.default_rng(key)``, and there
 are three kinds.  The event stream of a pathwise check uses key ``seed``: a
 Poisson jump count, then that many sorted uniform times and uniform marks.
@@ -49,6 +59,11 @@ MAX_EXACT_STATES = 10 ** 4
 # replicates walked in lockstep per generator; fixed on memory grounds, so the
 # sampled values depend on it and it is no option
 MC_BLOCK = 4096
+# cells (rows x events x configurations) of the index tables a flow composes
+# at once, 32 KiB; fixed on memory grounds, and no option.  Blocks of 2^16
+# cells composed a 10^6-event stream three times faster but raised the peak
+# memory of `monodual reproduce` by a quarter of a megabyte.
+FLOW_CHUNK = 2 ** 12
 # largest Poisson mean of one uniformisation step: exp(-50) is far from
 # underflow, and longer times are split by the semigroup property
 MAX_STEP_MEAN = 50.0
@@ -178,30 +193,90 @@ def _expected_jumps(model: RateModel, span: float) -> float:
     return lam
 
 
-def sample_event_stream(model: RateModel, window: tuple[float, float], seed) -> EventStream:
-    """Marked Poisson sampling, count first.
+def _stream_sampler(model: RateModel, window: tuple[float, float]):
+    """The ids of the positive-rate maps, and a function from a seed to its stream on `window`:
+    sorted times, and marks indexing those ids.
 
-    The number of events is Poisson with mean total rate times window length;
-    given the count, the times are i.i.d. uniform on the window (sorted) and
-    each mark picks a map with probability its share of the total rate.
+    Marked Poisson sampling, count first: the number of events is Poisson
+    with mean total rate times window length; given the count, the times are
+    i.i.d. uniform on the window (sorted) and each mark picks a map with
+    probability its share of the total rate.  Tied times are ordered by map id.
     """
-    s, u = _checked_window(window)
+    s, u = window
     lam = _expected_jumps(model, u - s)
-    rng = np.random.default_rng(seed)
-    n = rng.poisson(lam)
-    times = np.sort(rng.uniform(s, u, n))
     active, lookup = _mark_lookup(model)
-    ids = [active[i].map_id for i in lookup(rng.random(n)).tolist()]
-    return EventStream(window=(s, u), events=tuple(zip(ids, times.tolist())), seed=seed)
+    ids = [e.map_id for e in active]
+    id_rank = np.array([sorted(ids).index(i) for i in ids])
+
+    def sample(seed) -> tuple[np.ndarray, np.ndarray]:
+        rng = np.random.default_rng(seed)
+        n = rng.poisson(lam)
+        times = np.sort(rng.uniform(s, u, n))
+        marks = lookup(rng.random(n))
+        if (times[1:] == times[:-1]).any():  # a stable sort of sorted times moves only the ties
+            order = np.lexsort((id_rank[marks], times))
+            times, marks = times[order], marks[order]
+        return times, marks
+
+    return ids, sample
+
+
+def sample_event_stream(model: RateModel, window: tuple[float, float], seed) -> EventStream:
+    """The event stream of `seed` on `window`, the same draws as every pathwise check of that seed."""
+    window = _checked_window(window)
+    ids, sample = _stream_sampler(model, window)
+    times, marks = sample(seed)
+    return EventStream(window=window, events=tuple(zip([ids[i] for i in marks.tolist()], times.tolist())), seed=seed)
+
+
+def _compose_pairs(block: np.ndarray) -> np.ndarray:
+    """Each row's index tables composed pairwise along axis 1: (rows, m, n) -> (rows, m // 2, n).
+
+    Table 2j is applied before table 2j+1; an odd last table is applied after
+    the last pair.
+    """
+    rows, m, n = block.shape
+    flat = block.ravel()
+    row_start = np.arange(rows)[:, None] * m
+    second = (row_start + np.arange(1, m, 2)) * n
+    out = flat[block[:, 0:m - 1:2] + second[:, :, None]]
+    if m % 2:
+        out[:, -1] = flat[out[:, -1] + (row_start + m - 1) * n]
+    return out
+
+
+def _compose(tables: np.ndarray, marks: np.ndarray) -> np.ndarray:
+    """Row r of the result applies tables[marks[r, 0]], then tables[marks[r, 1]], and so on.
+
+    The event columns are taken in chunks of at most FLOW_CHUNK cells of
+    (rows, events, configurations) index tables, each chunk reduced by
+    pairwise composition in log2(events) vectorised steps, and the chunks
+    composed in order.
+    """
+    rows, n = marks.shape[0], tables.shape[1]
+    out = np.tile(np.arange(n), (rows, 1))
+    offsets = np.arange(rows)[:, None] * n
+    step = max(1, FLOW_CHUNK // (rows * n))
+    for lo in range(0, marks.shape[1], step):
+        block = tables[marks[:, lo:lo + step]]
+        while block.shape[1] > 1:
+            block = _compose_pairs(block)
+        out = block.ravel()[out + offsets]
+    return out
+
+
+def _table_stack(model: RateModel, ids) -> np.ndarray:
+    """The index tables of the maps named by `ids`, in that order, then the identity."""
+    maps = {e.map_id: e.site_map for e in model.entries}
+    return np.stack([maps[i].index_table() for i in ids] + [np.arange(model.space.n_configs)])
 
 
 def flow_index_table(model: RateModel, events) -> np.ndarray:
     """The maps of `events` composed in the order given, as an index table over every configuration."""
-    tables = {e.map_id: e.site_map.index_table() for e in model.entries}
-    out = np.arange(model.space.n_configs)
-    for map_id, _t in events:
-        out = tables[map_id][out]
-    return out
+    ids = [e.map_id for e in model.entries]
+    position = {map_id: i for i, map_id in enumerate(ids)}
+    marks = np.array([[position[map_id] for map_id, _t in events]], dtype=np.intp)
+    return _compose(_table_stack(model, ids), marks)[0]
 
 
 def _check_sides(lifted: LiftedDuality) -> None:
@@ -246,23 +321,28 @@ class PathwiseReport:
         }
 
 
-def check_pathwise_duality(
+def check_pathwise_seeds(
     model: RateModel,
     lifted: LiftedDuality,
     window: tuple[float, float],
-    seed,
+    seeds,
     coverage: str = "exhaustive",
     n_samples: int = 100_000,
     dual: RateModel | None = None,
-) -> PathwiseReport:
-    """Verify the pathwise identity for one realised stream and its dual.
+) -> tuple[PathwiseReport, ...]:
+    """Verify the pathwise identity for the realised stream of every seed, in order.
 
     Under each boundary convention, X[s,u] composes the model's maps over the
     window's events and Y[-u,-s] the dual model's maps over the same events
-    reversed (reversing time mirrors the convention).  Exhaustive coverage
-    checks every configuration pair (within the pair budget); sampled
-    coverage draws n_samples index pairs and looks their images up in the
-    flows' index tables.  Raises DualityViolation on the first mismatch, and
+    reversed (reversing time mirrors the convention).  Each seed gives one
+    row of marks per convention, and a single row when the two conventions
+    cut its stream alike; the rows of a chunk of seeds are composed together
+    (`_compose`) and their identities decided in one comparison, the chunk
+    small enough that rows times pairs stays within the pair budget.
+    Exhaustive coverage checks every configuration pair; sampled coverage
+    draws n_samples index pairs per seed and looks their images up in the
+    flows' index tables.  Raises DualityViolation at the first seed that
+    fails, with the pair a one-seed check would report, and
     StateSpaceTooLarge before any stream or dual is built when a side, or
     for exhaustive coverage the pairs, exceed the pair budget.
     """
@@ -273,8 +353,8 @@ def check_pathwise_duality(
     ssp, rsp = lifted.s_space, lifted.r_space
     if model.space != ssp:
         raise ValueError("model does not act on the S side of this duality")
-    s, u = _checked_window(window)
-    _expected_jumps(model, u - s)  # the cheap refusals come before any stream, table or dual
+    window = _checked_window(window)
+    _expected_jumps(model, window[1] - window[0])  # the cheap refusals come before any stream, table or dual
     n_pairs = ssp.n_configs * rsp.n_configs
     exhaustive = coverage == "exhaustive"
     if exhaustive and n_pairs > pair_budget():
@@ -283,30 +363,70 @@ def check_pathwise_duality(
         )
     _check_sides(lifted)
 
-    stream = sample_event_stream(model, (s, u), seed)
+    seeds = list(seeds)
+    ids, sample = _stream_sampler(model, window)
     dmodel = dual_model(model, lifted) if dual is None else dual
-    if not exhaustive:
-        rng = np.random.default_rng((seed, 2))
-        xi, yi = rng.integers(ssp.n_configs, size=n_samples), rng.integers(rsp.n_configs, size=n_samples)
-    for conv in ("+", "-"):
-        events = stream.events_in(s, u, conv)
-        X = flow_index_table(model, events)
-        Y = flow_index_table(dmodel, events[::-1])
-        if exhaustive:
-            hit = identity_holds(lifted, X, Y)
-        else:
-            hit = identity_holds(lifted, X[xi], Y[yi], pairs=(xi, yi))
-        if hit is not None:
-            raise DualityViolation(*hit, stream)
-    return PathwiseReport(
-        seed=seed,
-        window=stream.window,
-        n_events=stream.n_events,
-        coverage=coverage,
-        pairs_checked=2 * (n_pairs if exhaustive else n_samples),
-        conventions=("+-", "-+"),
-        passed=True,
-    )
+    fwd, back = _table_stack(model, ids), _table_stack(dmodel, ids)
+    per_row = n_pairs if exhaustive else n_samples
+    rows_at_once = max(1, pair_budget() // per_row)
+    per_chunk = max(1, rows_at_once // 2)  # seeds; each gives one or two rows
+    reports = []
+    for lo in range(0, len(seeds), per_chunk):
+        chunk = seeds[lo:lo + per_chunk]
+        rows, owner, n_events = [], [], []
+        for i, seed in enumerate(chunk):
+            times, marks = sample(seed)
+            n_events.append(len(times))
+            # the "+" cut, then the "-" cut unless it takes the same events
+            for a, b in dict.fromkeys(tuple(np.searchsorted(times, window, side=side)) for side in ("right", "left")):
+                rows.append(marks[a:b])
+                owner.append(i)
+        # the identity, last in each stack, pads the rows to one length
+        padded = np.full((len(rows), max(map(len, rows))), len(ids), dtype=np.min_scalar_type(len(ids)))
+        for r, row in enumerate(rows):
+            padded[r, :len(row)] = row
+        X = _compose(fwd, padded)
+        Y = _compose(back, padded[:, ::-1])  # the identity commutes, so padding may lead
+        if not exhaustive:
+            draws = [np.random.default_rng((chunk[i], 2)) for i in owner]
+            xi = np.stack([rng.integers(ssp.n_configs, size=n_samples) for rng in draws])
+            yi = np.stack([rng.integers(rsp.n_configs, size=n_samples) for rng in draws])
+        for r0 in range(0, len(rows), rows_at_once):
+            part = slice(r0, r0 + rows_at_once)
+            if exhaustive:
+                hit = identity_holds(lifted, X[part], Y[part])
+            else:
+                xs, ys = xi[part], yi[part]
+                hit = identity_holds(lifted, np.take_along_axis(X[part], xs, 1),
+                                     np.take_along_axis(Y[part], ys, 1), pairs=(xs, ys))
+            if hit is not None:
+                raise DualityViolation(*hit[1:], sample_event_stream(model, window, chunk[owner[r0 + hit[0][0]]]))
+        reports += [
+            PathwiseReport(
+                seed=seed,
+                window=window,
+                n_events=n,
+                coverage=coverage,
+                pairs_checked=2 * per_row,
+                conventions=("+-", "-+"),
+                passed=True,
+            )
+            for seed, n in zip(chunk, n_events)
+        ]
+    return tuple(reports)
+
+
+def check_pathwise_duality(
+    model: RateModel,
+    lifted: LiftedDuality,
+    window: tuple[float, float],
+    seed,
+    coverage: str = "exhaustive",
+    n_samples: int = 100_000,
+    dual: RateModel | None = None,
+) -> PathwiseReport:
+    """check_pathwise_seeds for the one seed `seed`."""
+    return check_pathwise_seeds(model, lifted, window, [seed], coverage, n_samples, dual)[0]
 
 
 @dataclass(frozen=True)

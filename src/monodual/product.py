@@ -372,24 +372,26 @@ class LiftedDuality:
 
 
 def identity_holds(lifted: LiftedDuality, X, Y, pairs=None):
-    """None if Psi(X(x), y) == Psi(x, Y(y)), else the first failing (x, y) as configuration tuples.
+    """None if Psi(X(x), y) == Psi(x, Y(y)), else (position, x, y) for the first failing pair.
 
     X and Y are configuration indices.  Without ``pairs`` they are index
-    tables of maps on S^k and R^k and every pair is compared through the
-    cached Psi table.  With ``pairs=(xi, yi)``, index arrays broadcast
-    together, they are the images of xi and yi, and only those pairs are
-    compared, in row-major order.
+    tables of maps on S^k and R^k, with matching leading axes of rows if
+    any, and every pair of each row is compared through the cached Psi
+    table.  With ``pairs=(xi, yi)``, index arrays broadcast together, they
+    are the images of xi and yi, and only those pairs are compared.  The
+    first failure is taken in row-major order of the compared array, its
+    index there is ``position``, and x, y are its configuration tuples.
     """
     if pairs is None:
         psi = lifted.table()
-        bad = psi[X] != psi[:, Y]
-        xi, yi = np.unravel_index(bad.argmax(), bad.shape)
+        bad = psi[X] != np.moveaxis(psi[:, Y], 0, -2)
     else:
         bad = lifted.values_at(X, pairs[1]) != lifted.values_at(pairs[0], Y)
-        xi, yi = (np.broadcast_to(p, bad.shape).flat[bad.argmax()] for p in pairs)
     if not bad.any():
         return None
-    return lifted.s_space.config_of(xi), lifted.r_space.config_of(yi)
+    position = np.unravel_index(bad.argmax(), bad.shape)
+    xi, yi = position[-2:] if pairs is None else (np.broadcast_to(p, bad.shape)[position] for p in pairs)
+    return position, lifted.s_space.config_of(xi), lifted.r_space.config_of(yi)
 
 
 def lift_duality(
@@ -477,7 +479,7 @@ def dual_map(lifted: LiftedDuality, m: SiteMap) -> SiteMap:
         xs, ys = _single_site_indices(m.space)[:, None], _single_site_indices(rsp)[None, :]
         hit = identity_holds(lifted, m.apply_indices(xs), mhat.apply_indices(ys), pairs=(xs, ys))
     if hit is not None:
-        raise AssertionError(f"dual-map identity fails at {hit[0]}, {hit[1]}")
+        raise AssertionError(f"dual-map identity fails at {hit[1]}, {hit[2]}")
     return mhat
 
 

@@ -29,7 +29,7 @@ from .homdual import (
 )
 from .ips import (
     RateModel,
-    check_pathwise_duality,
+    check_pathwise_seeds,
     dual_model,
     estimate_expectation_duality,
     exact_semigroup_expectation,
@@ -42,7 +42,7 @@ from .product import (
     module_maps,
 )
 from .homdual import named_duality
-from .tables import class_group, least_image
+from .tables import canonical_form, class_group, least_image
 
 EXPECTED_COUNTS = {1: 1, 2: 2, 3: 5, 4: 19, 5: 78}  # checked at every order listed
 EXPECTED_CLASS_NAMES = sorted(catalog.PSI_TABLES)
@@ -175,6 +175,10 @@ def check_duality_reduction(census=_census) -> CheckResult:
     )
 
 
+def _form(m) -> tuple:
+    return canonical_form(m.rows, m.neutral)
+
+
 def check_semiring_census(add_label: str) -> CheckResult:
     expected_labels = sorted(
         lab for a, _, lab in catalog.SEMIRING_TABLES if a == add_label
@@ -188,10 +192,17 @@ def check_semiring_census(add_label: str) -> CheckResult:
         expected = sorted(
             least_image(mul, group) for a, mul, _ in catalog.SEMIRING_TABLES if a == add_label
         )
+        # a multiplication is named only by the labels this check declares: its
+        # canonical form, or failing that its opposite's, against theirs
+        named = {}
+        for lab in expected_labels:
+            named.setdefault(_form(catalog.ENTRIES[lab].monoid()), lab)
+        muls = [f.semiring.mul_monoid() for f in found]
+        labels = [named.get(_form(m), named.get(_form(m.opposite()))) for m in muls]
         return {
             "classes": len(found),
             "tables_match": [f.semiring.mul.rows for f in found] == expected
-            and sorted(f.mult_label for f in found) == expected_labels,
+            and None not in labels and sorted(labels) == expected_labels,
         }
 
     return _check(
@@ -341,23 +352,25 @@ def _pathwise_model(name: str, sites: int):
     return lifted, model
 
 
+def _pathwise_case(name: str, seeds: int):
+    """The model, lifted duality, window and seeds that the pathwise check of `name` runs on, at k = 3."""
+    lifted, model = _pathwise_model(name, 3)
+    window = (0.0, max(30.0, 4 * PATHWISE_MIN_EVENTS / model.total_rate))
+    tag = int(name.removeprefix("psi"))
+    return model, lifted, window, [(tag, seed) for seed in range(seeds)]
+
+
 def check_pathwise(name: str, seeds: int = 100) -> CheckResult:
     if seeds < 1:
         raise ValueError(f"seeds must be at least 1, got {seeds}")
     labels = set(catalog.PSI_TABLES[name][:3])
 
-    tag = int(name.removeprefix("psi"))
-
     def compute():
-        lifted, model = _pathwise_model(name, 3)
-        window = (0.0, max(30.0, 4 * PATHWISE_MIN_EVENTS / model.total_rate))
-        dual = dual_model(model, lifted)
-        events_ok = True
-        for seed in range(seeds):
-            rep = check_pathwise_duality(model, lifted, window, seed=(tag, seed), dual=dual)
-            if rep.n_events < PATHWISE_MIN_EVENTS:
-                events_ok = False
-        return {"seeds_passed": seeds, "all_windows_busy": events_ok}
+        reports = check_pathwise_seeds(*_pathwise_case(name, seeds))
+        return {
+            "seeds_passed": len(reports),
+            "all_windows_busy": all(rep.n_events >= PATHWISE_MIN_EVENTS for rep in reports),
+        }
 
     return _check(
         f"pathwise-{name}",

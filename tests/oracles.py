@@ -2,6 +2,8 @@
 
 from itertools import product
 
+import numpy as np
+
 from monodual.algebra import Semiring, iter_isomorphisms
 from monodual.homdual import Hom, _generating_plan, hom_set, is_homomorphism
 from monodual.tables import (
@@ -79,3 +81,16 @@ def enumerate_commutative_monoids_naive(order: int) -> tuple[CayleyTable, ...]:
             continue
         classes.add(canonical_form(rows, neutral=e))
     return tuple(CayleyTable(r) for r in sorted(classes))
+
+
+def event_stream_reference(model, window, seed) -> tuple[tuple[str, float], ...]:
+    """The events of the stream of `seed` as (map id, time) pairs, drawn in the documented order
+    (count, sorted uniform times, marks by rate share) and sorted by (time, map id) one pair at a time."""
+    s, u = float(window[0]), float(window[1])
+    rng = np.random.default_rng(seed)
+    n = rng.poisson(model.total_rate * (u - s))
+    times = np.sort(rng.uniform(s, u, n)).tolist()
+    active = [e for e in model.entries if e.rate > 0.0]
+    bounds = np.cumsum([e.rate for e in active])[:-1] / model.total_rate
+    ids = [active[i].map_id for i in np.searchsorted(bounds, rng.random(n), side="right").tolist()]
+    return tuple(sorted(zip(ids, times), key=lambda e: (e[1], e[0])))

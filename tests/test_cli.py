@@ -246,6 +246,16 @@ def test_golden_outputs(capsys):
         assert out == (GOLDEN_DIR / name).read_text(), name
 
 
+@pytest.mark.slow
+def test_simulate_near_the_jump_budget_matches_its_golden_output(capsys):
+    # 2.3 * 4.2e5 expected jumps, just under the default budget of 10^6: 966 352 events
+    code, out, _ = run(capsys, "simulate", "--psi", "psi5.T", "--sites", "2",
+                       "--rates", str(GOLDEN_DIR / "simulate_rates.json"),
+                       "--t-max", "4.2e5", "--seed", "7", "--check", "pathwise")
+    assert code == 0
+    assert out == (GOLDEN_DIR / "simulate_pathwise_long.json").read_text()
+
+
 def test_expectation_from_samples_without_spread_is_judged_by_their_range(capsys):
     # one or two paths per side: lhs = -1 and rhs = 1 with zero sample spread on both sides
     for seed, replicates in (("2", "1"), ("4", "1"), ("2", "2")):

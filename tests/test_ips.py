@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from monodual.ips import (
     _mark_lookup,
     _mc_endpoints,
     check_pathwise_duality,
+    check_pathwise_seeds,
     dual_model,
     estimate_expectation_duality,
     exact_semigroup_expectation,
@@ -23,7 +26,8 @@ from monodual.ips import (
     sample_event_stream,
 )
 from monodual.product import NoRealEmbedding, SiteMap, SizeBudgetExceeded, lift_duality
-from monodual.reproduce import _pathwise_model
+from monodual.reproduce import _pathwise_case, _pathwise_model
+from oracles import event_stream_reference
 
 
 def hom_values(label):
@@ -177,9 +181,8 @@ def test_pathwise_duality_psi1_and_psi5():
         assert report.passed and report.pairs_checked > 0
 
 
-def test_pathwise_duality_reverses_tied_events():
-    # floats near 2**53 are 2 apart, so events on this window fall on nine
-    # times and often tie; the dual flow must undo tied maps in reverse order too
+def tied_model():
+    """Two maps that do not commute, on a window whose events fall on nine float times."""
     lifted = lift_duality(named_duality("psi5").transposed(), 2)
     space = lifted.s_space
     zero, ident, h = hom_values("M6")
@@ -188,11 +191,23 @@ def test_pathwise_duality_reverses_tied_events():
     assert not np.array_equal(swap.index_table()[squash.index_table()],
                               squash.index_table()[swap.index_table()])
     model = RateModel.build(space, {"squash": squash, "swap": swap}, {"squash": 0.3, "swap": 0.3})
-    window = (2.0 ** 53, 2.0 ** 53 + 16)
+    return lifted, model, (2.0 ** 53, 2.0 ** 53 + 16)
+
+
+def test_pathwise_duality_reverses_tied_events(monkeypatch):
+    # floats near 2**53 are 2 apart, so events on this window often tie; the
+    # dual flow must undo tied maps in reverse order too, and a window end
+    # that is an event time gives the "-" convention its own row
+    lifted, model, window = tied_model()
     times = [t for _, t in sample_event_stream(model, window, seed=0).events]
     assert len(set(times)) < len(times)
-    for seed in range(20):
-        assert check_pathwise_duality(model, lifted, window, seed=seed).passed
+    assert window[0] in times
+    rows = []
+    compose = ips._compose
+    monkeypatch.setattr(ips, "_compose", lambda tables, marks: rows.append(len(marks)) or compose(tables, marks))
+    reports = check_pathwise_seeds(model, lifted, window, range(20))
+    assert [r.seed for r in reports] == list(range(20)) and all(r.passed for r in reports)
+    assert 20 < rows[0] < 40
 
 
 def test_pathwise_duality_sampled_coverage():
@@ -203,8 +218,8 @@ def test_pathwise_duality_sampled_coverage():
     assert report.passed and report.pairs_checked == 4000
 
 
-def test_corrupted_dual_raises_violation():
-    lifted, model = psi5_model(2)
+def corrupted_psi5_dual(model, lifted):
+    """psi5_model's dual with one matrix entry swapped for another local homomorphism."""
     good = dual_model(model, lifted)
     homs5 = hom_values("M5")
     bad_entry = next(
@@ -212,11 +227,16 @@ def test_corrupted_dual_raises_violation():
     )
     matrix = [list(row) for row in good.entries[0].site_map.matrix]
     matrix[0][0] = bad_entry
-    corrupted = RateModel.build(
+    return RateModel.build(
         good.space,
         {"m": SiteMap.from_matrix(good.space, matrix)},
         {"m": model.entries[0].rate},
     )
+
+
+def test_corrupted_dual_raises_violation():
+    lifted, model = psi5_model(2)
+    corrupted = corrupted_psi5_dual(model, lifted)
     # this particular corruption cancels out after two applications of the
     # map, so use a window and seed realising exactly one event
     assert sample_event_stream(model, (0.0, 1.0), seed=6).n_events == 1
@@ -314,13 +334,29 @@ def built_before_the_refusal(*args, **kwargs):
 
 
 def test_pathwise_size_refusals_come_before_the_stream_and_the_dual(monkeypatch):
-    monkeypatch.setattr(ips, "sample_event_stream", built_before_the_refusal)
+    sampler = ips._stream_sampler
+    monkeypatch.setattr(ips, "_stream_sampler", built_before_the_refusal)
     monkeypatch.setattr(ips, "dual_model", built_before_the_refusal)
+    checks = [
+        lambda model, lifted, coverage: check_pathwise_duality(model, lifted, (0.0, 1.0), 1, coverage),
+        lambda model, lifted, coverage: check_pathwise_seeds(model, lifted, (0.0, 1.0), [1, 2], coverage),
+    ]
     # 3^7 x 3^7 pairs are too many to check all; 3^13 configurations are too many for one side
-    for sites, coverage, match in [(7, "exhaustive", "configuration pairs"), (13, "sampled", "one side")]:
+    for sites, coverage, match, admitted in [
+        (7, "exhaustive", "configuration pairs", 3 ** 14), (13, "sampled", "one side", 3 ** 13),
+    ]:
         lifted, model = psi5_model(sites)
-        with pytest.raises(StateSpaceTooLarge, match=match):
-            check_pathwise_duality(model, lifted, (0.0, 1.0), seed=1, coverage=coverage)
+        for check in checks:
+            with pytest.raises(StateSpaceTooLarge, match=match):
+                check(model, lifted, coverage)
+            # a budget that admits the check reaches the stream, and then the dual
+            with monkeypatch.context() as patch:
+                patch.setenv("MONODUAL_PAIR_BUDGET", str(admitted))
+                with pytest.raises(AssertionError, match="built before"):
+                    check(model, lifted, coverage)
+                patch.setattr(ips, "_stream_sampler", sampler)
+                with pytest.raises(AssertionError, match="built before"):
+                    check(model, lifted, coverage)
 
 
 def test_expectation_refuses_a_side_past_the_pair_budget(monkeypatch):
@@ -542,3 +578,89 @@ def test_a_window_whose_length_overflows_is_rejected():
     lifted, model = psi1_model(rates=(0.0,))
     with pytest.raises(WindowViolation):
         sample_event_stream(model, (-1e308, 1e308), seed=1)
+
+
+def stream_cases():
+    """(model, window, seeds) of every stream these tests and `monodual reproduce` check."""
+    cases = []
+    for name in ("psi1", "psi2", "psi5"):
+        model, _, window, seeds = _pathwise_case(name, 100)
+        cases.append((model, window, seeds))
+    _, model, window = tied_model()
+    cases.append((model, window, range(20)))
+    _, model = psi5_model(2)
+    cases += [(model, (0.0, 1.0), range(31)), (model, (0.0, 10.0), [9, 21]), (model, (0.0, 5.0), [123])]
+    _, model = psi1_model(2)
+    cases.append((model, (0.0, 10.0), [21]))
+    return cases
+
+
+def test_stream_arrays_match_the_reference_stream():
+    for model, window, seeds in stream_cases():
+        ids, sample = ips._stream_sampler(model, window)
+        for seed in seeds:
+            want = event_stream_reference(model, window, seed)
+            times, marks = sample(seed)
+            assert list(zip([ids[m] for m in marks], times.tolist())) == list(want), seed
+            assert sample_event_stream(model, window, seed).events == want, seed
+
+
+@pytest.mark.parametrize("name", ["psi1", "psi2", "psi5"])
+def test_batch_reports_equal_one_seed_reports(name):
+    model, lifted, window, seeds = _pathwise_case(name, 100)
+    dual = dual_model(model, lifted)
+    reports = check_pathwise_seeds(model, lifted, window, seeds, dual=dual)
+    assert reports == tuple(check_pathwise_duality(model, lifted, window, seed, dual=dual) for seed in seeds)
+    assert [r.seed for r in reports] == seeds
+
+
+def first_violation(check):
+    with pytest.raises(DualityViolation) as exc:
+        check()
+    return exc.value.x, exc.value.y, exc.value.stream
+
+
+def test_a_violation_at_a_later_seed_is_the_one_seed_violation():
+    lifted, model = psi5_model(2)
+    corrupted = corrupted_psi5_dual(model, lifted)
+    window, seeds = (0.0, 1.0), list(range(1, 31))
+    failing = []
+    for seed in seeds:
+        try:
+            check_pathwise_duality(model, lifted, window, seed, dual=corrupted)
+        except DualityViolation:
+            failing.append(seed)
+    assert failing and failing[0] > seeds[0]
+    want = first_violation(lambda: check_pathwise_duality(model, lifted, window, failing[0], dual=corrupted))
+    assert want[2].seed == failing[0]
+    assert first_violation(lambda: check_pathwise_seeds(model, lifted, window, seeds, dual=corrupted)) == want
+
+
+@pytest.mark.parametrize("name", ["psi1", "psi5"])
+def test_splitting_seeds_and_events_leaves_the_results(monkeypatch, name):
+    model, lifted, window, seeds = _pathwise_case(name, 100)
+    whole = check_pathwise_seeds(model, lifted, window, seeds)
+    lifted5, model5 = psi5_model(2)
+    corrupted = corrupted_psi5_dual(model5, lifted5)
+    violation = first_violation(lambda: check_pathwise_seeds(model5, lifted5, (0.0, 1.0), range(1, 31), dual=corrupted))
+    # at most six rows, three seeds, per comparison, and a few events per block
+    n_pairs = lifted.s_space.n_configs * lifted.r_space.n_configs
+    monkeypatch.setenv("MONODUAL_PAIR_BUDGET", str(6 * n_pairs))
+    monkeypatch.setattr(ips, "FLOW_CHUNK", 1000)
+    assert check_pathwise_seeds(model, lifted, window, seeds) == whole
+    assert first_violation(lambda: check_pathwise_seeds(model5, lifted5, (0.0, 1.0), range(1, 31), dual=corrupted)) == violation
+
+
+@pytest.mark.slow
+def test_a_stream_near_the_jump_budget_matches_the_reference_stream():
+    # the stream of `simulate --t-max 4.2e5 --seed 7` on tests/golden/simulate_rates.json
+    lifted = lift_duality(named_duality("psi5").transposed(), 2)
+    rates = json.loads((Path(__file__).parent / "golden" / "simulate_rates.json").read_text())
+    model = RateModel.build(
+        lifted.s_space,
+        {r["id"]: SiteMap.from_matrix(lifted.s_space, r["matrix"]) for r in rates},
+        {r["id"]: r["rate"] for r in rates},
+    )
+    events = sample_event_stream(model, (0.0, 4.2e5), seed=7).events
+    assert len(events) == 966_352
+    assert events == event_stream_reference(model, (0.0, 4.2e5), 7)

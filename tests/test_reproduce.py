@@ -24,9 +24,10 @@ def test_fresh_checkout_passes():
 def test_corrupting_one_catalog_entry_fails_exactly_its_checks(monkeypatch):
     # each label gets a copy of another table of its order: still a valid
     # monoid, wrong class.  M11, the diamond's join monoid, gets M10's, which
-    # differs only at 1 + 1.  The copied label comes first in the catalog, so
-    # lookups of its class still find it and no unrelated check moves
-    for label, copied in (("M6", "M4"), ("M11", "M10")):
+    # differs only at 1 + 1, and then M15's, which comes after it in the
+    # catalog; a check that looked the copied class up by its first catalog
+    # label would then find M11 and fail without depending on it
+    for label, copied in (("M6", "M4"), ("M11", "M10"), ("M11", "M15")):
         with monkeypatch.context() as patch:
             fake = dataclasses.replace(
                 catalog.ENTRIES[label], table=CayleyTable(catalog.MONOID_TABLES[copied])

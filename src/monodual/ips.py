@@ -12,9 +12,9 @@ identity
 holds exactly for every realisation, not just in expectation; any violation
 is an implementation bug, never noise.
 
-A stream is held as two arrays, its sorted times and the indices of its
-marks, tied times ordered by map id; the ``EventStream`` tuples are built
-only by ``sample_event_stream`` and for a violation's witness.
+An ``EventStream`` holds its sorted times and its marks, indices into the
+ids of the positive-rate maps, tied times ordered by map id; its ``cut``
+bounds the events of a sub-window under either boundary convention.
 ``check_pathwise_seeds`` checks many seeds at once: each seed's events
 under the "+" convention are one row of marks, and the "-" convention adds
 a second row only when a window end is an event time, since otherwise one
@@ -44,9 +44,7 @@ drawn, for a side with more configurations than the pair budget.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
@@ -67,6 +65,8 @@ FLOW_CHUNK = 2 ** 12
 # largest Poisson mean of one uniformisation step: exp(-50) is far from
 # underflow, and longer times are split by the semigroup property
 MAX_STEP_MEAN = 50.0
+# certified bound on the truncation error of an exact expectation
+UNIFORMISATION_TOL = 1e-12
 
 
 class WindowViolation(ValueError):
@@ -117,32 +117,37 @@ class RateModel:
         return sum(e.rate for e in self.entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventStream:
     """A finite realisation of the marked Poisson set on a time window.
 
-    Events are sorted by (time, map id); times tie only at float resolution.
+    Event i is map ``ids[marks[i]]`` at ``times[i]``; the times are sorted,
+    tie only at float resolution, and tied events are ordered by map id.
     The flow applies the events of a sub-window in this order and the dual
-    flow applies the same events in reverse, tied ones included.
+    flow applies the same events in reverse, tied ones included.  Streams
+    compare by identity, as their arrays have no single truth value.
     """
 
     window: tuple[float, float]
-    events: tuple[tuple[str, float], ...]
+    ids: tuple[str, ...]
+    times: np.ndarray
+    marks: np.ndarray
     seed: object = None
 
     def __post_init__(self):
-        object.__setattr__(self, "events", tuple(sorted(self.events, key=lambda e: (e[1], e[0]))))
-        s, u = _checked_window(self.window)
-        for _, t in self.events:
-            if not s <= t <= u:
-                raise WindowViolation(f"event time {t} outside window {self.window}")
+        _checked_window(self.window)
+
+    @property
+    def events(self) -> tuple[tuple[str, float], ...]:
+        """The (map id, time) pairs in stream order."""
+        return tuple(zip([self.ids[i] for i in self.marks.tolist()], self.times.tolist()))
 
     @property
     def n_events(self) -> int:
-        return len(self.events)
+        return len(self.times)
 
-    def events_in(self, s: float, u: float, convention: str = "+") -> tuple[tuple[str, float], ...]:
-        """The events of X[s,u] in stream order.
+    def cut(self, s: float, u: float, convention: str = "+") -> tuple[int, int]:
+        """The bounds (a, b) of the events of X[s,u]: events a to b - 1 in stream order.
 
         Convention "+" takes those with s < t <= u (right closed), "-" those
         with s <= t < u (left closed); the two differ only when s or u is an
@@ -153,9 +158,12 @@ class EventStream:
         lo, hi = self.window
         if not (lo <= s <= u <= hi):
             raise WindowViolation(f"[{s},{u}] not inside stream window [{lo},{hi}]")
-        cut = bisect_right if convention == "+" else bisect_left
-        time = itemgetter(1)
-        return self.events[cut(self.events, s, key=time):cut(self.events, u, key=time)]
+        return tuple(np.searchsorted(self.times, (s, u), side="right" if convention == "+" else "left").tolist())
+
+    def events_in(self, s: float, u: float, convention: str = "+") -> tuple[tuple[str, float], ...]:
+        """The events of X[s,u] in stream order, as `cut` bounds them."""
+        a, b = self.cut(s, u, convention)
+        return self.events[a:b]
 
 
 def _checked_window(window) -> tuple[float, float]:
@@ -185,17 +193,18 @@ def _mark_lookup(model: RateModel):
     return active, lambda u: np.searchsorted(bounds, u, side="right")
 
 
-def _expected_jumps(model: RateModel, span: float) -> float:
-    """lambda * span, the mean jump count of one path; SizeBudgetExceeded past the pair budget."""
+def _expected_jumps(model: RateModel, span: float, paths: int = 1) -> float:
+    """lambda * span, the mean jump count of one path; SizeBudgetExceeded when `paths` such paths
+    (Monte-Carlo replicates, or the states of an exact expectation) exceed the pair budget."""
     lam = model.total_rate * span
-    if lam > pair_budget():
-        raise SizeBudgetExceeded(f"{lam:.6g} expected jumps exceed the budget of {pair_budget()}")
+    if paths * lam > pair_budget():
+        raise SizeBudgetExceeded(f"{paths} path(s) of {lam:.6g} expected jumps exceed the budget of {pair_budget()}")
     return lam
 
 
 def _stream_sampler(model: RateModel, window: tuple[float, float]):
-    """The ids of the positive-rate maps, and a function from a seed to its stream on `window`:
-    sorted times, and marks indexing those ids.
+    """The ids of the positive-rate maps, and a function from a seed to its EventStream on `window`,
+    whose marks index those ids.
 
     Marked Poisson sampling, count first: the number of events is Poisson
     with mean total rate times window length; given the count, the times are
@@ -205,10 +214,10 @@ def _stream_sampler(model: RateModel, window: tuple[float, float]):
     s, u = window
     lam = _expected_jumps(model, u - s)
     active, lookup = _mark_lookup(model)
-    ids = [e.map_id for e in active]
+    ids = tuple(e.map_id for e in active)
     id_rank = np.array([sorted(ids).index(i) for i in ids])
 
-    def sample(seed) -> tuple[np.ndarray, np.ndarray]:
+    def sample(seed) -> EventStream:
         rng = np.random.default_rng(seed)
         n = rng.poisson(lam)
         times = np.sort(rng.uniform(s, u, n))
@@ -216,17 +225,14 @@ def _stream_sampler(model: RateModel, window: tuple[float, float]):
         if (times[1:] == times[:-1]).any():  # a stable sort of sorted times moves only the ties
             order = np.lexsort((id_rank[marks], times))
             times, marks = times[order], marks[order]
-        return times, marks
+        return EventStream(window, ids, times, marks, seed)
 
     return ids, sample
 
 
 def sample_event_stream(model: RateModel, window: tuple[float, float], seed) -> EventStream:
     """The event stream of `seed` on `window`, the same draws as every pathwise check of that seed."""
-    window = _checked_window(window)
-    ids, sample = _stream_sampler(model, window)
-    times, marks = sample(seed)
-    return EventStream(window=window, events=tuple(zip([ids[i] for i in marks.tolist()], times.tolist())), seed=seed)
+    return _stream_sampler(model, _checked_window(window))[1](seed)
 
 
 def _compose_pairs(block: np.ndarray) -> np.ndarray:
@@ -271,12 +277,11 @@ def _table_stack(model: RateModel, ids) -> np.ndarray:
     return np.stack([maps[i].index_table() for i in ids] + [np.arange(model.space.n_configs)])
 
 
-def flow_index_table(model: RateModel, events) -> np.ndarray:
-    """The maps of `events` composed in the order given, as an index table over every configuration."""
-    ids = [e.map_id for e in model.entries]
-    position = {map_id: i for i, map_id in enumerate(ids)}
-    marks = np.array([[position[map_id] for map_id, _t in events]], dtype=np.intp)
-    return _compose(_table_stack(model, ids), marks)[0]
+def flow_index_table(model: RateModel, stream: EventStream, s: float, u: float, convention: str = "+") -> np.ndarray:
+    """X[s,u] of `stream` as an index table over every configuration: the model's maps of the
+    events `stream.cut` takes, composed in stream order."""
+    a, b = stream.cut(s, u, convention)
+    return _compose(_table_stack(model, stream.ids), stream.marks[None, a:b])[0]
 
 
 def _check_sides(lifted: LiftedDuality) -> None:
@@ -342,9 +347,9 @@ def check_pathwise_seeds(
     Exhaustive coverage checks every configuration pair; sampled coverage
     draws n_samples index pairs per seed and looks their images up in the
     flows' index tables.  Raises DualityViolation at the first seed that
-    fails, with the pair a one-seed check would report, and
-    StateSpaceTooLarge before any stream or dual is built when a side, or
-    for exhaustive coverage the pairs, exceed the pair budget.
+    fails, with the pair a one-seed check would report and the stream it
+    composed, and StateSpaceTooLarge before any stream or dual is built
+    when a side, or for exhaustive coverage the pairs, exceed the pair budget.
     """
     if coverage not in ("exhaustive", "sampled"):
         raise ValueError("coverage must be 'exhaustive' or 'sampled'")
@@ -372,14 +377,12 @@ def check_pathwise_seeds(
     per_chunk = max(1, rows_at_once // 2)  # seeds; each gives one or two rows
     reports = []
     for lo in range(0, len(seeds), per_chunk):
-        chunk = seeds[lo:lo + per_chunk]
-        rows, owner, n_events = [], [], []
-        for i, seed in enumerate(chunk):
-            times, marks = sample(seed)
-            n_events.append(len(times))
+        streams = [sample(seed) for seed in seeds[lo:lo + per_chunk]]
+        rows, owner = [], []
+        for i, stream in enumerate(streams):
             # the "+" cut, then the "-" cut unless it takes the same events
-            for a, b in dict.fromkeys(tuple(np.searchsorted(times, window, side=side)) for side in ("right", "left")):
-                rows.append(marks[a:b])
+            for a, b in dict.fromkeys(stream.cut(*window, convention) for convention in "+-"):
+                rows.append(stream.marks[a:b])
                 owner.append(i)
         # the identity, last in each stack, pads the rows to one length
         padded = np.full((len(rows), max(map(len, rows))), len(ids), dtype=np.min_scalar_type(len(ids)))
@@ -388,7 +391,7 @@ def check_pathwise_seeds(
         X = _compose(fwd, padded)
         Y = _compose(back, padded[:, ::-1])  # the identity commutes, so padding may lead
         if not exhaustive:
-            draws = [np.random.default_rng((chunk[i], 2)) for i in owner]
+            draws = [np.random.default_rng((streams[i].seed, 2)) for i in owner]
             xi = np.stack([rng.integers(ssp.n_configs, size=n_samples) for rng in draws])
             yi = np.stack([rng.integers(rsp.n_configs, size=n_samples) for rng in draws])
         for r0 in range(0, len(rows), rows_at_once):
@@ -400,18 +403,18 @@ def check_pathwise_seeds(
                 hit = identity_holds(lifted, np.take_along_axis(X[part], xs, 1),
                                      np.take_along_axis(Y[part], ys, 1), pairs=(xs, ys))
             if hit is not None:
-                raise DualityViolation(*hit[1:], sample_event_stream(model, window, chunk[owner[r0 + hit[0][0]]]))
+                raise DualityViolation(*hit[1:], streams[owner[r0 + hit[0][0]]])
         reports += [
             PathwiseReport(
-                seed=seed,
+                seed=stream.seed,
                 window=window,
-                n_events=n,
+                n_events=stream.n_events,
                 coverage=coverage,
                 pairs_checked=2 * per_row,
                 conventions=("+-", "-+"),
                 passed=True,
             )
-            for seed, n in zip(chunk, n_events)
+            for stream in streams
         ]
     return tuple(reports)
 
@@ -518,11 +521,7 @@ def estimate_expectation_duality(
     f_rhs, y_idx = _embedded_values(lifted, x, y, "r")
     dmodel = dual_model(model, lifted) if dual is None else dual
     for m in (model, dmodel):
-        lam = _expected_jumps(m, t)
-        if replicates * lam > pair_budget():
-            raise SizeBudgetExceeded(
-                f"{replicates} replicates of {lam:.6g} expected jumps exceed the budget of {pair_budget()}"
-            )
+        _expected_jumps(m, t, replicates)
     lhs, lhs_se = _mc_side(model, f_lhs, x_idx, t, replicates, seed, 0)
     rhs, rhs_se = _mc_side(dmodel, f_rhs, y_idx, t, replicates, seed, 1)
     comb = math.hypot(*(
@@ -570,7 +569,6 @@ def exact_semigroup_expectation(
     x,
     y,
     t: float,
-    tol: float = 1e-12,
     evolving: str = "s",
 ) -> float:
     """E[Psi(X_t, y)] by uniformisation of the finite-state jump chain.
@@ -578,27 +576,22 @@ def exact_semigroup_expectation(
     Time is split by the semigroup property, P_t = (P_{t/m})^m, with the
     smallest m that keeps each step's Poisson mean at most MAX_STEP_MEAN.
     Each step's series over jump counts is truncated as soon as its remaining
-    Poisson tail mass times max|f| drops below tol/m; the steps are sup-norm
-    contractions, so the total truncation error is certified below tol.  With
+    Poisson tail mass times max|f| drops below UNIFORMISATION_TOL/m; the steps
+    are sup-norm contractions, so the total truncation error is certified
+    below UNIFORMISATION_TOL.  With
     evolving="r", the model must act on the R side and the roles of x and y
     swap (the second argument evolves from y).  States times expected jumps
     past the pair budget raise SizeBudgetExceeded before anything is built.
     """
     if evolving not in ("s", "r"):
         raise ValueError("evolving must be 's' or 'r'")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
     t = _checked_time(t)
     space = lifted.s_space if evolving == "s" else lifted.r_space
     if model.space != space:
         raise ValueError("model does not act on the evolving side")
     if space.n_configs > MAX_EXACT_STATES:
         raise StateSpaceTooLarge(f"{space.n_configs} states exceed {MAX_EXACT_STATES}")
-    lam = _expected_jumps(model, t)
-    if space.n_configs * lam > pair_budget():
-        raise SizeBudgetExceeded(
-            f"{space.n_configs} states times {lam:.6g} expected jumps exceed the budget of {pair_budget()}"
-        )
+    lam = _expected_jumps(model, t, space.n_configs)
     values, start = _embedded_values(lifted, x, y, evolving)
     if lam == 0.0:
         return float(values[start])
@@ -608,5 +601,5 @@ def exact_semigroup_expectation(
     steps = max(1, math.ceil(lam / MAX_STEP_MEAN))
     v = values
     for _ in range(steps):
-        v = _uniformisation_step(v, arrs, weights, lam / steps, fmax, tol / steps)
+        v = _uniformisation_step(v, arrs, weights, lam / steps, fmax, UNIFORMISATION_TOL / steps)
     return float(v[start])

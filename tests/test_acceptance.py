@@ -220,9 +220,9 @@ def test_criterion_09_expectation_duality():
     x, y, t = (1, 2), (1, 0), 1.0
     est = estimate_expectation_duality(model, lifted, x, y, t, 100_000, seed=2718)
     ok = abs(est.lhs - est.rhs) <= 4.0 * est.combined_stderr
-    exact_lhs = exact_semigroup_expectation(model, lifted, x, y, t, tol=1e-12)
+    exact_lhs = exact_semigroup_expectation(model, lifted, x, y, t)
     exact_rhs = exact_semigroup_expectation(
-        dual_model(model, lifted), lifted, x, y, t, tol=1e-12, evolving="r"
+        dual_model(model, lifted), lifted, x, y, t, evolving="r"
     )
     ok &= abs(est.lhs - exact_lhs) <= 1e-9 + 4.0 * est.lhs_stderr
     ok &= abs(est.rhs - exact_rhs) <= 1e-9 + 4.0 * est.rhs_stderr
@@ -231,7 +231,7 @@ def test_criterion_09_expectation_duality():
     ok &= tuple(idem[idem[v]] for v in range(3)) == idem
     lam = 0.7
     single = RateModel.build(space, {"i": SiteMap.diagonal(space, idem)}, {"i": lam})
-    uni = exact_semigroup_expectation(single, lifted, x, y, t, tol=1e-12)
+    uni = exact_semigroup_expectation(single, lifted, x, y, t)
     p = math.exp(-lam * t)
     closed = p * lifted.evaluate_embedded(x, y) + (1.0 - p) * lifted.evaluate_embedded(
         single.entries[0].site_map.apply(x), y

@@ -107,7 +107,7 @@ def test_mark_frequencies_match_rate_shares():
 
 def flow(model, stream, x, s, u, convention="+"):
     """X[s,u](x) read off the composed index table."""
-    table = flow_index_table(model, stream.events_in(s, u, convention))
+    table = flow_index_table(model, stream, s, u, convention)
     return model.space.config_of(table[model.space.index_of(x)])
 
 
@@ -130,7 +130,7 @@ def test_apply_flow_identity_on_empty_window():
 
 def test_apply_flow_single_event():
     lifted, model = psi1_model()
-    stream = EventStream(window=(0.0, 2.0), events=(("spread", 1.0),))
+    stream = EventStream(window=(0.0, 2.0), ids=("spread",), times=np.array([1.0]), marks=np.array([0]))
     for conv in ("+", "-"):
         assert flow(model, stream, (1, 0), 0.0, 2.0, conv) == (1, 1)
 
@@ -146,7 +146,7 @@ def test_apply_flow_window_violation():
 
 def test_boundary_conventions_differ_only_at_event_times():
     _, model = psi1_model()
-    stream = EventStream(window=(0.0, 4.0), events=(("spread", 1.0), ("spread", 3.0)))
+    stream = EventStream(window=(0.0, 4.0), ids=("spread",), times=np.array([1.0, 3.0]), marks=np.array([0, 0]))
     x = (1, 0)
     # sub-window cut exactly at the first event time
     assert flow(model, stream, x, 0.0, 1.0, "+") == (1, 1)   # (0, 1] includes it
@@ -167,8 +167,10 @@ def test_cocycle_property(seed, t_mid, t_end):
         first = stream.events_in(0.0, t_mid, conv)
         second = stream.events_in(t_mid, t_end, conv)
         whole = stream.events_in(0.0, t_end, conv)
-        table = flow_index_table(model, whole)
-        assert np.array_equal(flow_index_table(model, second)[flow_index_table(model, first)], table)
+        table = flow_index_table(model, stream, 0.0, t_end, conv)
+        head = flow_index_table(model, stream, 0.0, t_mid, conv)
+        tail = flow_index_table(model, stream, t_mid, t_end, conv)
+        assert np.array_equal(tail[head], table)
         for i, xs in enumerate(space.configs()):
             two_step = apply_events(model, second, apply_events(model, first, xs))
             assert two_step == apply_events(model, whole, xs) == space.config_of(table[i])
@@ -296,10 +298,10 @@ def test_expectation_sides_agree_and_match_uniformisation():
     x, y, t = (1, 2), (1, 0), 1.0
     est = estimate_expectation_duality(model, lifted, x, y, t, 20_000, seed=77)
     assert est.consistent
-    exact = exact_semigroup_expectation(model, lifted, x, y, t, tol=1e-12)
+    exact = exact_semigroup_expectation(model, lifted, x, y, t)
     assert abs(est.lhs - exact) <= 1e-9 + 4 * est.lhs_stderr
     dm = dual_model(model, lifted)
-    exact_r = exact_semigroup_expectation(dm, lifted, x, y, t, tol=1e-12, evolving="r")
+    exact_r = exact_semigroup_expectation(dm, lifted, x, y, t, evolving="r")
     assert abs(exact - exact_r) <= 2e-12
     assert abs(est.rhs - exact_r) <= 1e-9 + 4 * est.rhs_stderr
 
@@ -314,7 +316,7 @@ def test_uniformisation_time_zero_and_closed_form():
     model = RateModel.build(space, {"i": SiteMap.diagonal(space, idem)}, {"i": lam})
     x, y = (1, 1), (1, 2)
     assert exact_semigroup_expectation(model, lifted, x, y, 0.0) == lifted.evaluate_embedded(x, y)
-    got = exact_semigroup_expectation(model, lifted, x, y, t, tol=1e-12)
+    got = exact_semigroup_expectation(model, lifted, x, y, t)
     p = math.exp(-lam * t)
     m = model.entries[0].site_map
     want = p * lifted.evaluate_embedded(x, y) + (1 - p) * lifted.evaluate_embedded(m.apply(x), y)
@@ -378,7 +380,7 @@ def test_mc_agrees_with_uniformisation_across_seeds():
     # four-standard-error agreement should hold for nearly every seed
     lifted, model = psi5_model(2)
     x, y, t = (1, 2), (1, 0), 1.0
-    exact = exact_semigroup_expectation(model, lifted, x, y, t, tol=1e-12)
+    exact = exact_semigroup_expectation(model, lifted, x, y, t)
     hits = 0
     for seed in range(10):
         est = estimate_expectation_duality(model, lifted, x, y, t, 2000, seed=(300, seed))
@@ -402,7 +404,7 @@ def test_non_finite_windows_are_rejected(window):
     with pytest.raises(WindowViolation):
         sample_event_stream(model, window, seed=1)
     with pytest.raises(WindowViolation):
-        EventStream(window=window, events=())
+        EventStream(window=window, ids=(), times=np.empty(0), marks=np.empty(0, dtype=np.intp))
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
@@ -413,13 +415,6 @@ def test_expectations_reject_a_non_finite_or_negative_time(t):
         estimate_expectation_duality(model, lifted, x, y, t, 10, seed=7)
     with pytest.raises(ValueError):
         exact_semigroup_expectation(model, lifted, x, y, t)
-
-
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
-def test_uniformisation_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
-    lifted, model = psi5_model(2)
-    with pytest.raises(ValueError):
-        exact_semigroup_expectation(model, lifted, (1, 2), (1, 0), 1.0, tol=tol)
 
 
 @pytest.mark.parametrize("n", [0, -3])
@@ -441,7 +436,7 @@ def test_uniformisation_closed_form_at_large_lambda_t():
     assert lifted.evaluate_embedded(x, y) != lifted.evaluate_embedded(m.apply(x), y)
     p = math.exp(-lam * t)
     want = p * lifted.evaluate_embedded(x, y) + (1 - p) * lifted.evaluate_embedded(m.apply(x), y)
-    got = exact_semigroup_expectation(model, lifted, x, y, t, tol=1e-12)
+    got = exact_semigroup_expectation(model, lifted, x, y, t)
     assert abs(got - want) <= 1e-9
 
 
@@ -496,7 +491,7 @@ def test_mc_on_a_multi_map_model_matches_uniformisation():
     lifted, model = _pathwise_model("psi5", 3)
     x, y, t = (1, 1, 2), (1, 1, 0), 1.0
     est = estimate_expectation_duality(model, lifted, x, y, t, 20_000, seed=3141)
-    exact = exact_semigroup_expectation(model, lifted, x, y, t, tol=1e-12)
+    exact = exact_semigroup_expectation(model, lifted, x, y, t)
     assert est.consistent
     assert abs(est.lhs - exact) <= 1e-9 + 4 * est.lhs_stderr
     assert abs(est.rhs - exact) <= 1e-9 + 4 * est.rhs_stderr
@@ -506,9 +501,9 @@ def test_mc_at_large_lambda_t_matches_certified_uniformisation():
     lifted, model = psi5_model(2, rate=1000.0)
     x, y, t = (1, 2), (1, 0), 1.0
     est = estimate_expectation_duality(model, lifted, x, y, t, 300, seed=41)
-    exact = exact_semigroup_expectation(model, lifted, x, y, t, tol=1e-12)
+    exact = exact_semigroup_expectation(model, lifted, x, y, t)
     dm = dual_model(model, lifted)
-    exact_r = exact_semigroup_expectation(dm, lifted, x, y, t, tol=1e-12, evolving="r")
+    exact_r = exact_semigroup_expectation(dm, lifted, x, y, t, evolving="r")
     assert abs(exact - exact_r) <= 2e-12
     assert abs(est.lhs - exact) <= 1e-9 + 4 * est.lhs_stderr
     assert abs(est.rhs - exact_r) <= 1e-9 + 4 * est.rhs_stderr
@@ -600,8 +595,9 @@ def test_stream_arrays_match_the_reference_stream():
         ids, sample = ips._stream_sampler(model, window)
         for seed in seeds:
             want = event_stream_reference(model, window, seed)
-            times, marks = sample(seed)
-            assert list(zip([ids[m] for m in marks], times.tolist())) == list(want), seed
+            stream = sample(seed)
+            assert stream.ids == ids and stream.seed == seed
+            assert list(zip([ids[m] for m in stream.marks], stream.times.tolist())) == list(want), seed
             assert sample_event_stream(model, window, seed).events == want, seed
 
 
@@ -615,25 +611,48 @@ def test_batch_reports_equal_one_seed_reports(name):
 
 
 def first_violation(check):
+    """The pair, seed and events of the DualityViolation `check` raises; streams compare by identity."""
     with pytest.raises(DualityViolation) as exc:
         check()
-    return exc.value.x, exc.value.y, exc.value.stream
+    return exc.value.x, exc.value.y, exc.value.stream.seed, exc.value.stream.events
+
+
+def failing_seeds(model, lifted, window, seeds, dual):
+    """The seeds whose one-seed check raises DualityViolation."""
+    failing = []
+    for seed in seeds:
+        try:
+            check_pathwise_duality(model, lifted, window, seed, dual=dual)
+        except DualityViolation:
+            failing.append(seed)
+    return failing
 
 
 def test_a_violation_at_a_later_seed_is_the_one_seed_violation():
     lifted, model = psi5_model(2)
     corrupted = corrupted_psi5_dual(model, lifted)
     window, seeds = (0.0, 1.0), list(range(1, 31))
-    failing = []
-    for seed in seeds:
-        try:
-            check_pathwise_duality(model, lifted, window, seed, dual=corrupted)
-        except DualityViolation:
-            failing.append(seed)
+    failing = failing_seeds(model, lifted, window, seeds, corrupted)
     assert failing and failing[0] > seeds[0]
     want = first_violation(lambda: check_pathwise_duality(model, lifted, window, failing[0], dual=corrupted))
-    assert want[2].seed == failing[0]
+    assert want[2] == failing[0]
     assert first_violation(lambda: check_pathwise_seeds(model, lifted, window, seeds, dual=corrupted)) == want
+
+
+def test_a_violation_carries_the_stream_the_batch_checked(monkeypatch):
+    # the witness is the stream the batch composed, not a second draw of its seed
+    lifted, model = psi5_model(2)
+    corrupted = corrupted_psi5_dual(model, lifted)
+    window, seeds = (0.0, 1.0), range(1, 31)
+    with monkeypatch.context() as patch:
+        patch.setattr(ips, "sample_event_stream", lambda *args: pytest.fail("the check drew a stream twice"))
+        with pytest.raises(DualityViolation) as exc:
+            check_pathwise_seeds(model, lifted, window, seeds, dual=corrupted)
+    stream = exc.value.stream
+    failing = failing_seeds(model, lifted, window, seeds, corrupted)[0]
+    want = sample_event_stream(model, window, failing)
+    assert stream.seed == want.seed == failing and stream.window == want.window
+    assert stream.n_events > 0 and stream.events == want.events
 
 
 @pytest.mark.parametrize("name", ["psi1", "psi5"])

@@ -15,6 +15,16 @@ beats it: ``compare_image(t, t, g)`` walks the positions in row-major order,
 and the first position where g(t) and t differ has both entries set and g(t)
 smaller there, and every earlier position has both entries set and equal.
 
+A node checks the law only where the cell it has just set can change the
+verdict: ``associativity_holds_at`` and ``distributivity_holds_at`` check the
+instances in that cell's row or column, which include every instance that
+reads it.  So each instance is checked at the node that sets the last cell it
+reads, or at the root, where the law's full witness runs once for the
+instances whose reads are all pinned: for semirings, the rows and columns of
+0 and of the unit, which alone can rule out a unit.  A walk that stopped at
+a free cell resumes there at the child nodes, since set entries never change
+on a subtree.
+
 No canonical table is cut.  Its partial tables satisfy every law instance
 they can read, and if g beat one of them, g would beat every completion of it
 on the same positions, the canonical table included, which would then not be
@@ -24,14 +34,15 @@ member of its orbit is smaller.  Each orbit thus yields exactly one table.
 The semiring filler runs once per choice of the unit, whose row and column
 it pins too; a canonical table is a completion in the one run for its unit.
 An element g that is found larger at some node stays larger on the whole
-subtree, since set entries never change; only the undecided ones are carried
-down.  Complete tables are re-checked for associativity in full: the partial
-checks are a pruning device, the full check is the correctness argument.
+subtree, so only the undecided ones are carried down.  Complete tables are
+re-checked for associativity in full: the partial checks are a pruning
+device, the full check is the correctness argument.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .algebra import Monoid, Semiring, automorphisms, validate_semiring
 from . import catalog
@@ -39,9 +50,11 @@ from .tables import (
     CayleyTable,
     Rows,
     absorbing_of,
+    associativity_holds_at,
     associativity_witness,
     class_group,
     compare_image,
+    distributivity_holds_at,
     distributivity_witness,
     is_commutative,
     relabelings_fixing,
@@ -72,12 +85,14 @@ class EnumerationReport:
         }
 
 
-def _orderly(t, cells, law, group):
+def _orderly(t, cells, law, law_at, group):
     """The completions of the partial table t (None marks a free entry) that
     are least in their orbit under ``group`` (see the module docstring).
 
     ``cells`` are the free cells in row-major order, each a tuple of positions
-    that take one value together.  ``law(t)`` is the partial law check.
+    that take one value together, the first of them (i, j) the one the law
+    is checked at.  ``law(t)`` is the law's witness, run once on t, and
+    ``law_at(t, i, j)`` checks the law instances that read (i, j).
     """
     n = len(t)
 
@@ -87,24 +102,27 @@ def _orderly(t, cells, law, group):
             if associativity_witness(rows) is None:
                 yield rows
             return
+        cell = cells[k]
+        i0, j0 = cell[0]
         for v in range(n):
-            for i, j in cells[k]:
+            for i, j in cell:
                 t[i][j] = v
-            if not law(t):
+            if not law_at(t, i0, j0):
                 continue
             undecided = []
-            for g in live:
-                s = compare_image(t, t, g)
+            for g, start in live:
+                s, stop = compare_image(t, t, g, start)
                 if s < 0:
                     break
                 if s == 0:
-                    undecided.append(g)
+                    undecided.append((g, stop))
             else:
                 yield from rec(k + 1, undecided)
-        for i, j in cells[k]:
+        for i, j in cell:
             t[i][j] = None
 
-    yield from rec(0, group)
+    if law(t) is None:
+        yield from rec(0, [(g, 0) for g in group])
 
 
 def _fill_monoid_tables(n: int, commutative: bool):
@@ -118,11 +136,13 @@ def _fill_monoid_tables(n: int, commutative: bool):
         t[0][x] = x
         t[x][0] = x
     if commutative:
+        # the law is checked at (i, j) only: an instance (x, y, z) that reads
+        # (j, i) fails with its mirror (z, y, x), which reads (i, j)
         cells = [((i, j), (j, i)) for i in range(1, n) for j in range(i, n)]
     else:
         cells = [((i, j),) for i in range(1, n) for j in range(1, n)]
     group = class_group(relabelings_fixing(0, n), opposite=not commutative)
-    yield from _orderly(t, cells, lambda rows: associativity_witness(rows) is None, group)
+    yield from _orderly(t, cells, associativity_witness, associativity_holds_at, group)
 
 
 def _report(order: int, reps: list[Rows], labels) -> EnumerationReport:
@@ -187,7 +207,8 @@ def _semiring_multiplications(add_rows: Rows, auts):
             t[unit][x] = x
             t[x][unit] = x
         free = [((i, j),) for i in range(1, n) for j in range(1, n) if unit not in (i, j)]
-        yield from _orderly(t, free, lambda mul: distributivity_witness(add_rows, mul) is None, group)
+        yield from _orderly(t, free, partial(distributivity_witness, add_rows),
+                            partial(distributivity_holds_at, add_rows), group)
 
 
 def enumerate_semiring_multiplications(add: Monoid) -> list[SemiringClass]:

@@ -17,7 +17,11 @@ when f(g + y) = f(g) + f(y) for every generator g and every y, which with
 f(0) = 0 is exact: by induction on word length, f(g1 + ... + gk + y) =
 f(g1) + ... + f(gk) + f(y), using associativity only.  The test suite holds
 this against the search that re-checks all argument pairs and against the
-plain filter over all |T|^|S| value tables.
+plain filter over all |T|^|S| value tables.  Each pair of tables is searched
+once per process: the maps are memoised by the contents of the two monoids,
+as the search plan is, so ``hom_set``, the census, the reflexivity test and
+``verify_duality`` share them.  The memo keeps the value tables only, not the
+``Hom`` objects or the addition tables built from them.
 
 The four conditions are checked in one place, ``check_pairing``; given the
 table, ``verify_duality`` searches both hom sets for it.  The quadruple
@@ -228,11 +232,19 @@ def _all_homs(source: Monoid, target: Monoid) -> list[tuple[int, ...]]:
     return homs
 
 
-def hom_set(source: Monoid, target: Monoid) -> AdjointMonoid:
-    """Every homomorphism source -> target; the addition table is built on first read."""
+@cache
+def _hom_values(source: Monoid, target: Monoid) -> tuple[tuple[int, ...], ...]:
+    """``_all_homs`` into a commutative target, searched once per pair of
+    tables: monoids are keyed by their contents, and only the value tables
+    are kept."""
     if not target.is_commutative():
         raise ValueError("the target monoid must be commutative")
-    return AdjointMonoid(source, target, tuple(Hom(source, target, h) for h in _all_homs(source, target)))
+    return tuple(_all_homs(source, target))
+
+
+def hom_set(source: Monoid, target: Monoid) -> AdjointMonoid:
+    """Every homomorphism source -> target; the addition table is built on first read."""
+    return AdjointMonoid(source, target, tuple(Hom(source, target, h) for h in _hom_values(source, target)))
 
 
 def is_reflexive(source: Monoid, target: Monoid) -> bool:
@@ -244,11 +256,11 @@ def is_reflexive(source: Monoid, target: Monoid) -> bool:
     return _reflexive(hom_set(source, target)) is not None
 
 
-def _reflexive(adj: AdjointMonoid) -> list[tuple[int, ...]] | None:
+def _reflexive(adj: AdjointMonoid) -> tuple[tuple[int, ...], ...] | None:
     """The double adjoint's maps H(H(S, T), T) if S is T-reflexive, else None, for an adjoint already computed."""
     if len(set(zip(*adj.values()))) != adj.source.order:
         return None
-    double = _all_homs(adj.monoid(), adj.target)
+    double = _hom_values(adj.monoid(), adj.target)
     return double if len(double) == adj.source.order else None
 
 

@@ -96,23 +96,24 @@ def _labels_of_order(n: int) -> list[str]:
     return [lab for lab in catalog.M_LABELS if catalog.ENTRIES[lab].table.order == n]
 
 
-def check_monoid_counts() -> CheckResult:
+def check_monoid_counts(monoids=enumerate_commutative_monoids) -> CheckResult:
+    """`monoids(n)` enumerates order n; `reproduce_all` passes one shared per run."""
     orders = sorted(EXPECTED_COUNTS)
     return _check(
         "commutative-monoid-counts",
         (),
         [EXPECTED_COUNTS[n] for n in orders],
-        lambda: [enumerate_commutative_monoids(n).count for n in orders],
+        lambda: [monoids(n).count for n in orders],
     )
 
 
-def check_catalog_bijection(order: int) -> CheckResult:
+def check_catalog_bijection(order: int, monoids=enumerate_commutative_monoids) -> CheckResult:
     expected = sorted(_labels_of_order(order))
     return _check(
         f"catalog-bijection-order-{order}",
         expected,
         expected,
-        lambda: sorted(enumerate_commutative_monoids(order).catalog_labels or ()),
+        lambda: sorted(monoids(order).catalog_labels or ()),
     )
 
 
@@ -140,6 +141,10 @@ def _census():
     return tuple(find_all_duality_quadruples(4))
 
 
+def _classes(census=_census):
+    return reduce_duality_quadruples(census())
+
+
 def check_duality_census(census=_census) -> CheckResult:
     """`census` returns the quadruple census; `reproduce_all` passes one shared per run."""
 
@@ -159,12 +164,14 @@ def check_duality_census(census=_census) -> CheckResult:
     )
 
 
-def check_duality_reduction(census=_census) -> CheckResult:
+def check_duality_reduction(classes=_classes) -> CheckResult:
+    """`classes` returns the census's reduction; `reproduce_all` passes one shared per run."""
+
     def compute():
-        classes = reduce_duality_quadruples(census())
+        reduced = classes()
         return {
-            "classes": len(classes),
-            "names": sorted(c.matched_name for c in classes),
+            "classes": len(reduced),
+            "names": sorted(c.matched_name for c in reduced),
         }
 
     return _check(
@@ -256,7 +263,7 @@ def check_f4_nonlinear_count() -> CheckResult:
     )
 
 
-def check_lattice_bridge(census=_census) -> CheckResult:
+def check_lattice_bridge(classes=_classes) -> CheckResult:
     # each lattice as its join monoid
     lattices = {
         "2-chain": ("M1", "psi1"),
@@ -270,9 +277,8 @@ def check_lattice_bridge(census=_census) -> CheckResult:
             name: match_named_duality(lattice_duality_function(catalog.monoid(label)))
             for name, (label, _) in lattices.items()
         }
-        classes = reduce_duality_quadruples(census())
         into_m1 = sorted(
-            c.matched_name for c in classes if c.representative.t_label == "M1"
+            c.matched_name for c in classes() if c.representative.t_label == "M1"
         )
         return {"matched": matched, "classes_into_M1": into_m1}
 
@@ -429,13 +435,16 @@ def check_expectation_psi5(replicates: int = 100_000) -> CheckResult:
 
 def reproduce_all(pathwise_seeds: int = 100, replicates: int = 100_000) -> ReproductionManifest:
     """Run every reproduction check and collect the manifest."""
-    census = functools.cache(_census)  # computed once per run, by the first check that needs it
-    checks = [check_monoid_counts()]
-    checks += [check_catalog_bijection(n) for n in (1, 2, 3, 4)]
+    # computed once per run, by the first check that needs them
+    monoids = functools.cache(enumerate_commutative_monoids)
+    census = functools.cache(_census)
+    classes = functools.cache(functools.partial(_classes, census))
+    checks = [check_monoid_counts(monoids)]
+    checks += [check_catalog_bijection(n, monoids) for n in (1, 2, 3, 4)]
     checks += [check_catalog_rendering()]
-    checks += [check_duality_census(census), check_duality_reduction(census)]
+    checks += [check_duality_census(census), check_duality_reduction(classes)]
     checks += [check_semiring_census(lab) for lab in catalog.M_LABELS if lab != "M0"]
-    checks += [check_absorbing_monoids(), check_f4_nonlinear_count(), check_lattice_bridge(census)]
+    checks += [check_absorbing_monoids(), check_f4_nonlinear_count(), check_lattice_bridge(classes)]
     checks += [check_dual_map_psi5()]
     checks += [check_pathwise(name, seeds=pathwise_seeds) for name in ("psi1", "psi2", "psi5")]
     checks += [check_expectation_psi5(replicates=replicates)]

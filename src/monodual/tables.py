@@ -4,7 +4,9 @@ A table of order n is a tuple of n tuples of ints in 0..n-1, so tables are
 hashable and usable as dict keys / set members directly.  Each law has one
 witness function, returning its first failing tuple in lex order or None.  In
 a partial table (lists, None for a free cell) a law instance counts once all
-it reads is set, which is how the enumeration fillers prune.  A class of
+it reads is set.  ``associativity_holds_at`` and ``distributivity_holds_at``
+check only the instances that may read one cell, which is how the
+enumeration fillers prune.  A class of
 tables is an orbit under a ``class_group``, and its canonical table is its
 least member in row-major lex order.  ``compare_image`` is the one walk that
 orders an image g(t) against a reference table; ``least_image`` and the
@@ -142,6 +144,38 @@ def associativity_witness(rows):
     return None
 
 
+def associativity_holds_at(rows, i, j) -> bool:
+    """Whether every instance (x, y, z) with x = i or z = j holds, counting an
+    instance once all it reads is set.  Its reads x*y, y*z, (x*y)*z and
+    x*(y*z) each lie in row x or in column z, so every instance that reads
+    the cell (i, j) is among these."""
+    rng = range(len(rows))
+    rowi = rows[i]
+    for y in rng:
+        iy = rowi[y]
+        if iy is None:
+            continue
+        rowiy, rowy = rows[iy], rows[y]
+        for z in rng:
+            yz = rowy[z]
+            if yz is None:
+                continue
+            left, right = rowiy[z], rowi[yz]
+            if left != right and left is not None and right is not None:
+                return False
+    colj = [row[j] for row in rows]
+    for x in rng:
+        rowx = rows[x]
+        for y in rng:
+            xy, yj = rowx[y], colj[y]
+            if xy is None or yj is None:
+                continue
+            left, right = colj[xy], rowx[yj]
+            if left != right and left is not None and right is not None:
+                return False
+    return True
+
+
 def distributivity_witness(add, mul):
     """The first (x, y, z, side) where mul fails to distribute over the complete add.
 
@@ -160,6 +194,36 @@ def distributivity_witness(add, mul):
                 if v is not None and a is not None and b is not None and v != add[a][b]:
                     return x, y, z, "right"
     return None
+
+
+def distributivity_holds_at(add, mul, i, j) -> bool:
+    """Whether every left instance with x = i and every right instance with
+    z = j holds, counting an instance once all it reads of mul is set.  The
+    left law x*(y+z) = x*y + x*z reads mul in row x only, the right law
+    (x+y)*z = x*z + y*z in column z only, so every instance that reads the
+    cell (i, j) is among these."""
+    rng = range(len(add))
+    mi = mul[i]
+    for y in rng:
+        a = mi[y]
+        if a is None:
+            continue
+        adda, addy = add[a], add[y]
+        for z in rng:
+            v, b = mi[addy[z]], mi[z]
+            if v is not None and b is not None and v != adda[b]:
+                return False
+    colj = [row[j] for row in mul]
+    for x in rng:
+        a = colj[x]
+        if a is None:
+            continue
+        adda, addx = add[a], add[x]
+        for y in rng:
+            v, b = colj[addx[y]], colj[y]
+            if v is not None and b is not None and v != adda[b]:
+                return False
+    return True
 
 
 def preservation_witness(f, a, b):
@@ -212,18 +276,23 @@ def class_group(perms: tuple[Row, ...], opposite: bool) -> tuple:
     return tuple(out)
 
 
-def compare_image(t, ref, g) -> int:
-    """Compare g(t) with ``ref`` along g's walk: -1 if g(t) is smaller at the
-    first position where they differ, 1 if larger, 0 if they are equal or a
-    None entry (a free cell of a partial table) comes first."""
+def compare_image(t, ref, g, start: int = 0) -> tuple[int, int]:
+    """Compare g(t) with ``ref`` along g's walk from position ``start``.
+
+    Returns (-1, 0) if g(t) is smaller at the first position where they
+    differ, (1, 0) if larger, (0, k) if a None entry (a free cell of a
+    partial table) comes first, at position k, and (0, len(walk)) if they
+    are equal.  A walk stopped at a free cell resumes at k once the cell is
+    set.  The walk is row-major, so (x, y) is at (x - 1)(n - 1) + y - 1.
+    """
     p, walk = g
-    for x, y, i, j in walk:
+    for x, y, i, j in walk[start:] if start else walk:
         old, v = ref[x][y], t[i][j]
         if old is None or v is None:
-            return 0
+            return 0, (x - 1) * (len(t) - 1) + y - 1
         if p[v] != old:
-            return -1 if p[v] < old else 1
-    return 0
+            return (-1, 0) if p[v] < old else (1, 0)
+    return 0, len(walk)
 
 
 def least_image(rows: Rows, group) -> Rows:
@@ -231,7 +300,7 @@ def least_image(rows: Rows, group) -> Rows:
     in row-major lex order; an image is built only when it beats the best so far."""
     best = rows
     for g in group:
-        if compare_image(rows, best, g) < 0:
+        if compare_image(rows, best, g)[0] < 0:
             p, walk = g
             image = [list(row) for row in rows]
             for x, y, i, j in walk:

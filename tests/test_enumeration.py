@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -7,6 +8,7 @@ from monodual.algebra import are_isomorphic, automorphisms, validate_semiring
 from monodual.enumeration import (
     OrderTooLarge,
     _fill_monoid_tables,
+    _orderly,
     enumerate_commutative_monoids,
     enumerate_monoids_with_absorbing,
     enumerate_semiring_multiplications,
@@ -16,6 +18,7 @@ from monodual.tables import (
     associativity_witness,
     canonical_form,
     class_group,
+    distributivity_holds_at,
     distributivity_witness,
     least_image,
     relabel,
@@ -251,3 +254,16 @@ def test_orderly_enumerators_match_the_per_table_quotient():
         want = sorted({_least(m, auts, True) for m in _labelled_multiplications(add.rows)})
         got = [c.semiring.mul.rows for c in enumerate_semiring_multiplications(add)]
         assert got == want, lab
+
+
+def test_a_law_instance_that_reads_only_pinned_cells_is_checked_at_the_root():
+    # M5's 1 + 1 = 0, so (1 + 1) * 2 = 0 while 1 * 2 + 1 * 2 = 2: the unit 1
+    # rules out every multiplication.  With no cell left free, no cell's check
+    # reads the failing instance, and only the check at the root finds it.
+    add = catalog.MONOID_TABLES["M5"]
+    mul = [[0, 0, 0], [0, 1, 2], [0, 2, 2]]
+    assert associativity_witness(mul) is None and distributivity_witness(add, mul) is not None
+    group = class_group(tuple(automorphisms(catalog.monoid("M5"))), opposite=True)
+    law_at = partial(distributivity_holds_at, add)
+    assert list(_orderly(mul, [], partial(distributivity_witness, add), law_at, group)) == []
+    assert list(_orderly(mul, [], lambda m: None, law_at, group)) == [tuple(map(tuple, mul))]

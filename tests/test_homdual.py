@@ -462,7 +462,7 @@ def test_census_looks_up_each_source_and_adjoint_once_and_verifies_every_candida
 
 def test_census_searches_no_hom_set_per_candidate(monkeypatch):
     # 676 adjoints H(S, T) and 134 double adjoints for reflexivity; H(R, T) is the double adjoint relabelled
-    calls = _counting(monkeypatch, "_all_homs")
+    calls = _counting(monkeypatch, "_hom_values")
     assert len(find_all_duality_quadruples(4)) == 110
     assert len(calls) <= 810
 
@@ -643,3 +643,47 @@ def test_match_named_duality_verifies_only_psi_and_the_tables_named_for_its_clas
     del calls[:]
     assert match_named_duality(psi) == "psi11"
     assert len(calls) == 1
+
+
+def test_a_second_census_searches_no_hom_set(monkeypatch):
+    first = find_all_duality_quadruples(4)
+    searches = _counting(monkeypatch, "_all_homs")
+    assert find_all_duality_quadruples(4) == first
+    assert searches == []
+
+
+def test_an_equal_table_in_a_new_monoid_hits_the_memo(monkeypatch):
+    s, t = catalog.monoid("M11"), catalog.monoid("M19")
+    want = hom_set(s, t).values()
+    searches = _counting(monkeypatch, "_all_homs")
+    copy = Monoid(CayleyTable(tuple(tuple(row) for row in s.rows)), 0)
+    assert copy is not s and copy.op is not s.op
+    assert hom_set(copy, t).values() == want
+    assert searches == []
+
+
+def test_a_corrupted_entry_is_searched_afresh(monkeypatch):
+    # the memo is keyed by the tables, not by catalog labels
+    import dataclasses
+
+    ms = [catalog.monoid(lab) for lab in catalog.M_LABELS]
+    before = {(s, t): hom_set(s, t).values() for s in ms for t in ms}
+    patched = dict(catalog.ENTRIES)
+    patched["M11"] = dataclasses.replace(patched["M11"], table=CayleyTable(catalog.MONOID_TABLES["M15"]))
+    monkeypatch.setitem(catalog.__dict__, "ENTRIES", patched)
+    m11, m15 = catalog.monoid("M11"), catalog.monoid("M15")
+    assert m11 == m15
+    for m in ms:
+        assert list(hom_set(m11, m).values()) == all_homs_reference(m15, m) == list(before[m15, m])
+        assert list(hom_set(m, m11).values()) == all_homs_reference(m, m15) == list(before[m, m15])
+
+
+def test_memo_hits_equal_the_reference_search_as_misses_do(monkeypatch):
+    ms = [catalog.monoid(lab) for lab in catalog.M_LABELS if catalog.ENTRIES[lab].table.order <= 3]
+    homdual._hom_values.cache_clear()
+    searches = _counting(monkeypatch, "_all_homs")
+    for hit in (False, True):
+        for s in ms:
+            for t in ms:
+                assert list(hom_set(s, t).values()) == all_homs_reference(s, t), (s, t, hit)
+        assert len(searches) == len(ms) ** 2

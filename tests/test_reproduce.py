@@ -21,6 +21,31 @@ def test_fresh_checkout_passes():
     assert len(names) == len(set(names))
 
 
+def test_a_run_enumerates_each_order_and_reduces_the_census_once(monkeypatch):
+    from monodual import reproduce
+
+    calls = {"enumerate": [], "census": 0, "reduce": 0}
+    enumerate_, census, reduce_ = (reproduce.enumerate_commutative_monoids, reproduce.find_all_duality_quadruples,
+                                   reproduce.reduce_duality_quadruples)
+
+    def counted_enumerate(order):
+        calls["enumerate"].append(order)
+        return enumerate_(order)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(reproduce, "enumerate_commutative_monoids", counted_enumerate)
+    monkeypatch.setattr(reproduce, "find_all_duality_quadruples", counted("census", census))
+    monkeypatch.setattr(reproduce, "reduce_duality_quadruples", counted("reduce", reduce_))
+    assert small_manifest().passed
+    assert sorted(calls["enumerate"]) == [1, 2, 3, 4, 5]
+    assert calls["census"] == calls["reduce"] == 1
+
+
 def test_corrupting_one_catalog_entry_fails_exactly_its_checks(monkeypatch):
     # each label gets a copy of another table of its order: still a valid
     # monoid, wrong class.  M11, the diamond's join monoid, gets M10's, which

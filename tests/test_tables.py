@@ -7,9 +7,12 @@ from hypothesis import given, strategies as st
 from monodual.tables import (
     MalformedTable,
     as_rows,
+    associativity_holds_at,
     associativity_witness,
     canonical_form,
     class_group,
+    compare_image,
+    distributivity_holds_at,
     distributivity_witness,
     least_image,
     preservation_witness,
@@ -160,3 +163,77 @@ def test_witnesses_match_brute_force_scans(holes):
                        _brute_preservation(f, t, b)), (t, add, f, b)
         fired = [k + (w is not None) for k, w in zip(fired, got)]
     assert min(fired) > 40, fired
+
+
+@st.composite
+def pinned_partial_tables(draw, zero=False, commutative=False, max_order=5):
+    """A partial n x n table (lists, None for a free cell) with row and column 0
+    pinned: 0 neutral, or absorbing if ``zero``; symmetric if ``commutative``."""
+    n = draw(st.integers(min_value=1, max_value=max_order))
+    t = [[None] * n for _ in range(n)]
+    for x in range(n):
+        t[x][0] = t[0][x] = 0 if zero else x
+    entry = st.one_of(st.none(), st.integers(min_value=0, max_value=n - 1))
+    for x in range(1, n):
+        for y in range(x if commutative else 1, n):
+            t[x][y] = draw(entry)
+            if commutative:
+                t[y][x] = t[x][y]
+    return t
+
+
+def _cells_with_lawful_parents(t, witness):
+    """The set cells (i, j) off row and column 0 whose parent, t with (i, j) cleared, has no witness."""
+    n = len(t)
+    for i, j in product(range(1, n), repeat=2):
+        if t[i][j] is None:
+            continue
+        v, t[i][j] = t[i][j], None
+        lawful = witness(t) is None
+        t[i][j] = v
+        if lawful:
+            yield i, j
+
+
+@given(pinned_partial_tables())
+def test_associativity_at_a_cell_decides_a_table_whose_parent_is_associative(t):
+    whole = associativity_witness(t) is None
+    for i, j in _cells_with_lawful_parents(t, associativity_witness):
+        assert associativity_holds_at(t, i, j) == whole, (t, i, j)
+
+
+@given(pinned_partial_tables(zero=True, max_order=4))
+def test_distributivity_at_a_cell_decides_a_table_whose_parent_is_distributive(mul):
+    n = len(mul)
+    for lab, add in MONOID_TABLES.items():
+        if not lab.startswith("M") or len(add) != n:
+            continue
+        whole = distributivity_witness(add, mul) is None
+        for i, j in _cells_with_lawful_parents(mul, lambda m: distributivity_witness(add, m)):
+            assert distributivity_holds_at(add, mul, i, j) == whole, (lab, mul, i, j)
+
+
+@given(pinned_partial_tables(commutative=True))
+def test_associativity_at_a_cell_of_a_commutative_table_is_associativity_at_its_mirror(t):
+    n = len(t)
+    for i, j in product(range(n), repeat=2):
+        assert associativity_holds_at(t, i, j) == associativity_holds_at(t, j, i), (t, i, j)
+
+
+def test_a_walk_resumed_where_it_stopped_gives_the_verdict_of_a_fresh_walk():
+    rnd = random.Random(2108)
+    resumed = 0
+    for n in (2, 3, 4, 5):
+        group = class_group(relabelings_fixing(0, n), opposite=True)
+        for _ in range(100):
+            full = [[y if x == 0 else x if y == 0 else rnd.randrange(n) for y in range(n)] for x in range(n)]
+            ext = [[v if x == 0 or y == 0 or rnd.random() < 0.7 else None for y, v in enumerate(row)]
+                   for x, row in enumerate(full)]
+            t = [[v if v is None or x == 0 or y == 0 or rnd.random() < 0.7 else None for y, v in enumerate(row)]
+                 for x, row in enumerate(ext)]
+            for g in group:
+                sign, stop = compare_image(t, t, g)
+                if sign == 0:
+                    assert compare_image(ext, ext, g, stop) == compare_image(ext, ext, g), (t, ext, g)
+                    resumed += stop > 0
+    assert resumed > 500, resumed

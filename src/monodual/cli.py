@@ -58,15 +58,11 @@ def _emit(obj) -> None:
 
 def _resolve_psi(selector: str):
     """A named table (psi5), its transpose (psi5.T), or a JSON file path."""
-    name = selector
-    transposed = False
-    if name.endswith(".T"):
-        name, transposed = name[:-2], True
-    if name in catalog.PSI_TABLES:
-        psi = named_duality(name)
-        return psi.transposed() if transposed else psi
-    with open(selector, encoding="utf-8") as fh:
-        return duality_from_dict(json.load(fh))
+    try:
+        return named_duality(selector)
+    except KeyError:  # not a catalog name: a JSON file
+        with open(selector, encoding="utf-8") as fh:
+            return duality_from_dict(json.load(fh))
 
 
 def _lifted_for(selector: str, sites: int):

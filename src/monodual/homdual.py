@@ -328,11 +328,13 @@ def verify_duality(psi: DualityFunction) -> None:
 
 
 def named_duality(name: str) -> DualityFunction:
-    """A verified duality function from the embedded table catalog (psi1, psi2, ...)."""
-    if name not in catalog.PSI_TABLES:
+    """A verified duality function from the embedded table catalog (psi1, psi2, ...), or its transpose (psi5.T)."""
+    base = name.removesuffix(".T")
+    if base not in catalog.PSI_TABLES:
         raise KeyError(f"unknown duality name {name!r}")
-    s_lab, r_lab, t_lab, values = catalog.PSI_TABLES[name]
-    return DualityFunction(catalog.monoid(s_lab), catalog.monoid(r_lab), catalog.monoid(t_lab), values).checked()
+    s_lab, r_lab, t_lab, values = catalog.PSI_TABLES[base]
+    psi = DualityFunction(catalog.monoid(s_lab), catalog.monoid(r_lab), catalog.monoid(t_lab), values).checked()
+    return psi if base == name else psi.transposed()
 
 
 def duality_to_dict(psi: DualityFunction) -> dict:

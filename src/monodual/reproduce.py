@@ -3,7 +3,8 @@
 Each check re-computes one published artifact (a count, a table family, an
 identity) from scratch and compares it against the embedded catalog.  Checks
 are granular and carry the catalog labels they depend on, so corrupting one
-catalog entry fails exactly the checks that use it.
+catalog entry fails exactly the checks that use it.  Every product-space check
+lifts its table in one place, `_lifted`, which orients each table as `LIFTED_TABLES` states.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .homdual import (
     find_all_duality_quadruples,
     hom_set,
     match_named_duality,
+    named_duality,
     reduce_duality_quadruples,
 )
 from .ips import (
@@ -35,19 +37,20 @@ from .ips import (
     exact_semigroup_expectation,
 )
 from .product import (
+    LiftedDuality,
     SiteMap,
     dual_map,
     lattice_duality_function,
     lift_duality,
     module_maps,
 )
-from .homdual import named_duality
 from .tables import canonical_form, class_group, least_image
 
 EXPECTED_COUNTS = {1: 1, 2: 2, 3: 5, 4: 19, 5: 78}  # checked at every order listed
 EXPECTED_CLASS_NAMES = sorted(catalog.PSI_TABLES)
 ALL_M = set(catalog.M_LABELS)
 PATHWISE_MIN_EVENTS = 20  # events every pathwise stream must realise; windows have at least four times this mean
+LIFTED_TABLES = {"psi5": "psi5.T"}  # the orientation the product-space checks lift: psi5's maps act on M6
 
 
 @dataclass(frozen=True)
@@ -295,72 +298,66 @@ def check_lattice_bridge(classes=_classes) -> CheckResult:
     )
 
 
-def _psi5_lifted(sites: int):
-    psi = named_duality("psi5").transposed()  # maps act on the M6 side
-    return lift_duality(psi, sites, real_embedding=catalog.REAL_EMBEDDINGS["M5"])
+def _lifted(name: str, sites: int) -> LiftedDuality:
+    """The table of `name` that the product-space checks lift, with its value monoid's real embedding."""
+    psi = named_duality(LIFTED_TABLES.get(name, name))
+    return lift_duality(psi, sites, real_embedding=catalog.REAL_EMBEDDINGS.get(catalog.PSI_TABLES[name][2]))
+
+
+def _local_homs(lifted: LiftedDuality) -> list:
+    return hom_set(lifted.s_space.local, lifted.s_space.local).values()
+
+
+def _dual_maps_agree(lifted: LiftedDuality) -> dict:
+    """dual_map against a brute-force dual for every k x k matrix of H(S, S), and no dual for a non-hom."""
+    space = lifted.s_space
+    k = space.sites
+    psi = lifted.table()
+    column_of = {col: j for j, col in enumerate(map(tuple, psi.T.tolist()))}
+
+    def brute_force_dual(image):
+        """Per y, the R index whose Psi column is x -> Psi(image[x], y), or None."""
+        return [column_of.get(col) for col in map(tuple, psi[image].T.tolist())]
+
+    n_ok = 0
+    for entries in iproduct(_local_homs(lifted), repeat=k * k):
+        m = SiteMap.from_matrix(space, [entries[i * k:(i + 1) * k] for i in range(k)])
+        mhat = dual_map(lifted, m)  # identity re-checked inside
+        if brute_force_dual(m.index_table()) != mhat.index_table().tolist():
+            return {"matrices_verified": n_ok, "non_hom_has_dual": None}
+        n_ok += 1
+    # the constant map onto (1, ..., 1) violates f(0) = 0 (catalog carriers have neutral 0) and must admit no dual
+    bad = [space.index_of((1,) * k)] * space.n_configs
+    return {"matrices_verified": n_ok, "non_hom_has_dual": None not in brute_force_dual(bad)}
 
 
 def check_dual_map_psi5() -> CheckResult:
-    def compute():
-        lifted = _psi5_lifted(2)
-        space = lifted.s_space
-        homs = hom_set(space.local, space.local).values()
-        psi = lifted.table()
-        column_of = {col: j for j, col in enumerate(map(tuple, psi.T.tolist()))}
-
-        def brute_force_dual(image):
-            """Per y, the R index whose Psi column is x -> Psi(image[x], y), or None."""
-            return [column_of.get(col) for col in map(tuple, psi[image].T.tolist())]
-
-        n_ok = 0
-        for entries in iproduct(homs, repeat=4):
-            matrix = [[entries[0], entries[1]], [entries[2], entries[3]]]
-            m = SiteMap.from_matrix(space, matrix)
-            mhat = dual_map(lifted, m)  # identity re-checked inside
-            if brute_force_dual(m.index_table()) != mhat.index_table().tolist():
-                return {"matrices_verified": n_ok, "non_hom_has_dual": None}
-            n_ok += 1
-        # the constant map onto (1, 1) violates f(0) = 0 and must admit no dual
-        bad = [space.index_of((1, 1))] * space.n_configs
-        missing = brute_force_dual(bad).count(None)
-        return {"matrices_verified": n_ok, "non_hom_has_dual": missing == 0}
-
     return _check(
         "dual-map-psi5-exhaustive",
         {"M5", "M6"},
         {"matrices_verified": 81, "non_hom_has_dual": False},
-        compute,
+        lambda: _dual_maps_agree(_lifted("psi5", 2)),
     )
 
 
-def _pathwise_model(name: str, sites: int):
-    if name == "psi5":
-        lifted = _psi5_lifted(sites)
-    else:
-        emb_label = catalog.PSI_TABLES[name][2]
-        lifted = lift_duality(
-            named_duality(name), sites, real_embedding=catalog.REAL_EMBEDDINGS.get(emb_label)
-        )
+def _pathwise_model(lifted: LiftedDuality) -> RateModel:
+    """The spread + cycle rate model on the lifted duality's S side."""
     space = lifted.s_space
-    homs = hom_set(space.local, space.local).values()
+    homs = _local_homs(lifted)
     k = space.sites
-    zero = homs[0]
-    nontrivial = [h for h in homs if len(set(h)) > 1]
-    spread = SiteMap.from_matrix(
-        space,
-        [[nontrivial[0] if abs(i - j) <= 1 else zero for j in range(k)] for i in range(k)],
-    )
-    cycle = SiteMap.from_matrix(
-        space,
-        [[homs[(i + j) % len(homs)] for j in range(k)] for i in range(k)],
-    )
-    model = RateModel.build(space, {"spread": spread, "cycle": cycle}, {"spread": 1.5, "cycle": 1.0})
-    return lifted, model
+    first = next(h for h in homs if len(set(h)) > 1)  # the first non-zero local homomorphism
+    matrices = {
+        "spread": [[first if abs(i - j) <= 1 else homs[0] for j in range(k)] for i in range(k)],
+        "cycle": [[homs[(i + j) % len(homs)] for j in range(k)] for i in range(k)],
+    }
+    maps = {mid: SiteMap.from_matrix(space, matrix) for mid, matrix in matrices.items()}
+    return RateModel.build(space, maps, {"spread": 1.5, "cycle": 1.0})
 
 
 def _pathwise_case(name: str, seeds: int):
     """The model, lifted duality, window and seeds that the pathwise check of `name` runs on, at k = 3."""
-    lifted, model = _pathwise_model(name, 3)
+    lifted = _lifted(name, 3)
+    model = _pathwise_model(lifted)
     window = (0.0, max(30.0, 4 * PATHWISE_MIN_EVENTS / model.total_rate))
     tag = int(name.removeprefix("psi"))
     return model, lifted, window, [(tag, seed) for seed in range(seeds)]
@@ -388,9 +385,9 @@ def check_pathwise(name: str, seeds: int = 100) -> CheckResult:
 
 def check_expectation_psi5(replicates: int = 100_000) -> CheckResult:
     def compute():
-        lifted = _psi5_lifted(2)
+        lifted = _lifted("psi5", 2)
         space = lifted.s_space
-        homs = hom_set(space.local, space.local).values()
+        homs = _local_homs(lifted)
         m = SiteMap.from_matrix(space, [[homs[2], homs[1]], [homs[0], homs[2]]])
         model = RateModel.build(space, {"m": m}, {"m": 0.8})
         x, y, t = (1, 2), (1, 0), 1.0

@@ -221,6 +221,20 @@ def test_dual_map_accepts_a_duality_file(tmp_path, capsys):
     assert json.loads(out)["dual_matrix"] == [[ident]]
 
 
+def test_a_duality_file_whose_path_ends_in_the_transpose_selector_is_read_as_a_file(tmp_path, capsys):
+    psi_path = tmp_path / "psi4.T"
+    psi_path.write_text(json.dumps(duality_to_dict(named_duality("psi4"))))
+    map_path = tmp_path / "matrix.json"
+    map_path.write_text(json.dumps([[[0, 1, 2]]]))
+    code, out, _ = run(capsys, "dual-map", "--psi", str(psi_path), "--sites", "1",
+                       "--map", str(map_path))
+    assert code == 0
+    assert json.loads(out)["dual_matrix"] == [[[0, 1, 2]]]
+    code, _, err = run(capsys, "dual-map", "--psi", str(tmp_path / "psi99.T"), "--sites", "1",
+                       "--map", str(map_path))
+    assert code == 3 and "psi99.T" in err
+
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 _SIMULATE_PATHWISE = ("simulate", "--psi", "psi5.T", "--sites", "2",
                       "--rates", str(GOLDEN_DIR / "simulate_rates.json"),

@@ -259,6 +259,15 @@ def test_psi5_orientation():
         verify_duality(wrong)
 
 
+def test_named_duality_resolves_the_transpose_selector():
+    psi = named_duality("psi5.T")
+    assert psi == named_duality("psi5").transposed() and psi.verified
+    assert (psi.s.rows, psi.r.rows) == (catalog.MONOID_TABLES["M6"], catalog.MONOID_TABLES["M5"])
+    for name in ("psi99.T", "psi5.T.T", ".T"):
+        with pytest.raises(KeyError):
+            named_duality(name)
+
+
 def test_psi5_real_coordinates():
     """Transposing psi5 and embedding T in the reals gives the signed 3x3 matrix."""
     psi = named_duality("psi5").transposed()

@@ -26,7 +26,7 @@ from monodual.ips import (
     sample_event_stream,
 )
 from monodual.product import NoRealEmbedding, SiteMap, SizeBudgetExceeded, lift_duality
-from monodual.reproduce import _pathwise_case, _pathwise_model
+from monodual.reproduce import _lifted, _pathwise_case, _pathwise_model
 from oracles import event_stream_reference
 
 
@@ -462,7 +462,7 @@ def _scalar_endpoints(model, x, t, replicates, seed, side):
 
 
 def test_lockstep_walk_matches_scalar_replay():
-    _, model = _pathwise_model("psi5", 2)
+    model = _pathwise_model(_lifted("psi5", 2))
     space = model.space
     maps = {e.map_id: e.site_map for e in model.entries}
     maps["idle"] = SiteMap.identity(space)  # a zero-rate map must never be drawn
@@ -488,7 +488,8 @@ def test_partial_last_block_is_deterministic():
 
 def test_mc_on_a_multi_map_model_matches_uniformisation():
     # at this start pair, swapping the two maps' rates moves the exact value by 0.28
-    lifted, model = _pathwise_model("psi5", 3)
+    lifted = _lifted("psi5", 3)
+    model = _pathwise_model(lifted)
     x, y, t = (1, 1, 2), (1, 1, 0), 1.0
     est = estimate_expectation_duality(model, lifted, x, y, t, 20_000, seed=3141)
     exact = exact_semigroup_expectation(model, lifted, x, y, t)

@@ -3,7 +3,18 @@ import dataclasses
 import pytest
 
 from monodual import catalog
-from monodual.reproduce import check_pathwise, check_semiring_census, reproduce_all
+from monodual.homdual import named_duality
+from monodual.ips import DualityViolation, RateModel, check_pathwise_seeds, dual_model
+from monodual.product import lift_duality
+from monodual.reproduce import (
+    _dual_maps_agree,
+    _lifted,
+    _local_homs,
+    _pathwise_model,
+    check_pathwise,
+    check_semiring_census,
+    reproduce_all,
+)
 from monodual.tables import CayleyTable
 
 
@@ -86,3 +97,51 @@ def test_pathwise_check_needs_at_least_one_seed():
     for seeds in (0, -3):
         with pytest.raises(ValueError):
             check_pathwise("psi1", seeds=seeds)
+
+
+ORIENTATIONS = [sel for name in catalog.PSI_TABLES for sel in (name, f"{name}.T")]
+
+
+@pytest.mark.parametrize("selector", ORIENTATIONS)
+def test_every_census_class_is_a_pathwise_duality_of_the_reproduce_model(selector):
+    lifted = lift_duality(named_duality(selector), 3)
+    model = _pathwise_model(lifted)
+    window, seeds = (0.0, 1.0), range(20)
+    assert all(r.passed for r in check_pathwise_seeds(model, lifted, window, seeds))
+    # the spread and cycle duals swapped: on longer windows the k = 3 flows
+    # saturate, and most classes would let this through
+    good = {e.map_id: e.site_map for e in dual_model(model, lifted).entries}
+    swapped = RateModel.build(lifted.r_space, {"spread": good["cycle"], "cycle": good["spread"]},
+                              {e.map_id: e.rate for e in model.entries})
+    with pytest.raises(DualityViolation):
+        check_pathwise_seeds(model, lifted, window, seeds, dual=swapped)
+
+
+# the classes whose 2 x 2 matrices of H(S, S) number at most 256, and the
+# three next ones, with 1 296 to 2 401 matrices
+SMALL_DUAL_MAP_CLASSES = ["psi1", "psi2", "psi3", "psi5", "psi6", "psi7", "psi9", "psi18",
+                          "psi22", "psi23", "psi235", "psi24", "psi26"]
+NEXT_DUAL_MAP_CLASSES = ["psi4", "psi17", "psi21"]
+
+
+def test_the_small_dual_map_classes_are_those_with_at_most_256_matrices():
+    n_matrices = {name: len(_local_homs(_lifted(name, 2))) ** 4 for name in catalog.PSI_TABLES}
+    assert [name for name, n in n_matrices.items() if n <= 256] == SMALL_DUAL_MAP_CLASSES
+    assert sorted(n_matrices[name] for name in NEXT_DUAL_MAP_CLASSES) == [1296, 1296, 2401]
+
+
+def assert_dual_maps_agree(name):
+    lifted = _lifted(name, 2)
+    n = len(_local_homs(lifted)) ** 4
+    assert _dual_maps_agree(lifted) == {"matrices_verified": n, "non_hom_has_dual": False}
+
+
+@pytest.mark.parametrize("name", SMALL_DUAL_MAP_CLASSES)
+def test_dual_maps_agree_on_every_small_class(name):
+    assert_dual_maps_agree(name)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", NEXT_DUAL_MAP_CLASSES)
+def test_dual_maps_agree_on_the_next_classes(name):
+    assert_dual_maps_agree(name)

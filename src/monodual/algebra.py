@@ -79,6 +79,12 @@ class Monoid:
     op: CayleyTable
     neutral: int
 
+    def __hash__(self) -> int:
+        """The dataclass hash, computed on first use and kept, as monoids key many caches."""
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", hash((self.op, self.neutral)))
+        return self._hash
+
     @property
     def order(self) -> int:
         return self.op.order

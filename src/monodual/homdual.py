@@ -133,7 +133,10 @@ class AdjointMonoid:
         return Monoid(self.op, self.index_of_zero)
 
     def values(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(h.values for h in self.base)
+        """The value tables of the maps, built once per instance."""
+        if "_values" not in self.__dict__:
+            object.__setattr__(self, "_values", tuple(h.values for h in self.base))
+        return self._values
 
 
 def _generating_plan(m: Monoid):

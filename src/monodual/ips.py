@@ -20,12 +20,15 @@ under the "+" convention are one row of marks, and the "-" convention adds
 a second row only when a window end is an event time, since otherwise one
 flow pair decides both (``pairs_checked`` still counts both).  The rows are
 padded with the identity and composed together, FLOW_CHUNK cells of index
-tables at a time, by pairwise tree reduction.
+tables at a time, by pairwise tree reduction.  One ``identity_holds`` call
+then compares the pairs of all the rows, PAIR_BLOCK pairs at a time, so the
+memory of a comparison no longer grows with the pairs it compares.
 
 Randomness: every draw comes from ``np.random.default_rng(key)``, and there
 are three kinds.  The event stream of a pathwise check uses key ``seed``: a
 Poisson jump count, then that many sorted uniform times and uniform marks.
-Its sampled configuration pairs use key ``(seed, 2)``, all x indices first;
+Its sampled configuration pairs use key ``(seed, 2)``, all x indices first,
+each side's indices stored in the narrowest unsigned dtype that holds them;
 ``dual_map`` draws nothing, as single-site pairs decide its bi-additive
 identity exactly.  A Monte-Carlo side splits its replicates into blocks of
 MC_BLOCK; block b of side `side` uses key ``(seed, side, b)``: first every
@@ -341,15 +344,17 @@ def check_pathwise_seeds(
     window's events and Y[-u,-s] the dual model's maps over the same events
     reversed (reversing time mirrors the convention).  Each seed gives one
     row of marks per convention, and a single row when the two conventions
-    cut its stream alike; the rows of a chunk of seeds are composed together
-    (`_compose`) and their identities decided in one comparison, the chunk
-    small enough that rows times pairs stays within the pair budget.
-    Exhaustive coverage checks every configuration pair; sampled coverage
-    draws n_samples index pairs per seed and looks their images up in the
-    flows' index tables.  Raises DualityViolation at the first seed that
-    fails, with the pair a one-seed check would report and the stream it
-    composed, and StateSpaceTooLarge before any stream or dual is built
-    when a side, or for exhaustive coverage the pairs, exceed the pair budget.
+    cut its stream alike; the rows of a chunk of seeds, rows times pairs
+    within the pair budget, are composed together (`_compose`) and their
+    identities decided by one `identity_holds` call, which compares
+    PAIR_BLOCK pairs at a time in row-major order.  Exhaustive coverage
+    checks every configuration pair; sampled coverage draws n_samples index
+    pairs per row, stored in the narrowest unsigned dtype, and looks their
+    images up in the flows' index tables one block at a time.  Raises
+    DualityViolation at the first seed that fails, with the pair a one-seed
+    check would report and the stream it composed, and StateSpaceTooLarge
+    before any stream or dual is built when a side, or for exhaustive
+    coverage the pairs, exceed the pair budget.
     """
     if coverage not in ("exhaustive", "sampled"):
         raise ValueError("coverage must be 'exhaustive' or 'sampled'")
@@ -373,8 +378,7 @@ def check_pathwise_seeds(
     dmodel = dual_model(model, lifted) if dual is None else dual
     fwd, back = _table_stack(model, ids), _table_stack(dmodel, ids)
     per_row = n_pairs if exhaustive else n_samples
-    rows_at_once = max(1, pair_budget() // per_row)
-    per_chunk = max(1, rows_at_once // 2)  # seeds; each gives one or two rows
+    per_chunk = max(1, pair_budget() // per_row // 2)  # seeds; each gives one or two rows
     reports = []
     for lo in range(0, len(seeds), per_chunk):
         streams = [sample(seed) for seed in seeds[lo:lo + per_chunk]]
@@ -390,20 +394,18 @@ def check_pathwise_seeds(
             padded[r, :len(row)] = row
         X = _compose(fwd, padded)
         Y = _compose(back, padded[:, ::-1])  # the identity commutes, so padding may lead
-        if not exhaustive:
-            draws = [np.random.default_rng((streams[i].seed, 2)) for i in owner]
-            xi = np.stack([rng.integers(ssp.n_configs, size=n_samples) for rng in draws])
-            yi = np.stack([rng.integers(rsp.n_configs, size=n_samples) for rng in draws])
-        for r0 in range(0, len(rows), rows_at_once):
-            part = slice(r0, r0 + rows_at_once)
-            if exhaustive:
-                hit = identity_holds(lifted, X[part], Y[part])
-            else:
-                xs, ys = xi[part], yi[part]
-                hit = identity_holds(lifted, np.take_along_axis(X[part], xs, 1),
-                                     np.take_along_axis(Y[part], ys, 1), pairs=(xs, ys))
-            if hit is not None:
-                raise DualityViolation(*hit[1:], streams[owner[r0 + hit[0][0]]])
+        if exhaustive:
+            hit = identity_holds(lifted, X, Y)
+        else:
+            # each row draws from key (seed, 2), all x then all y, kept in the narrowest dtype that holds them
+            xi, yi = (np.empty((len(rows), n_samples), np.min_scalar_type(side.n_configs - 1)) for side in (ssp, rsp))
+            for r, i in enumerate(owner):
+                rng = np.random.default_rng((streams[i].seed, 2))
+                xi[r] = rng.integers(ssp.n_configs, size=n_samples)
+                yi[r] = rng.integers(rsp.n_configs, size=n_samples)
+            hit = identity_holds(lifted, X, Y, pairs=(xi, yi))
+        if hit is not None:
+            raise DualityViolation(*hit[1:], streams[owner[hit[0][0]]])
         reports += [
             PathwiseReport(
                 seed=stream.seed,

@@ -21,6 +21,13 @@ of indices caps them too, and sums them in S for each output site, building
 the image index by Horner's rule.  ``LiftedDuality.table`` is the one-block
 case.  All values stay uint8; the scalar ``SiteMap.apply`` and
 ``LiftedDuality.evaluate`` are the test oracles.
+
+Pairs: ``identity_holds`` is the one place that compares Psi(X(x), y) with
+Psi(x, Y(y)), for ``dual_map`` and for the pathwise checks alike.  It
+compares at most PAIR_BLOCK pairs at a time in row-major order (``_blocks``),
+so the memory a comparison holds no longer grows with the number of pairs
+compared; sampled pairs come as index arrays of any integer dtype, and their
+images are looked up one block at a time.
 """
 
 from __future__ import annotations
@@ -39,6 +46,9 @@ from .tables import CayleyTable, SizeBudgetExceeded, as_int, pair_budget
 
 # int64 indices number at most this many configurations of one space
 MAX_CONFIGS = 2 ** 63
+# configuration pairs one identity check compares at once, 16 KiB of uint8
+# Psi values per side; fixed on memory grounds, and no option
+PAIR_BLOCK = 2 ** 14
 
 
 class NoDual(ValueError):
@@ -371,27 +381,95 @@ class LiftedDuality:
         return tuple(out)
 
 
+def _blocks(shape):
+    """The blocks, as slices of rows, lines and columns, in which ``_first_failure`` compares pairs.
+
+    Whole rows when a row of ``shape`` = (rows, lines, columns) fits in
+    PAIR_BLOCK pairs, else whole lines of one row when a line fits, else
+    slices of one line: no block holds more than PAIR_BLOCK pairs, and the
+    blocks run in row-major order.
+    """
+    n_rows, n_lines, width = shape
+
+    def spans(n, size):  # n items in consecutive slices of PAIR_BLOCK // size items, at least one
+        step = max(1, PAIR_BLOCK // max(size, 1))
+        return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
+
+    if n_lines * width <= PAIR_BLOCK:
+        for rows in spans(n_rows, n_lines * width):
+            yield rows, slice(0, n_lines), slice(0, width)
+        return
+    for r in range(n_rows):
+        for lines in spans(n_lines, width):
+            for cols in (slice(0, width),) if width <= PAIR_BLOCK else spans(width, 1):
+                yield slice(r, r + 1), lines, cols
+
+
+def _first_failure(shape, bad_at):
+    """The (row, line, column) of the first failing pair in row-major order, or None.
+
+    ``bad_at(rows, lines, columns)`` gives the failure mask of one block of
+    ``_blocks(shape)``, shaped like the block.
+    """
+    for block in _blocks(shape):
+        bad = bad_at(*block)
+        if bad.any():
+            return tuple(part.start + int(i) for part, i in zip(block, np.unravel_index(bad.argmax(), bad.shape)))
+    return None
+
+
+def _images(f, rows: slice, idx: np.ndarray) -> np.ndarray:
+    """The images of idx under f: a SiteMap, or index tables whose ``rows`` match idx's."""
+    return f.apply_indices(idx) if isinstance(f, SiteMap) else np.take_along_axis(f[rows], idx, -1)
+
+
 def identity_holds(lifted: LiftedDuality, X, Y, pairs=None):
     """None if Psi(X(x), y) == Psi(x, Y(y)), else (position, x, y) for the first failing pair.
 
-    X and Y are configuration indices.  Without ``pairs`` they are index
-    tables of maps on S^k and R^k, with matching leading axes of rows if
-    any, and every pair of each row is compared through the cached Psi
-    table.  With ``pairs=(xi, yi)``, index arrays broadcast together, they
-    are the images of xi and yi, and only those pairs are compared.  The
-    first failure is taken in row-major order of the compared array, its
-    index there is ``position``, and x, y are its configuration tuples.
+    X and Y are maps on S^k and R^k, as configuration index tables with
+    matching leading axes of rows if any.  Without ``pairs`` every pair of
+    each row is compared through the cached Psi table, and ``position`` is
+    (row..., x, y) with x, y indices.  With ``pairs=(xi, yi)``, index arrays
+    of shape (rows, pairs) broadcast together, only the pairs (xi[r, j],
+    yi[r, j]) are compared, their images looked up in X and Y (which may
+    also be SiteMaps, mapping any index) and Psi summed by ``values_at``;
+    ``position`` is (r, j).  The pairs are compared at most PAIR_BLOCK at a
+    time, in row-major order (``_blocks``), so the memory a comparison holds
+    does not grow with the number of pairs; an axis of length 1 in xi or yi
+    is broadcast only after the images of a block are looked up.  The first
+    failure in that order is returned, x and y as configuration tuples.
     """
     if pairs is None:
         psi = lifted.table()
-        bad = psi[X] != np.moveaxis(psi[:, Y], 0, -2)
+        lead = X.shape[:-1]
+        X, Y = X.reshape(-1, psi.shape[0]), Y.reshape(-1, psi.shape[1])
+
+        def bad_at(rows, xs, ys):  # (rows, x, y); psi[xs, Y] is (x, rows, y)
+            return psi[X[rows, xs], ys] != np.moveaxis(psi[xs, Y[rows, ys]], 0, 1)
+
+        hit = _first_failure((len(X), *psi.shape), bad_at)
+        if hit is None:
+            return None
+        row, xi, yi = hit
+        position = (*np.unravel_index(row, lead), xi, yi)
     else:
-        bad = lifted.values_at(X, pairs[1]) != lifted.values_at(pairs[0], Y)
-    if not bad.any():
-        return None
-    position = np.unravel_index(bad.argmax(), bad.shape)
-    xi, yi = position[-2:] if pairs is None else (np.broadcast_to(p, bad.shape)[position] for p in pairs)
-    return position, lifted.s_space.config_of(xi), lifted.r_space.config_of(yi)
+        shape = np.broadcast_shapes(*map(np.shape, pairs))
+
+        def own(p, rows, cols):  # p's part of a block, an axis of length 1 kept whole
+            return np.asarray(p[rows if p.shape[0] > 1 else slice(None), cols if p.shape[1] > 1 else slice(None)],
+                              dtype=np.intp)
+
+        def bad_at(rows, _, cols):  # each row one line of pairs
+            xb, yb = (own(p, rows, cols) for p in pairs)
+            bad = lifted.values_at(_images(X, rows, xb), yb) != lifted.values_at(xb, _images(Y, rows, yb))
+            return np.broadcast_to(bad, (rows.stop - rows.start, cols.stop - cols.start))[:, None]
+
+        hit = _first_failure((shape[0], 1, shape[1]), bad_at)
+        if hit is None:
+            return None
+        position = hit[0], hit[2]
+        xi, yi = (np.broadcast_to(p, shape)[position] for p in pairs)
+    return tuple(map(int, position)), lifted.s_space.config_of(xi), lifted.r_space.config_of(yi)
 
 
 def lift_duality(
@@ -477,7 +555,7 @@ def dual_map(lifted: LiftedDuality, m: SiteMap) -> SiteMap:
                     "so single-site pairs do not decide the identity"
                 )
         xs, ys = _single_site_indices(m.space)[:, None], _single_site_indices(rsp)[None, :]
-        hit = identity_holds(lifted, m.apply_indices(xs), mhat.apply_indices(ys), pairs=(xs, ys))
+        hit = identity_holds(lifted, m, mhat, pairs=(xs, ys))
     if hit is not None:
         raise AssertionError(f"dual-map identity fails at {hit[1]}, {hit[2]}")
     return mhat

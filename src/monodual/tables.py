@@ -73,6 +73,12 @@ class CayleyTable:
 
     rows: Rows
 
+    def __hash__(self) -> int:
+        """The dataclass hash, computed on first use and kept, as tables key many caches."""
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", hash((self.rows,)))
+        return self._hash
+
     @property
     def order(self) -> int:
         return len(self.rows)

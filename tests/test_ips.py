@@ -1,12 +1,13 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monodual import catalog, ips
+from monodual import catalog, ips, product
 from monodual.homdual import hom_set, named_duality
 from monodual.ips import (
     MC_BLOCK,
@@ -25,7 +26,7 @@ from monodual.ips import (
     flow_index_table,
     sample_event_stream,
 )
-from monodual.product import NoRealEmbedding, SiteMap, SizeBudgetExceeded, lift_duality
+from monodual.product import NoRealEmbedding, SiteMap, SizeBudgetExceeded, dual_map, lift_duality, pair_budget
 from monodual.reproduce import _lifted, _pathwise_case, _pathwise_model
 from oracles import event_stream_reference
 
@@ -656,19 +657,143 @@ def test_a_violation_carries_the_stream_the_batch_checked(monkeypatch):
     assert stream.n_events > 0 and stream.events == want.events
 
 
+def swapped_dual(model, lifted):
+    """The dual model with the duals of its two maps swapped."""
+    good = {e.map_id: e.site_map for e in dual_model(model, lifted).entries}
+    a, b = sorted(good)
+    return RateModel.build(lifted.r_space, {a: good[b], b: good[a]}, {e.map_id: e.rate for e in model.entries})
+
+
 @pytest.mark.parametrize("name", ["psi1", "psi5"])
 def test_splitting_seeds_and_events_leaves_the_results(monkeypatch, name):
     model, lifted, window, seeds = _pathwise_case(name, 100)
     whole = check_pathwise_seeds(model, lifted, window, seeds)
     lifted5, model5 = psi5_model(2)
     corrupted = corrupted_psi5_dual(model5, lifted5)
-    violation = first_violation(lambda: check_pathwise_seeds(model5, lifted5, (0.0, 1.0), range(1, 31), dual=corrupted))
-    # at most six rows, three seeds, per comparison, and a few events per block
+    seeds5 = range(1, 31)
+    exhaustive, sampled = (
+        lambda: check_pathwise_seeds(model5, lifted5, (0.0, 1.0), seeds5, dual=corrupted),
+        lambda: check_pathwise_seeds(model5, lifted5, (0.0, 1.0), seeds5, "sampled", 50, corrupted),
+    )
+    violations = [first_violation(exhaustive), first_violation(sampled)]
+    # each fails at a later seed, so past the first block of pairs (part of the first seed's row)
+    assert all(v[2] > seeds5[0] for v in violations)
+    # at most six rows, three seeds, per chunk, a few events per block and five pairs per comparison
     n_pairs = lifted.s_space.n_configs * lifted.r_space.n_configs
     monkeypatch.setenv("MONODUAL_PAIR_BUDGET", str(6 * n_pairs))
     monkeypatch.setattr(ips, "FLOW_CHUNK", 1000)
+    monkeypatch.setattr(product, "PAIR_BLOCK", 5)
     assert check_pathwise_seeds(model, lifted, window, seeds) == whole
-    assert first_violation(lambda: check_pathwise_seeds(model5, lifted5, (0.0, 1.0), range(1, 31), dual=corrupted)) == violation
+    assert [first_violation(exhaustive), first_violation(sampled)] == violations
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+def test_pair_blocks_leave_the_reports_and_duals(monkeypatch, block):
+    cases = [_pathwise_case(name, 100) for name in ("psi1", "psi2", "psi5")]
+    lifted7 = _lifted("psi5", 7)
+    model7 = _pathwise_model(lifted7)
+    dual7 = dual_model(model7, lifted7)
+    lifted4 = _lifted("psi5", 4)
+    model4 = _pathwise_model(lifted4)
+
+    def results():
+        return (
+            [check_pathwise_seeds(*case) for case in cases],
+            check_pathwise_seeds(model7, lifted7, (0.0, 32.0), range(2), "sampled", 5000, dual7),
+            [e.site_map.matrix for e in dual_model(model4, lifted4).entries],
+        )
+
+    want = results()
+    monkeypatch.setattr(product, "PAIR_BLOCK", block)
+    assert results() == want
+
+
+def traced_peak_mb(run) -> float:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_pair_comparisons_hold_one_block_of_pairs():
+    lifted = _lifted("psi5", 7)
+    model = _pathwise_model(lifted)
+    dual = dual_model(model, lifted)
+
+    def sampled(seeds):
+        return lambda: check_pathwise_seeds(model, lifted, (0.0, 32.0), seeds, "sampled", 100_000, dual)
+
+    sampled([99])()  # first calls build caches that are no part of a check's peak
+    # comparing whole rows of 10^5 pairs at once peaked at 7.1 MB for one seed and 34.4 MB for ten
+    assert traced_peak_mb(sampled([0])) <= 2.5
+    assert traced_peak_mb(sampled(range(10))) <= 8.0
+    lifted6 = _lifted("psi5", 6)
+    model6 = _pathwise_model(lifted6)
+    lifted6.table()
+    dual_model(model6, lifted6)
+    assert traced_peak_mb(lambda: dual_model(model6, lifted6)) <= 0.5  # 1.6 MB comparing every pair at once
+
+
+def test_sampled_indices_fill_the_narrowest_dtype():
+    # 2^16 configurations: indices up to 65535, the largest a uint16 holds
+    lifted = _lifted("psi2", 16)
+    model = _pathwise_model(lifted)
+    window, seeds = (0.0, 1.0), range(5)
+    reports = check_pathwise_seeds(model, lifted, window, seeds, "sampled", 2000)
+    assert all(r.passed for r in reports) and sum(r.n_events for r in reports) > 0
+    wrong = swapped_dual(model, lifted)
+    with pytest.raises(DualityViolation) as exc:
+        check_pathwise_seeds(model, lifted, window, seeds, "sampled", 2000, wrong)
+    v = exc.value
+    # the witness is the seed's first failing pair among its int64 draws, all x then all y from key (seed, 2)
+    rng = np.random.default_rng((v.stream.seed, 2))
+    xi, yi = (rng.integers(2 ** 16, size=2000) for _ in "xy")
+    events = [map_id for map_id, _t in v.stream.events_in(*window)]
+    maps, duals = ({e.map_id: e.site_map.index_table() for e in m.entries} for m in (model, wrong))
+    X, Y = np.arange(2 ** 16), np.arange(2 ** 16)
+    for map_id in events:
+        X = maps[map_id][X]
+    for map_id in reversed(events):
+        Y = duals[map_id][Y]
+    j = np.flatnonzero(lifted.values_at(X[xi], yi) != lifted.values_at(xi, Y[yi]))[0]
+    assert (v.x, v.y) == (lifted.s_space.config_of(xi[j]), lifted.r_space.config_of(yi[j]))
+    fx, gy = lifted.s_space.config_of(X[xi[j]]), lifted.r_space.config_of(Y[yi[j]])
+    assert lifted.evaluate(fx, v.y) != lifted.evaluate(v.x, gy)
+
+
+def voter_move(space, to, source):
+    """Site `to` takes site `source`'s state, every other site keeps its own: a voter model move."""
+    n, e, k = space.local.order, space.local.neutral, space.sites
+    ident, zero = tuple(range(n)), (e,) * n
+    keep = [[ident if (i == j != to or (i, j) == (source, to)) else zero for j in range(k)] for i in range(k)]
+    return SiteMap.from_matrix(space, keep)
+
+
+@pytest.mark.parametrize("name, image", [("psi1", (0, 1, 0)), ("psi2", (0, 0, 0))])
+def test_the_dual_of_a_voter_move_is_its_transposed_matrix(monkeypatch, name, image):
+    # the two-state classical dualities: coalescing (psi1) and annihilating (psi2) duals of the voter model
+    lifted = lift_duality(named_duality(name), 3)
+    m = voter_move(lifted.s_space, 0, 1)
+    transposed = tuple(zip(*m.matrix))
+    mhat = dual_map(lifted, m)
+    assert mhat.matrix == transposed and mhat.apply((1, 1, 0)) == image
+    monkeypatch.setenv("MONODUAL_PAIR_BUDGET", "32")  # 8 x 8 pairs: the 4 x 4 single-site pairs decide
+    assert lifted.s_space.n_configs * lifted.r_space.n_configs > pair_budget()
+    assert dual_map(lifted, m).matrix == transposed
+
+
+@pytest.mark.parametrize("name", ["psi1", "psi2"])
+def test_the_voter_model_is_dual_to_coalescing_and_annihilating_walks(name):
+    lifted = lift_duality(named_duality(name), 3)
+    space = lifted.s_space
+    model = RateModel.build(space, {"0<-1": voter_move(space, 0, 1), "1<-2": voter_move(space, 1, 2)},
+                            {"0<-1": 1.0, "1<-2": 1.5})
+    reports = check_pathwise_seeds(model, lifted, (0.0, 1.0), range(20))
+    assert len(reports) == 20 and all(r.passed for r in reports)
+    with pytest.raises(DualityViolation):
+        check_pathwise_seeds(model, lifted, (0.0, 1.0), range(20), dual=swapped_dual(model, lifted))
 
 
 @pytest.mark.slow

@@ -23,12 +23,14 @@ from monodual.ips import (
     check_pathwise_duality,
     dual_model,
 )
+from monodual import product
 from monodual.product import (
     LiftedDuality,
     NoDual,
     SiteMap,
     SiteSpace,
     SizeBudgetExceeded,
+    _blocks,
     _module_maps,
     _sitewise_sums,
     dual_map,
@@ -167,6 +169,19 @@ def test_lift_rejects_non_duality():
     bogus = DualityFunction(m1, m1, m1, ((0, 0), (0, 0)))
     with pytest.raises(DualityError):
         lift_duality(bogus, 2)
+
+
+@pytest.mark.parametrize("shape", [(5, 3, 4), (3, 1, 20), (2, 6, 5), (1, 2, 17), (4, 9, 9), (1, 1, 1)])
+@pytest.mark.parametrize("block", [1, 7, 16, 1000])
+def test_blocks_cover_every_pair_once_in_row_major_order(monkeypatch, shape, block):
+    monkeypatch.setattr(product, "PAIR_BLOCK", block)
+    seen = []
+    for rows, lines, cols in _blocks(shape):
+        cells = [(r, x, c) for r in range(*rows.indices(shape[0]))
+                 for x in range(*lines.indices(shape[1])) for c in range(*cols.indices(shape[2]))]
+        assert 0 < len(cells) <= block
+        seen += cells
+    assert seen == list(np.ndindex(*shape))
 
 
 def test_dual_map_of_identity_is_identity():

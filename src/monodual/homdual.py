@@ -247,7 +247,16 @@ def _hom_values(source: Monoid, target: Monoid) -> tuple[tuple[int, ...], ...]:
 
 def hom_set(source: Monoid, target: Monoid) -> AdjointMonoid:
     """Every homomorphism source -> target; the addition table is built on first read."""
-    return AdjointMonoid(source, target, tuple(Hom(source, target, h) for h in _hom_values(source, target)))
+    return _adjoint(source, target, _hom_values(source, target))
+
+
+def _adjoint(source: Monoid, target: Monoid, maps) -> AdjointMonoid:
+    return AdjointMonoid(source, target, tuple(Hom(source, target, h) for h in maps))
+
+
+def _separates_points(order: int, maps) -> bool:
+    """Whether the evaluation map x -> (h -> h(x)) on a source of this order is injective."""
+    return len(set(zip(*maps))) == order
 
 
 def is_reflexive(source: Monoid, target: Monoid) -> bool:
@@ -261,7 +270,7 @@ def is_reflexive(source: Monoid, target: Monoid) -> bool:
 
 def _reflexive(adj: AdjointMonoid) -> tuple[tuple[int, ...], ...] | None:
     """The double adjoint's maps H(H(S, T), T) if S is T-reflexive, else None, for an adjoint already computed."""
-    if len(set(zip(*adj.values()))) != adj.source.order:
+    if not _separates_points(adj.source.order, adj.values()):
         return None
     double = _hom_values(adj.monoid(), adj.target)
     return double if len(double) == adj.source.order else None
@@ -412,8 +421,10 @@ def find_all_duality_quadruples(max_order: int = 4) -> list[Quadruple]:
     """Every (R, S, T, psi) with carriers of order 2..max_order, one per triple.
 
     The census is the T-reflexive pairs: for each catalog monoid S (one per
-    catalog class) and T, the adjoint H(S, T) is computed once, and the pair
-    is kept when 2 <= |H(S, T)| <= max_order and S is T-reflexive.  R is the
+    catalog class) and T, the maps of H(S, T) are searched once, and the pair
+    is kept when 2 <= |H(S, T)| <= max_order and S is T-reflexive; the
+    adjoint is built only for pairs whose maps pass the size test and
+    separate the points of S.  R is the
     adjoint's catalog class.  Every isomorphism y -> f_y of R onto the adjoint
     gives a candidate table psi(x, y) = f_y(x), and every candidate must pass
     ``check_pairing`` against the adjoint's maps and H(R, T) (a census-wide
@@ -429,15 +440,18 @@ def find_all_duality_quadruples(max_order: int = 4) -> list[Quadruple]:
         lab for lab in catalog.M_LABELS
         if 2 <= catalog.ENTRIES[lab].table.order <= max_order
     ]
+    monoids = {lab: catalog.monoid(lab) for lab in labels}
     out = []
-    for s_lab in labels:
-        s = catalog.monoid(s_lab)
+    for s_lab, s in monoids.items():
         if catalog.catalog_lookup(s)[0].label != s_lab:
             continue  # one S per catalog class
-        for t_lab in labels:
-            t = catalog.monoid(t_lab)
-            adj = hom_set(s, t)
-            if not 2 <= adj.size <= max_order or (double := _reflexive(adj)) is None:
+        for t_lab, t in monoids.items():
+            maps = _hom_values(s, t)
+            # the size test and the cheap half of reflexivity come before any Hom is built
+            if not 2 <= len(maps) <= max_order or not _separates_points(s.order, maps):
+                continue
+            adj = _adjoint(s, t, maps)
+            if (double := _reflexive(adj)) is None:
                 continue
             hit = catalog.catalog_lookup(adj.monoid())
             if hit is None:

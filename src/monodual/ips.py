@@ -33,13 +33,14 @@ each side's indices stored in the narrowest unsigned dtype that holds them;
 identity exactly.  A Monte-Carlo side splits its replicates into blocks of
 MC_BLOCK; block b of side `side` uses key ``(seed, side, b)``: first every
 replicate's jump count, then, step by step, one mark for each replicate
-still jumping.  The draws depend only on their key, so results are
-independent of scheduling.  A path whose expected jump count (total rate
-times time span) exceeds the pair budget raises SizeBudgetExceeded before
-anything is drawn, since the work and memory of every path grow with that
-count; so does a Monte-Carlo estimate or an exact expectation whose
-replicates or states times that count exceeds it, since its work grows
-with that product.  Pathwise checks and Monte-Carlo estimates tabulate
+still jumping.  A side counts each walked block's endpoints per
+configuration, so its memory does not grow with its replicates.  The draws
+depend only on their key, so results are independent of scheduling.  A path
+whose expected jump count (total rate times time span) exceeds the pair
+budget raises SizeBudgetExceeded before anything is drawn, since the work
+and memory of every path grow with that count; so does a Monte-Carlo
+estimate or an exact expectation whose replicates or states times that
+count exceeds it, since its work grows with that product.  Pathwise checks and Monte-Carlo estimates tabulate
 whole sides, so they raise StateSpaceTooLarge, also before anything is
 drawn, for a side with more configurations than the pair budget.
 """
@@ -47,7 +48,7 @@ drawn, for a side with more configurations than the pair budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -55,6 +56,7 @@ from .product import (
     LiftedDuality, NoRealEmbedding, SiteMap, SiteSpace, SizeBudgetExceeded, dual_map,
     identity_holds, pair_budget,
 )
+from .tables import as_int
 
 MAX_EXACT_STATES = 10 ** 4
 # replicates walked in lockstep per generator; fixed on memory grounds, so the
@@ -318,15 +320,7 @@ class PathwiseReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "window": list(self.window),
-            "n_events": self.n_events,
-            "coverage": self.coverage,
-            "pairs_checked": self.pairs_checked,
-            "conventions": list(self.conventions),
-            "passed": self.passed,
-        }
+        return {**asdict(self), "window": list(self.window), "conventions": list(self.conventions)}
 
 
 def check_pathwise_seeds(
@@ -471,28 +465,29 @@ def _embedded_values(lifted: LiftedDuality, x, y, evolving: str) -> tuple[np.nda
     return values, x_idx if evolving == "s" else y_idx
 
 
-def _mc_endpoints(model, start_idx, t, replicates, seed, side) -> np.ndarray:
-    """Final configuration index of every replicate, walked in lockstep blocks."""
+def _mc_endpoints(model, start_idx, t, replicates, seed, side):
+    """The final configuration index of every replicate, yielded one lockstep block at a time."""
     lam = _expected_jumps(model, t)
-    out = np.full(replicates, start_idx, dtype=np.intp)
-    if lam == 0.0:
-        return out
     active, lookup = _mark_lookup(model)
-    tables = np.stack([e.site_map.index_table() for e in active])
+    tables = np.array([e.site_map.index_table() for e in active])  # empty when no rate is positive, then lam is 0
     for b, lo in enumerate(range(0, replicates, MC_BLOCK)):
         rng = np.random.default_rng((seed, side, b))
-        idx = out[lo:lo + MC_BLOCK]  # a view: the walk writes into out
-        n = rng.poisson(lam, size=idx.size)
+        n = rng.poisson(lam, size=min(MC_BLOCK, replicates - lo))
+        idx = np.full(n.size, start_idx, dtype=np.intp)
         for j in range(int(n.max())):
             live = np.flatnonzero(n > j)
             idx[live] = tables[lookup(rng.random(live.size)), idx[live]]
-    return out
+        yield idx
 
 
 def _mc_side(model, values, start_idx, t, replicates, seed, side) -> tuple[float, float]:
-    out = values[_mc_endpoints(model, start_idx, t, replicates, seed, side)]
-    mean = float(out.mean())
-    se = float(out.std(ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0
+    """The mean of `values` at the replicates' endpoints and its standard error, from one count per
+    configuration: each block is counted as soon as it is walked, so memory does not grow with replicates."""
+    counts = np.zeros(values.size, dtype=np.int64)
+    for block in _mc_endpoints(model, start_idx, t, replicates, seed, side):
+        counts += np.bincount(block, minlength=values.size)
+    mean = float(counts @ values) / replicates
+    se = math.sqrt(float(counts @ (values - mean) ** 2) / (replicates - 1) / replicates) if replicates > 1 else 0.0
     return mean, se
 
 
@@ -516,6 +511,10 @@ def estimate_expectation_duality(
     configurations than the pair budget raises StateSpaceTooLarge first.
     """
     t = _checked_time(t)
+    try:
+        replicates = as_int(replicates)
+    except TypeError:
+        raise ValueError(f"replicates must be an integer, got {replicates!r}") from None
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
     _check_sides(lifted)

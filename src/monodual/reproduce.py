@@ -308,17 +308,19 @@ def _local_homs(lifted: LiftedDuality) -> list:
     return hom_set(lifted.s_space.local, lifted.s_space.local).values()
 
 
+def _brute_force_dual(lifted: LiftedDuality):
+    """A function from the index table of a map on S^k to, per y, the R index whose Psi column is
+    x -> Psi(image[x], y), or None where no column is; the map has a dual exactly when no y gets None."""
+    psi = lifted.table()
+    column_of = {col: j for j, col in enumerate(map(tuple, psi.T.tolist()))}
+    return lambda image: [column_of.get(col) for col in map(tuple, psi[image].T.tolist())]
+
+
 def _dual_maps_agree(lifted: LiftedDuality) -> dict:
     """dual_map against a brute-force dual for every k x k matrix of H(S, S), and no dual for a non-hom."""
     space = lifted.s_space
     k = space.sites
-    psi = lifted.table()
-    column_of = {col: j for j, col in enumerate(map(tuple, psi.T.tolist()))}
-
-    def brute_force_dual(image):
-        """Per y, the R index whose Psi column is x -> Psi(image[x], y), or None."""
-        return [column_of.get(col) for col in map(tuple, psi[image].T.tolist())]
-
+    brute_force_dual = _brute_force_dual(lifted)
     n_ok = 0
     for entries in iproduct(_local_homs(lifted), repeat=k * k):
         m = SiteMap.from_matrix(space, [entries[i * k:(i + 1) * k] for i in range(k)])
@@ -391,9 +393,9 @@ def check_expectation_psi5(replicates: int = 100_000) -> CheckResult:
         m = SiteMap.from_matrix(space, [[homs[2], homs[1]], [homs[0], homs[2]]])
         model = RateModel.build(space, {"m": m}, {"m": 0.8})
         x, y, t = (1, 2), (1, 0), 1.0
-        est = estimate_expectation_duality(model, lifted, x, y, t, replicates, seed=2024)
-        exact_lhs = exact_semigroup_expectation(model, lifted, x, y, t)
         dm = dual_model(model, lifted)
+        est = estimate_expectation_duality(model, lifted, x, y, t, replicates, seed=2024, dual=dm)
+        exact_lhs = exact_semigroup_expectation(model, lifted, x, y, t)
         exact_rhs = exact_semigroup_expectation(dm, lifted, x, y, t, evolving="r")
         mc_vs_exact = (
             abs(est.lhs - exact_lhs) <= 1e-9 + 4 * est.lhs_stderr

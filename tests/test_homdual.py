@@ -476,6 +476,15 @@ def test_census_searches_no_hom_set_per_candidate(monkeypatch):
     assert len(calls) <= 810
 
 
+def test_census_builds_hom_objects_only_for_pairs_that_pass_the_cheap_tests(monkeypatch):
+    find_all_duality_quadruples(4)  # every hom set searched
+    # 134 pairs pass the size and evaluation-injectivity tests, with 462 maps between them;
+    # building every adjoint first made 2 227 Hom objects
+    built = _counting(monkeypatch, "Hom")
+    assert len(find_all_duality_quadruples(4)) == 110
+    assert len(built) <= 462
+
+
 def test_census_raises_on_a_candidate_that_is_no_duality(monkeypatch):
     # a bijection R -> H(S, T) that fixes the neutral element but is not additive: some row leaves H(R, T)
     import monodual.homdual as homdual

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from monodual.ips import (
     sample_event_stream,
 )
 from monodual.product import NoRealEmbedding, SiteMap, SizeBudgetExceeded, dual_map, lift_duality, pair_budget
-from monodual.reproduce import _lifted, _pathwise_case, _pathwise_model
+from monodual.reproduce import _brute_force_dual, _lifted, _pathwise_case, _pathwise_model
 from oracles import event_stream_reference
 
 
@@ -462,6 +463,11 @@ def _scalar_endpoints(model, x, t, replicates, seed, side):
     return ends
 
 
+def mc_endpoints(*args):
+    """Every replicate's endpoint: the blocks `_mc_endpoints` yields, concatenated."""
+    return np.concatenate(list(_mc_endpoints(*args)))
+
+
 def test_lockstep_walk_matches_scalar_replay():
     model = _pathwise_model(_lifted("psi5", 2))
     space = model.space
@@ -470,7 +476,7 @@ def test_lockstep_walk_matches_scalar_replay():
     model = RateModel.build(space, maps, {"spread": 1.5, "cycle": 1.0, "idle": 0.0})
     x = (1, 2)
     replicates = 2 * MC_BLOCK + 17
-    got = _mc_endpoints(model, space.index_of(x), 1.2, replicates, 11, 0)
+    got = mc_endpoints(model, space.index_of(x), 1.2, replicates, 11, 0)
     assert got.tolist() == _scalar_endpoints(model, x, 1.2, replicates, 11, 0)
 
 
@@ -483,8 +489,29 @@ def test_partial_last_block_is_deterministic():
     assert a == b
     # whole blocks do not depend on how many replicates follow them
     start = lifted.s_space.index_of(x)
-    full = _mc_endpoints(model, start, 1.0, replicates, 5, 0)
-    assert (full[:MC_BLOCK] == _mc_endpoints(model, start, 1.0, MC_BLOCK, 5, 0)).all()
+    full = mc_endpoints(model, start, 1.0, replicates, 5, 0)
+    assert (full[:MC_BLOCK] == mc_endpoints(model, start, 1.0, MC_BLOCK, 5, 0)).all()
+
+
+def test_mc_side_from_counts_matches_the_stored_endpoints():
+    lifted = _lifted("psi5", 3)
+    model = _pathwise_model(lifted)
+    x, y = (1, 1, 2), (1, 1, 0)
+    values, start = ips._embedded_values(lifted, x, y, "s")
+    replicates = 2 * MC_BLOCK + 17
+    e = mc_endpoints(model, start, 1.0, replicates, 9, 0)
+    assert e.size == replicates and np.unique(values[e]).size > 1
+    mean, se = ips._mc_side(model, values, start, 1.0, replicates, 9, 0)
+    assert abs(mean - values[e].mean()) <= 1e-12
+    assert abs(se - values[e].std(ddof=1) / math.sqrt(replicates)) <= 1e-12
+
+
+@pytest.mark.parametrize("replicates", [2.5, 1e3, True, "10", None])
+def test_replicates_must_be_an_integer(replicates, monkeypatch):
+    lifted, model = psi5_model(2)
+    monkeypatch.setattr(ips, "_mc_endpoints", None)  # nothing may be drawn
+    with pytest.raises(ValueError, match="replicates must be an integer"):
+        estimate_expectation_duality(model, lifted, (1, 2), (1, 0), 1.0, replicates, seed=1)
 
 
 def test_mc_on_a_multi_map_model_matches_uniformisation():
@@ -657,11 +684,12 @@ def test_a_violation_carries_the_stream_the_batch_checked(monkeypatch):
     assert stream.n_events > 0 and stream.events == want.events
 
 
-def swapped_dual(model, lifted):
-    """The dual model with the duals of its two maps swapped."""
+def swapped_dual(model, lifted, pair=None):
+    """The dual model with the duals of the two maps `pair` swapped, by default of its only two maps."""
     good = {e.map_id: e.site_map for e in dual_model(model, lifted).entries}
-    a, b = sorted(good)
-    return RateModel.build(lifted.r_space, {a: good[b], b: good[a]}, {e.map_id: e.rate for e in model.entries})
+    a, b = pair or sorted(good)
+    good[a], good[b] = good[b], good[a]
+    return RateModel.build(lifted.r_space, good, {e.map_id: e.rate for e in model.entries})
 
 
 @pytest.mark.parametrize("name", ["psi1", "psi5"])
@@ -736,6 +764,16 @@ def test_pair_comparisons_hold_one_block_of_pairs():
     assert traced_peak_mb(lambda: dual_model(model6, lifted6)) <= 0.5  # 1.6 MB comparing every pair at once
 
 
+def test_an_estimate_holds_constant_memory_at_many_replicates():
+    lifted, model = psi5_model(2)
+    dual = dual_model(model, lifted)
+    x, y = (1, 2), (1, 0)
+    estimate_expectation_duality(model, lifted, x, y, 1.0, 10, seed=3, dual=dual)  # builds the index tables
+    # one int64 endpoint and one float64 value per replicate peaked at 15.3 MB
+    assert traced_peak_mb(lambda: estimate_expectation_duality(
+        model, lifted, x, y, 1.0, 10 ** 6, seed=3, dual=dual)) <= 1.0
+
+
 def test_sampled_indices_fill_the_narrowest_dtype():
     # 2^16 configurations: indices up to 65535, the largest a uint16 holds
     lifted = _lifted("psi2", 16)
@@ -763,12 +801,36 @@ def test_sampled_indices_fill_the_narrowest_dtype():
     assert lifted.evaluate(fx, v.y) != lifted.evaluate(v.x, gy)
 
 
-def voter_move(space, to, source):
-    """Site `to` takes site `source`'s state, every other site keeps its own: a voter model move."""
+def linear_move(space, links):
+    """The map whose matrix [input site][output site] holds the identity at `links` and the zero map elsewhere."""
     n, e, k = space.local.order, space.local.neutral, space.sites
     ident, zero = tuple(range(n)), (e,) * n
-    keep = [[ident if (i == j != to or (i, j) == (source, to)) else zero for j in range(k)] for i in range(k)]
-    return SiteMap.from_matrix(space, keep)
+    return SiteMap.from_matrix(space, [[ident if (i, j) in links else zero for j in range(k)] for i in range(k)])
+
+
+def voter_move(space, to, source):
+    """Site `to` takes site `source`'s state, every other site keeps its own: a voter model move."""
+    return linear_move(space, {(i, i) for i in range(space.sites) if i != to} | {(source, to)})
+
+
+def branching(space, source, to):
+    """x_to <- x_to + x_source, x_to v x_source in M1: a particle at `source` branches onto `to`."""
+    return linear_move(space, {(i, i) for i in range(space.sites)} | {(source, to)})
+
+
+def death(space, site):
+    """x_site <- 0: the particle at `site` dies."""
+    return linear_move(space, {(i, i) for i in range(space.sites) if i != site})
+
+
+def contact_process(space, birth=1.0, dying=0.7):
+    """Branching both ways along the cycle of sites at rate `birth`, and death at each site at rate `dying`."""
+    k = space.sites
+    maps = {f"{i}>{j}": branching(space, i, j) for i in range(k) for j in ((i + 1) % k, (i - 1) % k)}
+    rates = dict.fromkeys(maps, birth)
+    maps.update({f"d{i}": death(space, i) for i in range(k)})
+    rates.update(dict.fromkeys((f"d{i}" for i in range(k)), dying))
+    return RateModel.build(space, maps, rates)
 
 
 @pytest.mark.parametrize("name, image", [("psi1", (0, 1, 0)), ("psi2", (0, 0, 0))])
@@ -794,6 +856,46 @@ def test_the_voter_model_is_dual_to_coalescing_and_annihilating_walks(name):
     assert len(reports) == 20 and all(r.passed for r in reports)
     with pytest.raises(DualityViolation):
         check_pathwise_seeds(model, lifted, (0.0, 1.0), range(20), dual=swapped_dual(model, lifted))
+
+
+def test_the_duals_of_branching_and_death_are_their_transposed_matrices():
+    lifted = lift_duality(named_duality("psi1"), 3)
+    space = lifted.s_space
+    for m in (branching(space, 0, 1), branching(space, 2, 0), death(space, 1)):
+        assert dual_map(lifted, m).matrix == tuple(zip(*m.matrix))
+    # the dual of a branching from 0 onto 1 branches from 1 onto 0
+    assert dual_map(lifted, branching(space, 0, 1)).matrix == branching(space, 1, 0).matrix
+
+
+def test_the_contact_process_is_self_dual():
+    lifted = lift_duality(named_duality("psi1"), 3)
+    model = contact_process(lifted.s_space)
+    assert len(model.entries) == 9
+
+    def as_multiset(m):
+        return Counter((e.site_map.matrix, e.rate) for e in m.entries)
+
+    assert as_multiset(dual_model(model, lifted)) == as_multiset(model)
+    reports = check_pathwise_seeds(model, lifted, (0.0, 1.0), range(20))
+    assert len(reports) == 20 and all(r.passed for r in reports)
+    with pytest.raises(DualityViolation):
+        check_pathwise_seeds(model, lifted, (0.0, 1.0), range(20), dual=swapped_dual(model, lifted, ("0>1", "1>0")))
+
+
+@pytest.mark.parametrize("name", ["psi1", "psi2"])
+def test_the_majority_vote_has_no_dual(name):
+    lifted = lift_duality(named_duality(name), 3)
+    space = lifted.s_space
+
+    def majority(x):
+        """x_0 <- maj(x_0, x_1, x_2)."""
+        return (int(sum(x) >= 2), *x[1:])
+
+    image = np.array([space.index_of(majority(x)) for x in space.configs()])
+    assert None in _brute_force_dual(lifted)(image)
+    assert product.global_hom_set_matrix_check(space, majority) is None
+    # the voter move, a matrix of homomorphisms, passes the same lookup
+    assert None not in _brute_force_dual(lifted)(voter_move(space, 0, 1).index_table())
 
 
 @pytest.mark.slow

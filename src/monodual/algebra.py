@@ -19,9 +19,9 @@ from .tables import (
     associativity_witness,
     distributivity_witness,
     is_commutative,
+    neutral_at_zero,
     neutral_of,
     preservation_witness,
-    relabel,
     transpose,
 )
 
@@ -104,11 +104,7 @@ class Monoid:
 
     def normalized(self) -> "Monoid":
         """Relabel so the neutral element sits at index 0 (swap move)."""
-        if self.neutral == 0:
-            return self
-        perm = list(range(self.order))
-        perm[0], perm[self.neutral] = self.neutral, 0
-        return Monoid(CayleyTable(relabel(self.op.rows, perm)), 0)
+        return Monoid(CayleyTable(neutral_at_zero(self.op.rows, self.neutral)), 0)
 
 
 def validate_monoid(table, require_commutative: bool = False) -> Monoid:

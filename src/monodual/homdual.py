@@ -34,12 +34,12 @@ R -> H(S, T), and each is checked against the same two sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
 from . import catalog
-from .algebra import Monoid, iter_isomorphisms
+from .algebra import Monoid, iter_isomorphisms, validate_monoid
 from .tables import CayleyTable, Rows, SizeBudgetExceeded, as_int, pair_budget, transpose
 
 QUADRUPLE_ORDERS = range(2, 5)  # the max_order values the census search accepts
@@ -278,29 +278,18 @@ def _reflexive(adj: AdjointMonoid) -> tuple[tuple[int, ...], ...] | None:
 
 @dataclass(frozen=True)
 class DualityFunction:
-    """An |S| x |R| table into T, rows indexed by S.
-
-    ``verified`` is set in two places: by ``checked()``, after
-    ``verify_duality``, and by the quadruple census, after every candidate
-    of the pair passes ``check_pairing``.
-    """
+    """An |S| x |R| table into T, rows indexed by S: only data, which ``verify_duality`` checks."""
 
     s: Monoid
     r: Monoid
     t: Monoid
     values: Rows
-    verified: bool = field(default=False, compare=False)
 
     def column(self, y: int) -> tuple[int, ...]:
         return tuple(self.values[x][y] for x in range(self.s.order))
 
     def transposed(self) -> "DualityFunction":
-        return DualityFunction(self.r, self.s, self.t, transpose(self.values), self.verified)
-
-    def checked(self) -> "DualityFunction":
-        """This table marked verified, after ``verify_duality`` (which raises on the first failed condition)."""
-        verify_duality(self)
-        return replace(self, verified=True)
+        return DualityFunction(self.r, self.s, self.t, transpose(self.values))
 
 
 def check_pairing(rows, column_maps, row_maps) -> None:
@@ -345,7 +334,8 @@ def named_duality(name: str) -> DualityFunction:
     if base not in catalog.PSI_TABLES:
         raise KeyError(f"unknown duality name {name!r}")
     s_lab, r_lab, t_lab, values = catalog.PSI_TABLES[base]
-    psi = DualityFunction(catalog.monoid(s_lab), catalog.monoid(r_lab), catalog.monoid(t_lab), values).checked()
+    psi = DualityFunction(catalog.monoid(s_lab), catalog.monoid(r_lab), catalog.monoid(t_lab), values)
+    verify_duality(psi)
     return psi if base == name else psi.transposed()
 
 
@@ -362,8 +352,6 @@ def duality_to_dict(psi: DualityFunction) -> dict:
 
 
 def duality_from_dict(obj: dict) -> DualityFunction:
-    from .algebra import validate_monoid
-
     def grid(rows) -> tuple[tuple[int, ...], ...]:
         try:
             return tuple(tuple(map(as_int, row)) for row in rows)
@@ -380,21 +368,23 @@ def duality_from_dict(obj: dict) -> DualityFunction:
 
     if not isinstance(obj, dict):
         raise DualityError("a duality must be an object with keys s, r, t and values")
-    return DualityFunction(mono(obj["s"]), mono(obj["r"]), mono(obj["t"]), grid(obj["values"])).checked()
+    psi = DualityFunction(mono(obj["s"]), mono(obj["r"]), mono(obj["t"]), grid(obj["values"]))
+    verify_duality(psi)
+    return psi
 
 
 def match_named_duality(psi: DualityFunction) -> str | None:
     """The catalog name of psi's class, under any carrier relabeling; None if none or psi is no duality.
 
-    The class is the catalog classes of the carriers (``_class_key``).  psi
-    is verified unless ``psi.verified`` is set; then the catalog tables named
-    for its class are verified in catalog order until one passes.
+    The class is the catalog classes of the carriers (``_class_key``).  When
+    the catalog names tables for that class, psi is verified, on every call,
+    and then those tables in catalog order until one passes.
     """
     hits = [catalog.catalog_lookup(m) for m in (psi.s, psi.r, psi.t)]
     if None in hits:
         return None
     names = _catalog_classes().get(_class_key(*(entry.label for entry, _ in hits)), ())
-    if names and not psi.verified:
+    if names:
         try:
             verify_duality(psi)
         except DualityError:
@@ -432,7 +422,7 @@ def find_all_duality_quadruples(max_order: int = 4) -> list[Quadruple]:
     ``DualityError``).  H(R, T) is {h o iso} for the double adjoint's maps h,
     which the reflexivity test searched, and the first isomorphism iso.  The
     quadruple recorded for the triple carries the lexicographically smallest
-    candidate, marked verified.
+    candidate.
     """
     if max_order not in QUADRUPLE_ORDERS:
         raise ValueError("max_order must be between 2 and 4")
@@ -467,7 +457,7 @@ def find_all_duality_quadruples(max_order: int = 4) -> list[Quadruple]:
                 check_pairing(table, adj.values, lambda: h_rt)
                 cands.append(table)
             out.append(Quadruple(r_label=r_lab, s_label=s_lab, t_label=t_lab,
-                                 psi=DualityFunction(s, r, t, min(cands), verified=True),
+                                 psi=DualityFunction(s, r, t, min(cands)),
                                  isomorphism_count=len(cands)))
     out.sort(key=Quadruple.key)
     return out
@@ -528,7 +518,7 @@ class ReducedClass:
 def reduce_duality_quadruples(quads) -> list[ReducedClass]:
     """Quotient the census by the three reductions and match against the named tables.
 
-    ``quads`` are the census's quadruples, each of which has verified.
+    ``quads`` are the census's quadruples, each of which passed ``check_pairing``.
     Non-minimal quadruples (values inside a proper submonoid of T) are
     dropped; the rest are grouped under relabeling of either argument by a
     carrier automorphism and under transposition, which for dualities is

@@ -32,17 +32,18 @@ each side's indices stored in the narrowest unsigned dtype that holds them;
 ``dual_map`` draws nothing, as single-site pairs decide its bi-additive
 identity exactly.  A Monte-Carlo side splits its replicates into blocks of
 MC_BLOCK; block b of side `side` uses key ``(seed, side, b)``: first every
-replicate's jump count, then, step by step, one mark for each replicate
-still jumping.  A side counts each walked block's endpoints per
-configuration, so its memory does not grow with its replicates.  The draws
-depend only on their key, so results are independent of scheduling.  A path
-whose expected jump count (total rate times time span) exceeds the pair
-budget raises SizeBudgetExceeded before anything is drawn, since the work
-and memory of every path grow with that count; so does a Monte-Carlo
-estimate or an exact expectation whose replicates or states times that
-count exceeds it, since its work grows with that product.  Pathwise checks and Monte-Carlo estimates tabulate
-whole sides, so they raise StateSpaceTooLarge, also before anything is
-drawn, for a side with more configurations than the pair budget.
+replicate's jump count, then, step by step, one mark for each replicate still
+jumping.  A side counts each walked block's endpoints per configuration, so
+its memory does not grow with its replicates.  The draws depend only on their
+key, so results are independent of scheduling; a seed of None (numpy's OS
+entropy) is refused with ValueError.  A path whose expected jump count (total
+rate times time span) exceeds the pair budget raises SizeBudgetExceeded
+before anything is drawn, since the work and memory of every path grow with
+that count; so does a Monte-Carlo estimate or an exact expectation whose
+replicates or states times that count exceeds it, since its work grows with
+that product.  Pathwise checks and Monte-Carlo estimates tabulate whole
+sides, so they raise StateSpaceTooLarge, also before anything is drawn, for a
+side with more configurations than the pair budget.
 """
 
 from __future__ import annotations
@@ -223,7 +224,7 @@ def _stream_sampler(model: RateModel, window: tuple[float, float]):
     id_rank = np.array([sorted(ids).index(i) for i in ids])
 
     def sample(seed) -> EventStream:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_checked_seed(seed))
         n = rng.poisson(lam)
         times = np.sort(rng.uniform(s, u, n))
         marks = lookup(rng.random(n))
@@ -233,6 +234,13 @@ def _stream_sampler(model: RateModel, window: tuple[float, float]):
         return EventStream(window, ids, times, marks, seed)
 
     return ids, sample
+
+
+def _checked_seed(seed):
+    """The seed itself; ValueError for None, which numpy would fill from OS entropy."""
+    if seed is None:
+        raise ValueError("a seed is required: None would draw from OS entropy")
+    return seed
 
 
 def sample_event_stream(model: RateModel, window: tuple[float, float], seed) -> EventStream:
@@ -346,14 +354,20 @@ def check_pathwise_seeds(
     pairs per row, stored in the narrowest unsigned dtype, and looks their
     images up in the flows' index tables one block at a time.  Raises
     DualityViolation at the first seed that fails, with the pair a one-seed
-    check would report and the stream it composed, and StateSpaceTooLarge
-    before any stream or dual is built when a side, or for exhaustive
-    coverage the pairs, exceed the pair budget.
+    check would report and the stream it composed.  Before any stream or
+    dual is built it refuses a seed of None or a bad n_samples (ValueError),
+    a side or, for exhaustive coverage, the pairs past the pair budget
+    (StateSpaceTooLarge), and a sampled n_samples past it (SizeBudgetExceeded).
     """
     if coverage not in ("exhaustive", "sampled"):
         raise ValueError("coverage must be 'exhaustive' or 'sampled'")
+    try:
+        n_samples = as_int(n_samples)
+    except TypeError:
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}") from None
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    seeds = [_checked_seed(seed) for seed in seeds]
     ssp, rsp = lifted.s_space, lifted.r_space
     if model.space != ssp:
         raise ValueError("model does not act on the S side of this duality")
@@ -365,9 +379,10 @@ def check_pathwise_seeds(
         raise StateSpaceTooLarge(
             f"{n_pairs} configuration pairs exceed the budget; use coverage='sampled'"
         )
+    if not exhaustive and n_samples > pair_budget():
+        raise SizeBudgetExceeded(f"{n_samples} sampled pairs per row exceed the pair budget of {pair_budget()}")
     _check_sides(lifted)
 
-    seeds = list(seeds)
     ids, sample = _stream_sampler(model, window)
     dmodel = dual_model(model, lifted) if dual is None else dual
     fwd, back = _table_stack(model, ids), _table_stack(dmodel, ids)
@@ -507,10 +522,11 @@ def estimate_expectation_duality(
     replicate seed namespaces; the estimate is flagged consistent when the
     estimates agree within four combined standard errors; there a side that
     moves but shows no spread takes (max f - min f) / (2 sqrt n), the largest
-    standard error its values f allow (Popoviciu's bound).  A side with more
-    configurations than the pair budget raises StateSpaceTooLarge first.
+    standard error its values f allow (Popoviciu's bound).  A seed of None
+    and a side past the pair budget are refused first (ValueError, StateSpaceTooLarge).
     """
     t = _checked_time(t)
+    seed = _checked_seed(seed)
     try:
         replicates = as_int(replicates)
     except TypeError:

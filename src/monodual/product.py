@@ -39,6 +39,7 @@ from math import prod
 
 import numpy as np
 
+from . import catalog
 from .algebra import Monoid, Semiring
 from .homdual import DualityFunction, check_pairing, hom_set, is_homomorphism, verify_duality
 from .tables import CayleyTable, SizeBudgetExceeded, as_int, pair_budget
@@ -300,15 +301,13 @@ class LiftedDuality:
     """A local duality table summed sitewise over a product space.
 
     The evaluation contract is Psi(x, y) = sum_i psi(x_i, y_i) with the sum in
-    T.  ``module_source`` is set when the table came from a semiring product
-    (then the dualizable maps are the left-module maps rather than all of
-    H(S, S), and the local table need not be a monoid duality function).
+    T.  The local table is a monoid duality (``lift_duality``) or a semiring's
+    multiplication (``semiring_inner_duality``).
     """
 
     local: DualityFunction
     sites: int
     real_embedding: tuple[float, ...] | None = None
-    module_source: Semiring | None = None
 
     @property
     def s_space(self) -> SiteSpace:
@@ -477,15 +476,13 @@ def lift_duality(
     sites: int,
     real_embedding: tuple[float, ...] | None = None,
 ) -> LiftedDuality:
-    """Lift a local duality to S^k x R^k, verifying it first unless ``local.verified`` is set.
+    """Lift a local duality to S^k x R^k, verifying it first (``verify_duality`` raises the first failed condition).
 
-    Verification raises the first failed duality condition.  Small
-    instances (k <= 3 with carriers of order <= 3) are always re-checked
+    Small instances (k <= 3 with carriers of order <= 3) are also re-checked
     exhaustively at the product level instead of being taken on faith from
     the local verification.
     """
-    if not local.verified:
-        local = local.checked()
+    verify_duality(local)
     if real_embedding is not None:
         _check_real_embedding(local.t, real_embedding)
     lifted = LiftedDuality(local, sites, real_embedding)
@@ -579,8 +576,8 @@ def semiring_inner_duality(
     local = DualityFunction(add, add, add, s.mul.rows)
     if real_embedding is not None:
         _check_real_embedding(add, real_embedding)
-    lifted = LiftedDuality(local, sites, real_embedding, module_source=s)
-    verify_module_duality(lifted)
+    lifted = LiftedDuality(local, sites, real_embedding)
+    verify_module_duality(lifted, s)
     return lifted
 
 
@@ -606,16 +603,13 @@ def module_maps(s: Semiring, side: str = "left") -> list[tuple[int, ...]]:
     return _module_maps(s, 1, side)
 
 
-def verify_module_duality(lifted: LiftedDuality) -> None:
-    """Exact check of the four module-level pairing properties, raising the first that fails.
+def verify_module_duality(lifted: LiftedDuality, s: Semiring) -> None:
+    """Exact check of the four module-level pairing properties over the semiring s, raising the first that fails.
 
     The four duality conditions (``check_pairing``) on the Psi table, with
     the left-module maps S^k -> S in place of H(S, T) for the columns and the
     right-module maps in place of H(R, T) for the rows.
     """
-    s = lifted.module_source
-    if s is None:
-        raise ValueError("not a semiring-derived pairing")
     check_pairing(
         lifted.table().tolist(),
         lambda: _module_maps(s, lifted.sites, "left"),
@@ -634,8 +628,6 @@ def lattice_duality_function(join: Monoid) -> DualityFunction:
     is the top, the sum of all elements.  The entry is 0 when x <= y and 1
     otherwise.
     """
-    from . import catalog
-
     rows, n = join.rows, join.order
     if not join.is_commutative() or any(rows[x][x] != x for x in range(n)):
         raise ValueError("a lattice's join monoid must be commutative with every element idempotent")
@@ -646,5 +638,6 @@ def lattice_duality_function(join: Monoid) -> DualityFunction:
     below = [{z for z in range(n) if rows[z][x] == x} for x in range(n)]
     meet = tuple(tuple(total(below[x] & below[y]) for y in range(n)) for x in range(n))
     values = tuple(tuple(0 if rows[x][y] == y else 1 for y in range(n)) for x in range(n))
-    r = Monoid(CayleyTable(meet), total(range(n)))
-    return DualityFunction(join, r, catalog.monoid("M1"), values).checked()
+    psi = DualityFunction(join, Monoid(CayleyTable(meet), total(range(n))), catalog.monoid("M1"), values)
+    verify_duality(psi)
+    return psi

@@ -98,6 +98,13 @@ def relabel(rows: Rows, perm) -> Rows:
     return tuple(tuple([perm[row[j]] for j in inv]) for row in [rows[i] for i in inv])
 
 
+def neutral_at_zero(rows: Rows, neutral: int) -> Rows:
+    """``rows`` relabeled by the swap of 0 and ``neutral``, which moves the neutral element to 0."""
+    swap = list(range(len(rows)))
+    swap[0], swap[neutral] = neutral, 0
+    return rows if neutral == 0 else relabel(rows, swap)
+
+
 def neutral_of(rows: Rows):
     n = len(rows)
     for e in range(n):
@@ -318,12 +325,8 @@ def least_image(rows: Rows, group) -> Rows:
 def canonical_form(rows: Rows, neutral: int = 0) -> Rows:
     """The canonical table of a monoid with neutral element ``neutral``: the
     least relabeling of ``rows`` that puts the neutral at 0."""
-    n = len(rows)
-    if neutral != 0:
-        swap = list(range(n))
-        swap[0], swap[neutral] = neutral, 0
-        rows = relabel(rows, swap)
-    return least_image(rows, class_group(relabelings_fixing(0, n), opposite=False))
+    group = class_group(relabelings_fixing(0, len(rows)), opposite=False)
+    return least_image(neutral_at_zero(rows, neutral), group)
 
 
 def render_table(label: str, rows: Rows) -> str:

@@ -7,6 +7,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN_DIR = Path(__file__).parent / "golden" / "demos"
 
 
 def test_demos_are_found():
@@ -22,4 +23,5 @@ def test_demo_runs_to_completion(demo):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    # every demo is deterministic, so its whole output is pinned
+    assert proc.stdout == (GOLDEN_DIR / f"{demo.stem}.txt").read_text(encoding="utf-8")

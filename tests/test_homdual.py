@@ -252,7 +252,7 @@ def test_psi5_orientation():
     """The cataloged 3x3 table verifies with rows on the involution side only."""
     psi = named_duality("psi5")
     assert (psi.s.rows, psi.r.rows) == (catalog.MONOID_TABLES["M5"], catalog.MONOID_TABLES["M6"])
-    assert verify_duality(psi) is None and psi.verified
+    assert verify_duality(psi) is None
     # the same entries with the argument roles swapped are not a duality
     wrong = DualityFunction(psi.r, psi.s, psi.t, psi.values)
     with pytest.raises(Exception):
@@ -261,7 +261,7 @@ def test_psi5_orientation():
 
 def test_named_duality_resolves_the_transpose_selector():
     psi = named_duality("psi5.T")
-    assert psi == named_duality("psi5").transposed() and psi.verified
+    assert psi == named_duality("psi5").transposed()
     assert (psi.s.rows, psi.r.rows) == (catalog.MONOID_TABLES["M6"], catalog.MONOID_TABLES["M5"])
     for name in ("psi99.T", "psi5.T.T", ".T"):
         with pytest.raises(KeyError):
@@ -289,14 +289,14 @@ def test_census_reproduces_named_tables():
     for name in ("psi1", "psi2"):
         s_lab, r_lab, t_lab, table = catalog.PSI_TABLES[name]
         q = quads[(s_lab, r_lab, t_lab)]
-        assert q.psi.values == table and q.psi.verified and q.isomorphism_count == 1
+        assert q.psi.values == table and verify_duality(q.psi) is None and q.isomorphism_count == 1
 
 
 def test_census_mod3():
     q = _census_by_triple()[("M7", "M7", "M7")]
     # multiplication mod 3 is the least of the two candidates; the other swaps columns 1 and 2
     assert q.psi.values == tuple(tuple((x * y) % 3 for y in range(3)) for x in range(3))
-    assert q.psi.verified and q.isomorphism_count == 2
+    assert verify_duality(q.psi) is None and q.isomorphism_count == 2
 
 
 def test_evaluation_duality_for_reflexive_pairs():
@@ -304,19 +304,19 @@ def test_evaluation_duality_for_reflexive_pairs():
         s, t = catalog.monoid(s_lab), catalog.monoid(t_lab)
         assert is_reflexive(s, t)
         adj = hom_set(s, t)  # psi(x, h) = h(x) on S x H(S,T), a duality whenever S is T-reflexive
-        psi = DualityFunction(s, adj.monoid(), t, tuple(zip(*adj.values()))).checked()
-        assert psi.verified
+        assert verify_duality(DualityFunction(s, adj.monoid(), t, tuple(zip(*adj.values())))) is None
 
 
 def test_transposed_keeps_a_non_square_table_whole():
     s, t = catalog.monoid("M20"), catalog.monoid("M6")
     adj = hom_set(s, t)
-    psi = DualityFunction(s, adj.monoid(), t, tuple(zip(*adj.values()))).checked()  # 4 x 5
+    psi = DualityFunction(s, adj.monoid(), t, tuple(zip(*adj.values())))  # 4 x 5
+    verify_duality(psi)
     assert (psi.s.order, psi.r.order) == (4, 5)
     back = psi.transposed()
     assert (back.s, back.r, back.t) == (psi.r, psi.s, psi.t)
     assert back.values == tuple(zip(*psi.values)) and len(back.values) == 5
-    assert back.verified and back.checked().verified
+    assert verify_duality(back) is None
 
 
 def test_duality_column_and_row_maps_are_isomorphisms():
@@ -466,7 +466,6 @@ def test_census_looks_up_each_source_and_adjoint_once_and_verifies_every_candida
     assert calls["lookup"] <= 136
     assert calls["check"] == sum(q.isomorphism_count for q in quads) == 164
     assert calls["verify"] == 0
-    assert all(q.psi.verified for q in quads)
 
 
 def test_census_searches_no_hom_set_per_candidate(monkeypatch):
@@ -519,7 +518,7 @@ def test_m23_module_maps_equal_additive_homs():
 def test_duality_json_round_trip():
     psi = named_duality("psi13")
     again = duality_from_dict(duality_to_dict(psi))
-    assert again.values == psi.values and again.verified
+    assert again == psi
 
 
 def test_match_named_duality_handles_relabeled_carriers():
@@ -534,7 +533,7 @@ def test_match_named_duality_handles_relabeled_carriers():
         for y in range(4):
             relabeled[perm[x]][y] = values[x][y]
     moved = DualityFunction(s2, psi.r, psi.t, tuple(tuple(r) for r in relabeled))
-    assert verify_duality(moved) is None and not moved.verified
+    assert verify_duality(moved) is None
     assert match_named_duality(moved) == "psi11"
 
 
@@ -587,17 +586,6 @@ def test_condition_three_fails_alone_on_repeated_columns():
     with pytest.raises(Condition3Fail) as err:
         verify_duality(psi)
     assert err.value.witness == (0, 1)
-
-
-def test_verified_is_set_only_by_checked():
-    psi = named_duality("psi11")
-    assert psi.verified and psi.transposed().verified
-    bare = DualityFunction(psi.s, psi.r, psi.t, psi.values)
-    assert not bare.verified and bare == psi
-    assert bare.checked().verified and not bare.verified
-    zeros = DualityFunction(psi.s, psi.r, psi.t, tuple((0,) * 4 for _ in range(4)))
-    with pytest.raises(Condition1Fail):
-        zeros.checked()
 
 
 def _first_failed_condition(psi):
@@ -653,14 +641,14 @@ def test_verify_duality_raises_the_first_condition_a_brute_force_oracle_finds():
 
 
 def test_match_named_duality_verifies_only_psi_and_the_tables_named_for_its_class(monkeypatch):
+    # psi itself on every call, however it was built, then the first named table of its class
     psi = named_duality("psi11")
     bare = DualityFunction(psi.s, psi.r, psi.t, psi.values)
     calls = _counting(monkeypatch, "verify_duality")
-    assert match_named_duality(bare) == "psi11"
-    assert len(calls) == 2
-    del calls[:]
-    assert match_named_duality(psi) == "psi11"
-    assert len(calls) == 1
+    for table in (bare, psi):
+        del calls[:]
+        assert match_named_duality(table) == "psi11"
+        assert [c[0] for c in calls] == [table, psi]
 
 
 def test_a_second_census_searches_no_hom_set(monkeypatch):

@@ -419,11 +419,33 @@ def test_expectations_reject_a_non_finite_or_negative_time(t):
         exact_semigroup_expectation(model, lifted, x, y, t)
 
 
-@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("n", [0, -3, 2.5, True, "10"])
 def test_sampled_pathwise_check_needs_at_least_one_pair(n):
     lifted, model = psi5_model(2)
     with pytest.raises(ValueError):
         check_pathwise_duality(model, lifted, (0.0, 1.0), seed=9, coverage="sampled", n_samples=n)
+
+
+def test_sampled_pairs_per_row_are_bounded_by_the_pair_budget(monkeypatch):
+    lifted, model = psi5_model(2)
+    monkeypatch.setenv("MONODUAL_PAIR_BUDGET", "100")
+    assert check_pathwise_duality(model, lifted, (0.0, 1.0), seed=9, coverage="sampled", n_samples=100).passed
+    monkeypatch.setattr(ips, "_stream_sampler", None)  # no stream may be drawn
+    monkeypatch.setattr(ips, "dual_model", None)  # nor any dual built
+    with pytest.raises(SizeBudgetExceeded):
+        check_pathwise_duality(model, lifted, (0.0, 1.0), seed=9, coverage="sampled", n_samples=101)
+
+
+def test_a_seed_of_none_is_refused_before_anything_is_drawn(monkeypatch):
+    lifted, model = psi5_model(2)
+    monkeypatch.setattr(np.random, "default_rng", None)  # nothing may be drawn
+    with pytest.raises(ValueError, match="a seed is required"):
+        sample_event_stream(model, (0.0, 1.0), None)
+    monkeypatch.setattr(ips, "dual_model", None)  # nor any dual built
+    with pytest.raises(ValueError, match="a seed is required"):
+        check_pathwise_seeds(model, lifted, (0.0, 1.0), [1, None])
+    with pytest.raises(ValueError, match="a seed is required"):
+        estimate_expectation_duality(model, lifted, (1, 2), (1, 0), 1.0, 10, seed=None)
 
 
 def test_uniformisation_closed_form_at_large_lambda_t():

@@ -171,6 +171,13 @@ def test_lift_rejects_non_duality():
         lift_duality(bogus, 2)
 
 
+def test_lift_verifies_the_local_table_beyond_the_product_level_recheck():
+    # at k = 4 no product-level re-check runs, so only the local verification sees the coinciding rows
+    m1 = catalog.monoid("M1")
+    with pytest.raises(Condition1Fail):
+        lift_duality(DualityFunction(m1, m1, m1, ((0, 0), (0, 0))), 4)
+
+
 @pytest.mark.parametrize("shape", [(5, 3, 4), (3, 1, 20), (2, 6, 5), (1, 2, 17), (4, 9, 9), (1, 1, 1)])
 @pytest.mark.parametrize("block", [1, 7, 16, 1000])
 def test_blocks_cover_every_pair_once_in_row_major_order(monkeypatch, shape, block):
@@ -299,19 +306,19 @@ def test_semiring_inner_duality_f2():
     for xs in lifted.s_space.configs():
         for ys in lifted.r_space.configs():
             assert lifted.evaluate(xs, ys) == (xs[0] * ys[0] + xs[1] * ys[1]) % 2
-    assert verify_module_duality(lifted) is None
+    assert verify_module_duality(lifted, f2) is None
 
 
 def test_verify_module_duality_raises_the_first_failed_condition():
     f2 = validate_semiring(catalog.MONOID_TABLES["M2"], [[0, 0], [0, 1]])
     add = f2.add
-    zero = LiftedDuality(DualityFunction(add, add, add, ((0, 0), (0, 0))), 2, module_source=f2)
+    zero = LiftedDuality(DualityFunction(add, add, add, ((0, 0), (0, 0))), 2)
     with pytest.raises(Condition1Fail):
-        verify_module_duality(zero)
+        verify_module_duality(zero, f2)
     # distinct rows, but the column (1, 0) sends 0 to 1: no module map
-    swapped = LiftedDuality(DualityFunction(add, add, add, ((1, 0), (0, 1))), 1, module_source=f2)
+    swapped = LiftedDuality(DualityFunction(add, add, add, ((1, 0), (0, 1))), 1)
     with pytest.raises(Condition2Fail):
-        verify_module_duality(swapped)
+        verify_module_duality(swapped, f2)
 
 
 def test_semiring_inner_duality_boolean():
@@ -326,7 +333,7 @@ def test_semiring_inner_duality_boolean():
 def test_semiring_inner_duality_verifies_f4_at_two_sites():
     f4 = validate_semiring(catalog.MONOID_TABLES["M25"], catalog.MONOID_TABLES["F4-mult"])
     lifted = semiring_inner_duality(f4, 2)
-    assert verify_module_duality(lifted) is None
+    assert verify_module_duality(lifted, f4) is None
     assert len(_module_maps(f4, 2, "left")) == 16
 
 
@@ -376,7 +383,7 @@ def test_one_generated_semirings_bridge_to_monoid_duality():
 def test_one_generated_module_maps_equal_homs_on_products():
     f2 = validate_semiring(catalog.MONOID_TABLES["M2"], [[0, 0], [0, 1]])
     lifted = semiring_inner_duality(f2, 2)
-    assert verify_module_duality(lifted) is None
+    assert verify_module_duality(lifted, f2) is None
     # the left-module maps on the product coincide with the additive maps
     sp = lifted.s_space
     cfgs = list(sp.configs())
@@ -413,7 +420,6 @@ def test_one_generated_module_maps_equal_homs_on_products():
 def test_lattice_duality_functions_match_named_tables():
     for label, want in [("M1", "psi1"), ("M4", "psi4"), ("M11", "psi11"), ("M15", "psi15")]:
         psi = lattice_duality_function(catalog.monoid(label))
-        assert psi.verified
         assert match_named_duality(psi) == want
 
 
@@ -438,7 +444,8 @@ def test_every_lattice_up_to_order_5_is_a_duality_into_m1_both_ways():
         counts.append(len(lattices))
         for join in lattices:
             psi = lattice_duality_function(join)
-            assert psi.verified and psi.s == join and psi.t == catalog.monoid("M1")
+            assert psi.s == join and psi.t == catalog.monoid("M1")
+            verify_duality(psi)
             verify_duality(psi.transposed())
     assert counts == [1, 1, 1, 2, 5]
 

@@ -35,13 +35,14 @@ MC_BLOCK; block b of side `side` uses key ``(seed, side, b)``: first every
 replicate's jump count, then, step by step, one mark for each replicate still
 jumping.  A side counts each walked block's endpoints per configuration, so
 its memory does not grow with its replicates.  The draws depend only on their
-key, so results are independent of scheduling; a seed of None (numpy's OS
-entropy) is refused with ValueError.  A path whose expected jump count (total
-rate times time span) exceeds the pair budget raises SizeBudgetExceeded
-before anything is drawn, since the work and memory of every path grow with
-that count; so does a Monte-Carlo estimate or an exact expectation whose
-replicates or states times that count exceeds it, since its work grows with
-that product.  Pathwise checks and Monte-Carlo estimates tabulate whole
+key, so results are independent of scheduling.  A seed is a non-negative
+integer or a sequence of them; any other seed, None (numpy's OS entropy)
+included, is refused with ValueError before anything is drawn.  A path
+whose expected jump count (total rate times time span) exceeds the pair
+budget raises SizeBudgetExceeded before anything is drawn, since the work
+and memory of every path grow with that count; so does a Monte-Carlo
+estimate or an exact expectation whose replicates or states times that
+count exceeds it, since its work grows with that product.  Pathwise checks and Monte-Carlo estimates tabulate whole
 sides, so they raise StateSpaceTooLarge, also before anything is drawn, for a
 side with more configurations than the pair budget.
 """
@@ -49,6 +50,7 @@ side with more configurations than the pair budget.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -237,9 +239,19 @@ def _stream_sampler(model: RateModel, window: tuple[float, float]):
 
 
 def _checked_seed(seed):
-    """The seed itself; ValueError for None, which numpy would fill from OS entropy."""
+    """The seed itself, a non-negative integer or a sequence of them (no booleans); ValueError otherwise.
+
+    None is refused too: numpy would fill it from OS entropy.
+    """
     if seed is None:
         raise ValueError("a seed is required: None would draw from OS entropy")
+    sequence = isinstance(seed, (Sequence, np.ndarray)) and not isinstance(seed, (str, bytes, bytearray))
+    try:
+        valid = all(as_int(v) >= 0 for v in (seed if sequence else [seed]))
+    except TypeError:  # a part that is no integer, or a 0-d array
+        valid = False
+    if not valid:
+        raise ValueError(f"a seed must be a non-negative integer or a sequence of them, got {seed!r}")
     return seed
 
 

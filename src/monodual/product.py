@@ -11,16 +11,22 @@ significant digit (``SiteSpace.index_of``/``config_of``); a space whose
 indices would overflow int64 is refused when it is built.  Sums over sites
 go through two helpers.  ``_sitewise_sums`` folds one local table per site
 into the table of sums over a block of sites: Psi over a block, the module
-maps S^k -> S, and one output site of a matrix map over a block of input
-sites.  ``_peel`` splits the sites into the fewest near-equal blocks whose
-tables fit a cell cap and peels each block's digits off index arrays.
+maps S^k -> S, and the output sites of a matrix map over a block of input
+sites.  It folds by halves: the table over w sites is the sum table of its
+two halves' tables, ceil(log2 w) levels, each written one row of the left
+half at a time as one gather from the sums of the right half's values.
+``_peel`` splits the sites into the fewest near-equal blocks whose tables
+fit a cell cap and peels each block's digits off index arrays.
 ``LiftedDuality.values_at`` caches its Psi block tables per width, so its
 cap is the pair budget, and sums the block values in T;
 ``SiteMap.apply_indices`` rebuilds its tables on every call, so the number
-of indices caps them too, and sums them in S for each output site, building
-the image index by Horner's rule.  ``LiftedDuality.table`` is the one-block
-case.  All values stay uint8; the scalar ``SiteMap.apply`` and
-``LiftedDuality.evaluate`` are the test oracles.
+of indices caps them too.  It builds the block tables of a group of output
+sites in one fold, sums them in S for each output site and finishes the
+image index by Horner's rule in place; the group is sized so that its
+tables hold at most half the bytes of the int64 images (or one
+PAIR_BLOCK).  ``LiftedDuality.table`` is the one-block case.  All values
+stay uint8; the scalar ``SiteMap.apply`` and ``LiftedDuality.evaluate`` are
+the test oracles.
 
 Pairs: ``identity_holds`` is the one place that compares Psi(X(x), y) with
 Psi(x, Y(y)), for ``dual_map`` and for the pathwise checks alike.  It
@@ -166,28 +172,42 @@ class SiteMap:
         return tuple(out)
 
     def apply_indices(self, idx: np.ndarray) -> np.ndarray:
-        """The images of an array of configuration indices, as indices, one output site at a time.
+        """The images of an array of configuration indices, as indices, a group of output sites at a time.
 
         Output site j is sum_i M[i][j](x_i) in S, summed over its block tables
-        at the peeled digits; the sites build the image index by Horner's rule.
-        Only the given configurations are mapped, so any side size works:
-        beyond the pair budget ``dual_map`` maps just its configurations with
-        at most one non-neutral site, which generate S^k, and draws nothing.
-        Besides the pair budget, its block tables are held to max(|S|, number
-        of indices) cells.
+        at the peeled digits.  One ``_sitewise_sums`` call builds the block
+        tables of a whole group of output sites side by side, and the sites
+        finish the image index by Horner's rule in place.  Only the given
+        configurations are mapped, so any side size works: beyond the pair
+        budget ``dual_map`` maps just its configurations with at most one
+        non-neutral site, which generate S^k, and draws nothing.  Besides the
+        pair budget, a block table is held to max(|S|, number of indices)
+        cells, and a group's tables to max(4 x number of indices, PAIR_BLOCK)
+        cells: half the bytes of the int64 images, or one pair block.
         """
         local, k = self.space.local, self.space.sites
-        entries = np.asarray(self.matrix, dtype=np.uint8).reshape(k, k, local.order)
+        n = local.order
+        entries = np.asarray(self.matrix, dtype=np.uint8).reshape(k, k, n)
         add = np.asarray(local.rows, dtype=np.uint8)
-        cap = min(pair_budget(), max(local.order, np.size(idx)))
-        blocks = list(_peel(k, (idx,), (local.order,), cap))
+        size = max(n, np.size(idx))
+        blocks = list(_peel(k, (idx,), (n,), min(pair_budget(), size)))
+        group = max(1, max(4 * size, PAIR_BLOCK) // sum(n ** (hi - lo) for lo, hi, _ in blocks))
+
+        def images(j):  # output sites j.. of one group at idx, one site at a time
+            tables = [(_sitewise_sums(local, entries[lo:hi, None, j:j + group])[0], digits)
+                      for lo, hi, digits in blocks]
+            for site in range(min(group, k - j)):
+                acc = None
+                for table, digits in tables:
+                    value = table[site][digits]
+                    acc = value if acc is None else add[acc, value]
+                yield acc
+
         out = np.zeros(np.shape(idx), dtype=np.int64)
-        for j in range(k):
-            acc = None
-            for lo, hi, digits in blocks:
-                value = _sitewise_sums(local, entries[lo:hi, j, None, :])[0][digits]
-                acc = value if acc is None else add[acc, value]
-            out = out * local.order + acc
+        for j in range(0, k, group):
+            for row in images(j):  # a group's tables are freed before the next group's are built
+                out *= n
+                out += row
         return out
 
     def index_table(self) -> np.ndarray:
@@ -261,17 +281,37 @@ def global_hom_set_matrix_check(space: SiteSpace, f):
 def _sitewise_sums(t: Monoid, local: np.ndarray) -> np.ndarray:
     """The table of sum_i local[i, a_i, b_i] in T over index tuples a, b, ordered like configurations.
 
-    ``local`` stacks one uint8 table over T per site; SizeBudgetExceeded past the pair budget.
+    ``local`` stacks one uint8 table over T per site, shaped (sites, a, b).
+    Shaped (sites, a, tables, b), it holds several tables per site, and
+    their sum tables come side by side, shaped (a^sites, tables, b^sites).
+    The table over a run of sites is the sum table of its two halves'
+    tables, so ceil(log2 sites) levels build it.  SizeBudgetExceeded past
+    the pair budget.
     """
-    sites, a, b = local.shape
+    sites, a, *stack, b = local.shape
     if (a * b) ** sites > pair_budget():
         raise SizeBudgetExceeded(f"a table of {(a * b) ** sites} sitewise sums exceeds the pair budget")
     add = np.asarray(t.rows, dtype=np.uint8)
-    table = np.full((1, 1), t.neutral, dtype=np.uint8)
-    for site in local:
-        table = add[table[:, None, :, None], site[None, :, None, :]]
-        table = table.reshape(len(table) * a, -1)
-    return table
+    tables = prod(stack)
+    terms = np.arange(t.order)[:, None]
+    offsets = t.order * np.arange(tables)[:, None]  # where table g's rows of sums start
+
+    def over(lo, hi):  # the tables over sites lo..hi-1, shaped (rows, tables, columns)
+        if hi - lo < 2:
+            site = local[lo] if hi > lo else np.full((1, tables, 1), t.neutral, dtype=np.uint8)
+            return site.reshape(len(site), tables, -1)
+        mid = (lo + hi + 1) // 2
+        left, right = over(lo, mid), over(mid, hi)
+        (rows, _, cols), (r_rows, _, r_cols) = left.shape, right.shape
+        # sums[x', g |T| + s, y'] = s + right[x', g, y']: each row of left is one gather from it
+        sums = add[terms, right[:, :, None, :]].reshape(r_rows, -1, r_cols)
+        at = left + offsets
+        out = np.empty((rows, r_rows, tables, cols, r_cols), dtype=np.uint8)
+        for x in range(rows):
+            np.take(sums, at[x], axis=1, out=out[x], mode="clip")  # in range: left holds elements of T
+        return out.reshape(rows * r_rows, tables, cols * r_cols)
+
+    return over(0, sites).reshape(a ** sites, *stack, b ** sites)
 
 
 def _peel(sites: int, indices, orders, cap: int):
@@ -444,7 +484,7 @@ def identity_holds(lifted: LiftedDuality, X, Y, pairs=None):
         X, Y = X.reshape(-1, psi.shape[0]), Y.reshape(-1, psi.shape[1])
 
         def bad_at(rows, xs, ys):  # (rows, x, y); psi[xs, Y] is (x, rows, y)
-            return psi[X[rows, xs], ys] != np.moveaxis(psi[xs, Y[rows, ys]], 0, 1)
+            return psi[X[rows, xs], ys] != psi[xs, Y[rows, ys]].swapaxes(0, 1)
 
         hit = _first_failure((len(X), *psi.shape), bad_at)
         if hit is None:
@@ -587,7 +627,7 @@ def _module_maps(s: Semiring, sites: int, side: str) -> list[tuple[int, ...]]:
     A value table is indexed like the configurations of S^k.  "left" keeps
     f(a x) == a f(x), "right" keeps f(x a) == f(x) a, for every scalar a.  S^k
     is the coproduct of k copies of S among such modules, so these maps are
-    the sitewise sums x -> sum_i h_i(x_i) of local ones, built site by site.
+    the sitewise sums x -> sum_i h_i(x_i) of local ones, folded by halves.
     """
     homs = np.array(hom_set(s.add, s.add).values(), dtype=np.uint8)
     mul = np.asarray(s.mul.rows, dtype=np.uint8)

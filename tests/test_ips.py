@@ -446,6 +446,19 @@ def test_a_seed_of_none_is_refused_before_anything_is_drawn(monkeypatch):
         check_pathwise_seeds(model, lifted, (0.0, 1.0), [1, None])
     with pytest.raises(ValueError, match="a seed is required"):
         estimate_expectation_duality(model, lifted, (1, 2), (1, 0), 1.0, 10, seed=None)
+    # every other seed numpy does not take, booleans and negative parts too
+    for seed in (1.5, "abc", b"x", bytearray(b"x"), (1.5,), (None, 1), True, (True, 1), -1, (1, -2),
+                 np.array(5), np.array([[1, 2]]), object()):
+        for call in (
+            lambda: sample_event_stream(model, (0.0, 1.0), seed),
+            lambda: check_pathwise_seeds(model, lifted, (0.0, 1.0), [1, seed]),
+            lambda: estimate_expectation_duality(model, lifted, (1, 2), (1, 0), 1.0, 10, seed=seed),
+        ):
+            with pytest.raises(ValueError, match="a seed must be a non-negative integer or a sequence of them"):
+                call()
+    # what numpy takes is still taken
+    for seed in (0, 2 ** 70, np.uint64(3), (4, 5), [6], np.array([7, 8]), ()):
+        assert ips._checked_seed(seed) is seed
 
 
 def test_uniformisation_closed_form_at_large_lambda_t():

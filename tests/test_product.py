@@ -1,9 +1,13 @@
 import random
 import re
+import tracemalloc
+from functools import reduce
 from itertools import product as iproduct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from monodual import catalog
 from monodual.algebra import validate_monoid, validate_semiring
@@ -652,11 +656,11 @@ def test_apply_indices_matches_scalar_apply_on_both_routes(monkeypatch):
 def test_site_map_block_tables_follow_the_index_count(monkeypatch):
     import monodual.product as product
 
-    cells = []
+    shapes = []
 
     def spy(t, local):
         table = _sitewise_sums(t, local)
-        cells.append(table.size)
+        shapes.append(table.shape)  # (1, output sites of the group, block cells)
         return table
 
     monkeypatch.setattr(product, "_sitewise_sums", spy)
@@ -664,12 +668,88 @@ def test_site_map_block_tables_follow_the_index_count(monkeypatch):
     m = SiteMap.identity(space)
     idx = product._single_site_indices(space)
     assert m.apply_indices(idx).tolist() == idx.tolist()
-    assert max(cells) <= len(idx) == 64
+    assert max(cells for _, _, cells in shapes) <= len(idx) == 64
+    # 11 blocks of 5 or 6 sites; each group of output sites is one call per block, and all the
+    # calls of a group hold at most max(4 x 64, PAIR_BLOCK) cells
+    assert len(shapes) == 11 * 3 and [g for _, g, _ in shapes] == [26] * 22 + [11] * 11
+    for lo in range(0, len(shapes), 11):
+        assert sum(g * cells for _, g, cells in shapes[lo:lo + 11]) <= max(4 * 64, product.PAIR_BLOCK)
     # index_table() maps all |S|^k configurations, so each output site is one block
-    cells.clear()
+    shapes.clear()
     space = SiteSpace(catalog.monoid("M6"), 4)
     assert SiteMap.identity(space).index_table().tolist() == list(range(81))
-    assert cells == [81] * 4
+    assert shapes == [(1, 4, 81)]
+    # 2^16 images: a group holds four sites' tables, half the bytes of the int64 images
+    shapes.clear()
+    space = SiteSpace(catalog.monoid("M2"), 16)
+    assert SiteMap.identity(space).index_table().tolist() == list(range(2 ** 16))
+    assert shapes == [(1, 4, 2 ** 16)] * 4
+
+
+def _site_by_site_sums(t, local) -> list:
+    """The table of sum_i local[i][a_i][b_i] in T, one site at a time, over index tuples in configuration order."""
+    sites, a, b = local.shape
+    return [
+        [reduce(t.add, (int(local[i, x[i], y[i]]) for i in range(sites)), t.neutral)
+         for y in iproduct(range(b), repeat=sites)]
+        for x in iproduct(range(a), repeat=sites)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sitewise_sums_equal_site_by_site_sums(data):
+    t = catalog.monoid(data.draw(st.sampled_from(catalog.M_LABELS)))
+    a, b, tables = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    sites = data.draw(st.integers(0, max(w for w in range(7) if (a * b) ** w <= 1024)))
+    local = data.draw(arrays(np.uint8, (sites, a, tables, b), elements=st.integers(0, t.order - 1)))
+    stacked = _sitewise_sums(t, local)
+    assert stacked.dtype == np.uint8 and stacked.shape == (a ** sites, tables, b ** sites)
+    for g in range(tables):
+        want = _site_by_site_sums(t, local[:, :, g])
+        table = _sitewise_sums(t, local[:, :, g])
+        assert table.dtype == np.uint8 and table.tolist() == want
+        assert stacked[:, g].tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_apply_indices_equals_scalar_apply(data):
+    label = data.draw(st.sampled_from(catalog.M_LABELS))
+    local, homs = catalog.monoid(label), hom_values(label)
+    k = data.draw(st.integers(0, max(w for w in range(8) if local.order ** w <= 4096)))
+    space = SiteSpace(local, k)
+    m = SiteMap.from_matrix(space, [[data.draw(st.sampled_from(homs)) for _ in range(k)] for _ in range(k)])
+    shape = data.draw(st.sampled_from([(), (data.draw(st.integers(1, 40)),),
+                                       (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6)))]))
+    idx = data.draw(arrays(np.int64, shape, elements=st.integers(0, space.n_configs - 1)))
+    want = [space.index_of(m.apply(space.config_of(i))) for i in idx.ravel().tolist()]
+    got = m.apply_indices(idx)
+    assert np.shape(got) == shape and np.ravel(got).tolist() == want
+
+
+def _cycle_map(label, k):
+    homs = hom_values(label)
+    return SiteMap.from_matrix(SiteSpace(catalog.monoid(label), k),
+                               [[homs[(i + j) % len(homs)] for j in range(k)] for i in range(k)])
+
+
+@pytest.mark.parametrize("build, bound_mb", [
+    (lambda: lift_duality(named_duality("psi5").transposed(), 6).table, 0.70),
+    (lambda: lift_duality(named_duality("psi2"), 9).table, 0.46),
+    (lambda: _cycle_map("M2", 16).index_table, 1.71),
+    (lambda: _cycle_map("M6", 10).index_table, 1.54),
+], ids=["psi5.T-k6-table", "psi2-k9-table", "M2^16-index-table", "M6^10-index-table"])
+def test_tables_peak_no_higher_than_the_site_by_site_build(build, bound_mb):
+    # each bound is the traced peak of building the same table one site at a time
+    tabulate = build()  # a fresh instance, nothing tabulated yet
+    tracemalloc.start()
+    try:
+        tabulate()
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak_mb <= bound_mb
 
 
 def test_a_space_past_int64_indices_is_refused():

@@ -61,6 +61,7 @@ from .product import (
     SiteSpace,
     SizeBudgetExceeded,
     dual_map,
+    dual_maps,
     global_hom_set_matrix_check,
     lattice_duality_function,
     lift_duality,

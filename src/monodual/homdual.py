@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
+from operator import getitem
 
 from . import catalog
 from .algebra import Monoid, iter_isomorphisms, validate_monoid
@@ -119,7 +120,8 @@ class AdjointMonoid:
                 raise SizeBudgetExceeded(f"the addition table of {self.size} maps exceeds the pair budget")
             homs, t = self.values(), self.target.rows
             index = {h: i for i, h in enumerate(homs)}
-            sums = [[tuple(t[a][b] for a, b in zip(f, g)) for g in homs] for f in homs]
+            # (f + g)(x) = t[f(x)][g(x)]: f's rows of t, read at g's values
+            sums = [[tuple(map(getitem, rows, g)) for g in homs] for rows in ([t[v] for v in f] for f in homs)]
             if any(h not in index for row in sums for h in row):
                 raise AssertionError("hom set not closed under pointwise addition")
             object.__setattr__(self, "_op", CayleyTable(tuple(tuple(index[h] for h in row) for row in sums)))
@@ -130,7 +132,10 @@ class AdjointMonoid:
         return self.values().index((self.target.neutral,) * self.source.order)
 
     def monoid(self) -> Monoid:
-        return Monoid(self.op, self.index_of_zero)
+        """H(S, T) as a monoid, built once per instance."""
+        if "_monoid" not in self.__dict__:
+            object.__setattr__(self, "_monoid", Monoid(self.op, self.index_of_zero))
+        return self._monoid
 
     def values(self) -> tuple[tuple[int, ...], ...]:
         """The value tables of the maps, built once per instance."""

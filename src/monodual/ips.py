@@ -18,18 +18,22 @@ bounds the events of a sub-window under either boundary convention.
 ``check_pathwise_seeds`` checks many seeds at once: each seed's events
 under the "+" convention are one row of marks, and the "-" convention adds
 a second row only when a window end is an event time, since otherwise one
-flow pair decides both (``pairs_checked`` still counts both).  The rows are
-padded with the identity and composed together, FLOW_CHUNK cells of index
-tables at a time, by pairwise tree reduction.  One ``identity_holds`` call
-then compares the pairs of all the rows, PAIR_BLOCK pairs at a time, so the
-memory of a comparison no longer grows with the pairs it compares.
+flow pair decides both (``pairs_checked`` still counts both).  The streams
+are drawn and cut at the window ends with no check per seed, as the seeds
+and the window are checked once.  The rows are padded with the identity and
+composed together (``_compose``): events go in words of w, looked up in a
+table of all the words of w maps, FLOW_CHUNK cells of index tables at a
+time, by pairwise tree reduction.  One ``identity_holds`` call then compares
+the pairs of all the rows, PAIR_BLOCK pairs at a time, so the memory of a
+comparison no longer grows with the pairs it compares.  The dual model's
+maps come from one ``dual_maps`` call.
 
 Randomness: every draw comes from ``np.random.default_rng(key)``, and there
 are three kinds.  The event stream of a pathwise check uses key ``seed``: a
 Poisson jump count, then that many sorted uniform times and uniform marks.
 Its sampled configuration pairs use key ``(seed, 2)``, all x indices first,
 each side's indices stored in the narrowest unsigned dtype that holds them;
-``dual_map`` draws nothing, as single-site pairs decide its bi-additive
+``dual_maps`` draws nothing, as single-site pairs decide its bi-additive
 identity exactly.  A Monte-Carlo side splits its replicates into blocks of
 MC_BLOCK; block b of side `side` uses key ``(seed, side, b)``: first every
 replicate's jump count, then, step by step, one mark for each replicate still
@@ -56,7 +60,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .product import (
-    LiftedDuality, NoRealEmbedding, SiteMap, SiteSpace, SizeBudgetExceeded, dual_map,
+    LiftedDuality, NoRealEmbedding, SiteMap, SiteSpace, SizeBudgetExceeded, dual_maps,
     identity_holds, pair_budget,
 )
 from .tables import as_int
@@ -166,12 +170,17 @@ class EventStream:
         lo, hi = self.window
         if not (lo <= s <= u <= hi):
             raise WindowViolation(f"[{s},{u}] not inside stream window [{lo},{hi}]")
-        return tuple(np.searchsorted(self.times, (s, u), side="right" if convention == "+" else "left").tolist())
+        return _bounds(self.times, (s, u), convention)
 
     def events_in(self, s: float, u: float, convention: str = "+") -> tuple[tuple[str, float], ...]:
         """The events of X[s,u] in stream order, as `cut` bounds them."""
         a, b = self.cut(s, u, convention)
         return self.events[a:b]
+
+
+def _bounds(times: np.ndarray, window: tuple[float, float], convention: str) -> tuple[int, int]:
+    """``EventStream.cut`` of sorted `times` at the ends of `window`, unchecked."""
+    return tuple(np.searchsorted(times, window, side="right" if convention == "+" else "left").tolist())
 
 
 def _checked_window(window) -> tuple[float, float]:
@@ -212,7 +221,8 @@ def _expected_jumps(model: RateModel, span: float, paths: int = 1) -> float:
 
 def _stream_sampler(model: RateModel, window: tuple[float, float]):
     """The ids of the positive-rate maps, and a function from a seed to its EventStream on `window`,
-    whose marks index those ids.
+    whose marks index those ids.  The caller checks the window and the seeds: the function does not,
+    and its streams skip ``EventStream``'s window check.
 
     Marked Poisson sampling, count first: the number of events is Poisson
     with mean total rate times window length; given the count, the times are
@@ -226,14 +236,16 @@ def _stream_sampler(model: RateModel, window: tuple[float, float]):
     id_rank = np.array([sorted(ids).index(i) for i in ids])
 
     def sample(seed) -> EventStream:
-        rng = np.random.default_rng(_checked_seed(seed))
+        rng = np.random.default_rng(seed)
         n = rng.poisson(lam)
         times = np.sort(rng.uniform(s, u, n))
         marks = lookup(rng.random(n))
         if (times[1:] == times[:-1]).any():  # a stable sort of sorted times moves only the ties
             order = np.lexsort((id_rank[marks], times))
             times, marks = times[order], marks[order]
-        return EventStream(window, ids, times, marks, seed)
+        stream = object.__new__(EventStream)
+        stream.__dict__.update(window=window, ids=ids, times=times, marks=marks, seed=seed)
+        return stream
 
     return ids, sample
 
@@ -257,7 +269,7 @@ def _checked_seed(seed):
 
 def sample_event_stream(model: RateModel, window: tuple[float, float], seed) -> EventStream:
     """The event stream of `seed` on `window`, the same draws as every pathwise check of that seed."""
-    return _stream_sampler(model, _checked_window(window))[1](seed)
+    return _stream_sampler(model, _checked_window(window))[1](_checked_seed(seed))
 
 
 def _compose_pairs(block: np.ndarray) -> np.ndarray:
@@ -276,28 +288,55 @@ def _compose_pairs(block: np.ndarray) -> np.ndarray:
     return out
 
 
+def _word_tables(tables: np.ndarray, w: int) -> np.ndarray:
+    """The index tables of all s^w words of w of the s tables, in the narrowest dtype that holds an
+    index: word c applies its base-s digits, the most significant first."""
+    tables = tables.astype(np.min_scalar_type(tables.shape[1] - 1))
+    words = tables
+    for _ in range(w - 1):  # each word of i tables followed by each table
+        words = tables[np.arange(len(tables))[:, None], words[:, None, :]].reshape(-1, tables.shape[1])
+    return words
+
+
 def _compose(tables: np.ndarray, marks: np.ndarray) -> np.ndarray:
     """Row r of the result applies tables[marks[r, 0]], then tables[marks[r, 1]], and so on.
 
-    The event columns are taken in chunks of at most FLOW_CHUNK cells of
-    (rows, events, configurations) index tables, each chunk reduced by
-    pairwise composition in log2(events) vectorised steps, and the chunks
-    composed in order.
+    The last of the s tables must be the identity, as it is in every
+    ``_table_stack``.  Events are composed in words of w: w is the largest
+    with s^w x configurations <= FLOW_CHUNK (at least 1), and the tables of
+    all s^w words are built once (``_word_tables``); with w = 1 a word is one
+    event.  The words are taken in chunks of at most FLOW_CHUNK cells of
+    (rows, words, configurations) index tables: each chunk's word codes are
+    built from its marks, the identity padding its last word, and the chunk
+    is reduced by pairwise composition in log2(words) vectorised steps, the
+    chunks composed in order.
     """
-    rows, n = marks.shape[0], tables.shape[1]
+    (s, n), (rows, events) = tables.shape, marks.shape
+    w = 1
+    while s > 1 and s ** (w + 1) * n <= FLOW_CHUNK:
+        w += 1
+    words = _word_tables(tables, w) if w > 1 else tables
+    digits = s ** np.arange(w - 1, -1, -1)
     out = np.tile(np.arange(n), (rows, 1))
     offsets = np.arange(rows)[:, None] * n
-    step = max(1, FLOW_CHUNK // (rows * n))
-    for lo in range(0, marks.shape[1], step):
-        block = tables[marks[:, lo:lo + step]]
+    step = max(1, FLOW_CHUNK // (rows * n)) * w  # events per chunk
+    for lo in range(0, events, step):
+        chunk = marks[:, lo:lo + step]
+        if w > 1:
+            if chunk.shape[1] % w:  # the identity pads the last word
+                pad = np.full((rows, -chunk.shape[1] % w), s - 1, dtype=chunk.dtype)
+                chunk = np.concatenate([chunk, pad], axis=1)
+            chunk = chunk.reshape(rows, -1, w) @ digits
+        block = words[chunk]
         while block.shape[1] > 1:
             block = _compose_pairs(block)
         out = block.ravel()[out + offsets]
-    return out
+    return out.astype(tables.dtype, copy=False)
 
 
 def _table_stack(model: RateModel, ids) -> np.ndarray:
-    """The index tables of the maps named by `ids`, in that order, then the identity."""
+    """The index tables of the maps named by `ids`, in that order, then the identity: last in every
+    stack, it pads the rows of marks and the last word of ``_compose``."""
     maps = {e.map_id: e.site_map for e in model.entries}
     return np.stack([maps[i].index_table() for i in ids] + [np.arange(model.space.n_configs)])
 
@@ -321,12 +360,9 @@ def _check_sides(lifted: LiftedDuality) -> None:
 
 
 def dual_model(model: RateModel, lifted: LiftedDuality) -> RateModel:
-    """The same ids and rates with every site map replaced by its dual."""
-    rsp = lifted.r_space
-    entries = tuple(
-        RateEntry(e.map_id, dual_map(lifted, e.site_map), e.rate) for e in model.entries
-    )
-    return RateModel(rsp, entries)
+    """The same ids and rates with every site map replaced by its dual, all built by one ``dual_maps`` call."""
+    duals = dual_maps(lifted, [e.site_map for e in model.entries])
+    return RateModel(lifted.r_space, tuple(RateEntry(e.map_id, d, e.rate) for e, d in zip(model.entries, duals)))
 
 
 @dataclass(frozen=True)
@@ -406,7 +442,7 @@ def check_pathwise_seeds(
         rows, owner = [], []
         for i, stream in enumerate(streams):
             # the "+" cut, then the "-" cut unless it takes the same events
-            for a, b in dict.fromkeys(stream.cut(*window, convention) for convention in "+-"):
+            for a, b in dict.fromkeys(_bounds(stream.times, window, convention) for convention in "+-"):
                 rows.append(stream.marks[a:b])
                 owner.append(i)
         # the identity, last in each stack, pads the rows to one length

@@ -19,17 +19,27 @@ half at a time as one gather from the sums of the right half's values.
 fit a cell cap and peels each block's digits off index arrays.
 ``LiftedDuality.values_at`` caches its Psi block tables per width, so its
 cap is the pair budget, and sums the block values in T;
-``SiteMap.apply_indices`` rebuilds its tables on every call, so the number
-of indices caps them too.  It builds the block tables of a group of output
-sites in one fold, sums them in S for each output site and finishes the
-image index by Horner's rule in place; the group is sized so that its
-tables hold at most half the bytes of the int64 images (or one
-PAIR_BLOCK).  ``LiftedDuality.table`` is the one-block case.  All values
-stay uint8; the scalar ``SiteMap.apply`` and ``LiftedDuality.evaluate`` are
-the test oracles.
+``_map_images``, behind ``SiteMap.apply_indices`` and ``index_table``,
+rebuilds its tables on every call, so the number of indices caps them too.
+It maps several maps of one space at once: their output sites form one run
+of lines, and it builds the block tables of a group of lines in one fold,
+sums them in S for each line and finishes each map's image index by
+Horner's rule in place; the group is sized so that its tables hold at most
+half the bytes of one map's int64 images (or one PAIR_BLOCK).
+``_tabulate`` fills the index tables of a batch of maps from one such
+call.  ``LiftedDuality.table`` is the one-block case.  All values stay
+uint8; the scalar ``SiteMap.apply`` and ``LiftedDuality.evaluate`` are the
+test oracles.  Product monoids are built by the same index arithmetic, on
+the digit arrays of ``np.indices``.
+
+Dual maps: ``dual_maps`` builds the duals of a batch of maps, each distinct
+local entry's dual found once per batch; ``dual_map`` is its one-map case.
+Within the pair budget the batch's index tables come from one fold per side
+and one ``identity_holds`` call compares them all; beyond it each map is
+checked on its single-site pairs.
 
 Pairs: ``identity_holds`` is the one place that compares Psi(X(x), y) with
-Psi(x, Y(y)), for ``dual_map`` and for the pathwise checks alike.  It
+Psi(x, Y(y)), for ``dual_maps`` and for the pathwise checks alike.  It
 compares at most PAIR_BLOCK pairs at a time in row-major order (``_blocks``),
 so the memory a comparison holds no longer grows with the number of pairs
 compared; sampled pairs come as index arrays of any integer dtype, and their
@@ -172,51 +182,71 @@ class SiteMap:
         return tuple(out)
 
     def apply_indices(self, idx: np.ndarray) -> np.ndarray:
-        """The images of an array of configuration indices, as indices, a group of output sites at a time.
+        """The images of an array of configuration indices, as indices (``_map_images`` for this one map).
 
-        Output site j is sum_i M[i][j](x_i) in S, summed over its block tables
-        at the peeled digits.  One ``_sitewise_sums`` call builds the block
-        tables of a whole group of output sites side by side, and the sites
-        finish the image index by Horner's rule in place.  Only the given
-        configurations are mapped, so any side size works: beyond the pair
-        budget ``dual_map`` maps just its configurations with at most one
-        non-neutral site, which generate S^k, and draws nothing.  Besides the
-        pair budget, a block table is held to max(|S|, number of indices)
-        cells, and a group's tables to max(4 x number of indices, PAIR_BLOCK)
-        cells: half the bytes of the int64 images, or one pair block.
+        Only the given configurations are mapped, so any side size works:
+        beyond the pair budget ``dual_maps`` maps just the configurations with
+        at most one non-neutral site, which generate S^k, and draws nothing.
         """
-        local, k = self.space.local, self.space.sites
-        n = local.order
-        entries = np.asarray(self.matrix, dtype=np.uint8).reshape(k, k, n)
-        add = np.asarray(local.rows, dtype=np.uint8)
-        size = max(n, np.size(idx))
-        blocks = list(_peel(k, (idx,), (n,), min(pair_budget(), size)))
-        group = max(1, max(4 * size, PAIR_BLOCK) // sum(n ** (hi - lo) for lo, hi, _ in blocks))
-
-        def images(j):  # output sites j.. of one group at idx, one site at a time
-            tables = [(_sitewise_sums(local, entries[lo:hi, None, j:j + group])[0], digits)
-                      for lo, hi, digits in blocks]
-            for site in range(min(group, k - j)):
-                acc = None
-                for table, digits in tables:
-                    value = table[site][digits]
-                    acc = value if acc is None else add[acc, value]
-                yield acc
-
-        out = np.zeros(np.shape(idx), dtype=np.int64)
-        for j in range(0, k, group):
-            for row in images(j):  # a group's tables are freed before the next group's are built
-                out *= n
-                out += row
-        return out
+        return _map_images([self], idx)[0]
 
     def index_table(self) -> np.ndarray:
         """The map as a read-only table on configuration indices, built once per instance."""
         if "_index_table" not in self.__dict__:
-            table = self.apply_indices(np.arange(self.space.n_configs))
-            table.flags.writeable = False
-            object.__setattr__(self, "_index_table", table)
+            _tabulate([self])
         return self._index_table
+
+
+def _map_images(maps, idx) -> np.ndarray:
+    """The images of idx under each of maps on one space, as indices shaped (maps, *idx.shape).
+
+    Output site j of map q is sum_i M_q[i][j](x_i) in S, summed over its
+    block tables at the peeled digits.  The output sites of all the maps
+    form one run of lines, map by map; one ``_sitewise_sums`` call builds the
+    block tables of a group of lines side by side, and each line finishes its
+    map's image index by Horner's rule in place.  Besides the pair budget, a
+    block table is held to max(|S|, number of indices) cells, and a group's
+    tables to max(4 x number of indices, PAIR_BLOCK) cells: half the bytes of
+    one map's int64 images, or one pair block.
+    """
+    space = maps[0].space
+    local, k = space.local, space.sites
+    n, lines = local.order, len(maps) * k
+    # entries[i, q k + j] is M_q[i][j]: input site i feeding line q k + j, output site j of map q
+    entries = np.asarray([m.matrix for m in maps], dtype=np.uint8).reshape(len(maps), k, k, n)
+    entries = entries.swapaxes(0, 1).reshape(k, lines, n)
+    add = np.asarray(local.rows, dtype=np.uint8)
+    size = max(n, np.size(idx))
+    blocks = list(_peel(k, (idx,), (n,), min(pair_budget(), size)))
+    group = max(1, max(4 * size, PAIR_BLOCK) // sum(n ** (hi - lo) for lo, hi, _ in blocks))
+
+    def images(c):  # lines c.. of one group at idx, one line at a time
+        tables = [(_sitewise_sums(local, entries[lo:hi, None, c:c + group])[0], digits)
+                  for lo, hi, digits in blocks]
+        for line in range(min(group, lines - c)):
+            acc = None
+            for table, digits in tables:
+                value = table[line][digits]
+                acc = value if acc is None else add[acc, value]
+            yield acc
+
+    out = np.zeros((len(maps), *np.shape(idx)), dtype=np.int64)
+    for c in range(0, lines, group):
+        for line, row in enumerate(images(c), c):  # a group's tables are freed before the next group's are built
+            image = out[line // k, ...]  # a view, also of a 0-d index
+            image *= n
+            image += row
+    return out
+
+
+def _tabulate(maps) -> None:
+    """Build and keep the read-only index tables of those of maps (on one space) that have none, in one pass."""
+    todo = [m for m in maps if "_index_table" not in m.__dict__]
+    if todo:
+        tables = _map_images(todo, np.arange(todo[0].space.n_configs))
+        tables.flags.writeable = False
+        for m, table in zip(todo, tables):
+            object.__setattr__(m, "_index_table", table)
 
 
 def product_monoid(local: Monoid, k: int) -> Monoid:
@@ -225,23 +255,25 @@ def product_monoid(local: Monoid, k: int) -> Monoid:
 
 
 def product_monoid_many(locals_) -> Monoid:
-    """Componentwise product of possibly different monoids."""
-    size = 1
-    for m in locals_:
-        size *= m.order
+    """Componentwise product of possibly different monoids, states numbered like configurations.
+
+    State a has one digit per factor, the first factor most significant; the
+    sum of a and b sums each digit pair in its factor and is numbered by
+    Horner's rule over the digit arrays of ``np.indices``.  No factors give
+    the one-element monoid.
+    """
+    orders = [m.order for m in locals_]
+    size = prod(orders)
     if size * size > pair_budget():
         raise SizeBudgetExceeded(f"product table needs {size * size} cells")
-    states = list(iproduct(*(range(m.order) for m in locals_)))
-    index = {s: i for i, s in enumerate(states)}
-    rows = tuple(
-        tuple(
-            index[tuple(m.add(a[i], b[i]) for i, m in enumerate(locals_))]
-            for b in states
-        )
-        for a in states
-    )
-    neutral = index[tuple(m.neutral for m in locals_)]
-    return Monoid(CayleyTable(rows), neutral)
+    digits = np.indices(orders).reshape(len(orders), size)
+    table = np.zeros((size, size), dtype=np.int64)
+    neutral = 0
+    for m, d in zip(locals_, digits):
+        table *= m.order
+        table += np.asarray(m.rows, dtype=np.int64)[d[:, None], d[None, :]]
+        neutral = neutral * m.order + m.neutral
+    return Monoid(CayleyTable(tuple(map(tuple, table.tolist()))), neutral)
 
 
 def global_hom_set_matrix_check(space: SiteSpace, f):
@@ -554,48 +586,89 @@ def _single_site_indices(space: SiteSpace) -> np.ndarray:
 
 
 def dual_map(lifted: LiftedDuality, m: SiteMap) -> SiteMap:
-    """The unique site map with Psi(m(x), y) = Psi(x, mhat(y)) for all pairs.
+    """The unique site map with Psi(m(x), y) = Psi(x, mhat(y)) for all pairs: ``dual_maps`` of one map."""
+    return dual_maps(lifted, [m])[0]
 
-    Built from the local dual of each distinct entry, placed at the
-    transposed positions (``SiteMap.from_matrix`` checks each distinct
-    entry); the identity is then re-checked exactly, with no random draw.
-    Within the pair budget every pair is compared.  Beyond it,
-    once m's entries and psi's rows and columns are checked to be
-    homomorphisms, both sides are additive in x and in y, so the pairs of
-    configurations with at most one non-neutral site, which generate S^k and
-    R^k, decide every pair: (1 + k(|S|-1)) (1 + k(|R|-1)) of them.
-    AssertionError names the first failing pair.
+
+def _transposed_duals(lifted: LiftedDuality, m: SiteMap, duals: dict, homs: dict) -> SiteMap:
+    """m's matrix of local duals, transposed, as a site map on R^k; ValueError (NoDual) if m has none.
+
+    ``duals`` and ``homs`` keep, across the maps of a batch, each distinct
+    entry's local dual and whether a dual entry is a homomorphism of R.
     """
     k = lifted.sites
     if m.space.sites != k or m.space.local.op != lifted.local.s.op:
         raise ValueError("site map does not act on the S side of this duality")
     entries = list(chain.from_iterable(m.matrix))
-    duals = {}
     for entry in dict.fromkeys(entries):  # each distinct entry once; a failure names its first position
-        duals[entry] = lifted.local_dual(entry)
+        if entry not in duals:
+            duals[entry] = lifted.local_dual(entry)
         if duals[entry] is None:
             raise NoDual("matrix entry ({},{}) admits no local dual".format(*divmod(entries.index(entry), k)))
-    rsp = lifted.r_space
-    mhat = SiteMap.from_matrix(rsp, [[duals[m.matrix[i][j]] for i in range(k)] for j in range(k)])
-    n_pairs = m.space.n_configs * rsp.n_configs
-    if n_pairs <= pair_budget():
-        hit = identity_holds(lifted, m.index_table(), mhat.index_table())
-    else:
+    rows = tuple(tuple(duals[m.matrix[i][j]] for i in range(k)) for j in range(k))
+    r = lifted.local.r
+    for entry in chain.from_iterable(rows):
+        if entry not in homs:
+            homs[entry] = is_homomorphism(r, r, entry)
+        if not homs[entry]:
+            return SiteMap.from_matrix(lifted.r_space, rows)  # raises the fault of its first such entry
+    return SiteMap(lifted.r_space, rows)
+
+
+def dual_maps(lifted: LiftedDuality, maps) -> list[SiteMap]:
+    """The dual of each site map, in order: Psi(m(x), y) = Psi(x, mhat(y)) for all pairs.
+
+    Each dual is built from the local dual of each distinct entry, found once
+    per batch and placed at the transposed position; the identity is then
+    re-checked exactly, with no random draw.  Within the pair budget every
+    pair of every map is compared: the index tables of the maps, and of
+    their duals, come from one fold per side (``_tabulate``), and one
+    ``identity_holds`` call compares the stacked tables.  Beyond it, each
+    map is checked on its own: once m's entries and psi's rows and columns
+    are checked to be homomorphisms, both sides are additive in x and in y,
+    so the pairs of configurations with at most one non-neutral site, which
+    generate S^k and R^k, decide every pair: (1 + k(|S|-1)) (1 + k(|R|-1))
+    of them.  A failure raises what ``dual_map`` of the first failing map
+    raises: ValueError or NoDual for a map without a dual matrix,
+    SizeBudgetExceeded, or AssertionError naming the first failing pair.
+    """
+    maps = list(maps)
+    duals, homs, mhats, refusal = {}, {}, [], None
+    for m in maps:
+        try:
+            mhats.append(_transposed_duals(lifted, m, duals, homs))
+        except ValueError as exc:  # raised once the maps before m are checked
+            refusal = exc
+            break
+    checked = maps[:len(mhats)]
+    n_pairs = lifted.s_space.n_configs * lifted.r_space.n_configs
+    hit = None
+    if mhats and n_pairs <= pair_budget():
+        _tabulate(checked)
+        _tabulate(mhats)
+        stacked = (np.stack([f.index_table() for f in side]) for side in (checked, mhats))
+        hit = identity_holds(lifted, *stacked)
+    elif mhats:
         s, r, t = lifted.local.s, lifted.local.r, lifted.local.t
-        maps = [(f"matrix entry {e}", s, s, e) for e in sorted(duals)]
-        maps += [(f"row {x} of psi", r, t, row) for x, row in enumerate(lifted.local.values)]
-        maps += [(f"column {y} of psi", s, t, lifted.local.column(y)) for y in range(r.order)]
-        for name, source, target, values in maps:
-            if not is_homomorphism(source, target, values):
-                raise SizeBudgetExceeded(
-                    f"{n_pairs} configuration pairs exceed the pair budget, and {name} is no homomorphism, "
-                    "so single-site pairs do not decide the identity"
-                )
-        xs, ys = _single_site_indices(m.space)[:, None], _single_site_indices(rsp)[None, :]
-        hit = identity_holds(lifted, m, mhat, pairs=(xs, ys))
+        psi_maps = [(f"row {x} of psi", r, t, row) for x, row in enumerate(lifted.local.values)]
+        psi_maps += [(f"column {y} of psi", s, t, lifted.local.column(y)) for y in range(r.order)]
+        xs, ys = _single_site_indices(lifted.s_space)[:, None], _single_site_indices(lifted.r_space)[None, :]
+        for m, mhat in zip(checked, mhats):
+            entries = [(f"matrix entry {e}", s, s, e) for e in sorted(set(chain.from_iterable(m.matrix)))]
+            for name, source, target, values in entries + psi_maps:
+                if not is_homomorphism(source, target, values):
+                    raise SizeBudgetExceeded(
+                        f"{n_pairs} configuration pairs exceed the pair budget, and {name} is no homomorphism, "
+                        "so single-site pairs do not decide the identity"
+                    )
+            hit = identity_holds(lifted, m, mhat, pairs=(xs, ys))
+            if hit is not None:
+                break
     if hit is not None:
         raise AssertionError(f"dual-map identity fails at {hit[1]}, {hit[2]}")
-    return mhat
+    if refusal is not None:
+        raise refusal
+    return mhats
 
 
 def semiring_inner_duality(

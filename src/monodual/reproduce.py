@@ -39,7 +39,7 @@ from .ips import (
 from .product import (
     LiftedDuality,
     SiteMap,
-    dual_map,
+    dual_maps,
     lattice_duality_function,
     lift_duality,
     module_maps,
@@ -317,14 +317,14 @@ def _brute_force_dual(lifted: LiftedDuality):
 
 
 def _dual_maps_agree(lifted: LiftedDuality) -> dict:
-    """dual_map against a brute-force dual for every k x k matrix of H(S, S), and no dual for a non-hom."""
+    """dual_maps against a brute-force dual for every k x k matrix of H(S, S), and no dual for a non-hom."""
     space = lifted.s_space
     k = space.sites
     brute_force_dual = _brute_force_dual(lifted)
+    maps = [SiteMap.from_matrix(space, [entries[i * k:(i + 1) * k] for i in range(k)])
+            for entries in iproduct(_local_homs(lifted), repeat=k * k)]
     n_ok = 0
-    for entries in iproduct(_local_homs(lifted), repeat=k * k):
-        m = SiteMap.from_matrix(space, [entries[i * k:(i + 1) * k] for i in range(k)])
-        mhat = dual_map(lifted, m)  # identity re-checked inside
+    for m, mhat in zip(maps, dual_maps(lifted, maps)):  # identity re-checked inside
         if brute_force_dual(m.index_table()) != mhat.index_table().tolist():
             return {"matrices_verified": n_ok, "non_hom_has_dual": None}
         n_ok += 1

@@ -31,7 +31,17 @@ DEFAULT_PAIR_BUDGET = 10 ** 6
 
 
 def pair_budget() -> int:
-    return int(os.environ.get("MONODUAL_PAIR_BUDGET", DEFAULT_PAIR_BUDGET))
+    """MONODUAL_PAIR_BUDGET, or DEFAULT_PAIR_BUDGET where it is unset; ValueError unless it is a positive integer."""
+    value = os.environ.get("MONODUAL_PAIR_BUDGET")
+    if value is None:
+        return DEFAULT_PAIR_BUDGET
+    try:
+        budget = int(value)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"MONODUAL_PAIR_BUDGET must be a positive integer, got {value!r}")
+    return budget
 
 
 class SizeBudgetExceeded(ValueError):

@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 
-from monodual.algebra import Semiring, iter_isomorphisms
+from monodual.algebra import Monoid, Semiring, iter_isomorphisms
 from monodual.homdual import Hom, _generating_plan, hom_set, is_homomorphism
 from monodual.tables import (
     CayleyTable,
@@ -33,6 +33,24 @@ def all_homs_reference(source, target) -> list[tuple[int, ...]]:
             homs.append(tuple(vals))
     homs.sort()
     return homs
+
+
+def adjoint_sum_table_reference(adj) -> tuple[tuple[int, ...], ...]:
+    """The pointwise-addition table of an adjoint's maps, one sum of two value tables per cell."""
+    homs, t = adj.values(), adj.target.rows
+    index = {h: i for i, h in enumerate(homs)}
+    return tuple(tuple(index[tuple(t[a][b] for a, b in zip(f, g))] for g in homs) for f in homs)
+
+
+def product_monoid_reference(locals_) -> Monoid:
+    """The componentwise product, states the tuples of factor elements in lex order, built cell by cell."""
+    states = list(product(*(range(m.order) for m in locals_)))
+    index = {s: i for i, s in enumerate(states)}
+    rows = tuple(
+        tuple(index[tuple(m.add(a[i], b[i]) for i, m in enumerate(locals_))] for b in states)
+        for a in states
+    )
+    return Monoid(CayleyTable(rows), index[tuple(m.neutral for m in locals_)])
 
 
 def adjoint_embedding(source, target) -> Hom:

@@ -494,3 +494,14 @@ def test_malformed_input_files_are_computation_errors(tmp_path, capsys, flag, co
     code, out, err = run(capsys, *argv, "--psi", files["--psi"], "--sites", "1")
     assert code == 3 and out == ""
     assert json.loads(err)["error"] in ("ValueError", "DualityError")
+
+
+@pytest.mark.parametrize("budget", ["abc", "1e6", "0", "-5"])
+def test_a_pair_budget_that_is_no_positive_integer_is_named(capsys, monkeypatch, budget):
+    monkeypatch.setenv("MONODUAL_PAIR_BUDGET", budget)
+    code, out, err = run(capsys, "dualities", "find", "--max-order", "3")
+    assert code == 3 and out == ""
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": f"MONODUAL_PAIR_BUDGET must be a positive integer, got {budget!r}",
+    }

@@ -30,7 +30,7 @@ from monodual.homdual import (
 from monodual.product import module_maps
 from monodual.enumeration import enumerate_commutative_monoids
 from monodual.tables import CayleyTable, preservation_witness, relabel, transpose
-from oracles import adjoint_embedding, all_homs_reference
+from oracles import adjoint_embedding, adjoint_sum_table_reference, all_homs_reference
 
 
 def brute_force_homs(source, target):
@@ -157,6 +157,15 @@ def test_adjoint_embedding_examples():
     assert emb0.values == (0,) and emb0.target.order == 1
     emb65 = adjoint_embedding(catalog.monoid("M6"), catalog.monoid("M5"))
     assert len(set(emb65.values)) == 3 == emb65.target.order
+
+
+def test_adjoint_tables_equal_the_reference_sums_and_build_one_monoid():
+    for a in catalog.M_LABELS:
+        for b in catalog.M_LABELS:
+            adj = hom_set(catalog.monoid(a), catalog.monoid(b))
+            assert adj.op.rows == adjoint_sum_table_reference(adj), (a, b)
+            assert adj.monoid() is adj.monoid()
+            assert adj.monoid().op is adj.op and adj.monoid().neutral == adj.index_of_zero
 
 
 def test_adjoint_table_past_the_pair_budget_raises_before_it_is_built(monkeypatch):

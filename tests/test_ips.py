@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from monodual import catalog, ips, product
 from monodual.homdual import hom_set, named_duality
@@ -933,16 +934,56 @@ def test_the_majority_vote_has_no_dual(name):
     assert None not in _brute_force_dual(lifted)(voter_move(space, 0, 1).index_table())
 
 
-@pytest.mark.slow
-def test_a_stream_near_the_jump_budget_matches_the_reference_stream():
-    # the stream of `simulate --t-max 4.2e5 --seed 7` on tests/golden/simulate_rates.json
+def near_budget_model():
+    """The model of `simulate --rates tests/golden/simulate_rates.json` on psi5.T at two sites."""
     lifted = lift_duality(named_duality("psi5").transposed(), 2)
     rates = json.loads((Path(__file__).parent / "golden" / "simulate_rates.json").read_text())
-    model = RateModel.build(
+    return RateModel.build(
         lifted.s_space,
         {r["id"]: SiteMap.from_matrix(lifted.s_space, r["matrix"]) for r in rates},
         {r["id"]: r["rate"] for r in rates},
     )
+
+
+@pytest.mark.slow
+def test_a_stream_near_the_jump_budget_matches_the_reference_stream():
+    # the stream of `simulate --t-max 4.2e5 --seed 7` on tests/golden/simulate_rates.json
+    model = near_budget_model()
     events = sample_event_stream(model, (0.0, 4.2e5), seed=7).events
     assert len(events) == 966_352
     assert events == event_stream_reference(model, (0.0, 4.2e5), 7)
+
+
+def test_composing_a_stream_near_the_jump_budget_holds_one_chunk():
+    model = near_budget_model()
+    stream = sample_event_stream(model, (0.0, 4.2e5), seed=7)
+    flow_index_table(model, stream, 0.0, 4.2e5)  # the maps' index tables are built once, outside the peak
+    for convention in "+-":
+        tracemalloc.start()
+        try:
+            flow = flow_index_table(model, stream, 0.0, 4.2e5, convention)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert flow.tolist() == [0, 8, 8, 8, 8, 8, 8, 8, 8]
+        # composed one event column at a time, the 966 352 events peaked at 86 536 bytes
+        assert peak <= 86_536
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_compose_equals_event_by_event_composition(data):
+    n, s, rows = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    maps = data.draw(arrays(np.int64, (s - 1, n), elements=st.integers(0, n - 1)))
+    tables = np.concatenate([maps, np.arange(n)[None]])  # the identity last, as in every table stack
+    marks = data.draw(arrays(data.draw(st.sampled_from([np.uint8, np.intp])), (rows, data.draw(st.integers(0, 60))),
+                             elements=st.integers(0, s - 1)))
+    want = np.tile(np.arange(n), (rows, 1))
+    for r in range(rows):
+        for mark in marks[r]:
+            want[r] = np.take(tables[mark], want[r])
+    # small chunks split the words of one row across chunks, the last word padded
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ips, "FLOW_CHUNK", data.draw(st.sampled_from([2 ** 4, 2 ** 7, ips.FLOW_CHUNK])))
+        got = ips._compose(tables, marks)
+    assert got.dtype == tables.dtype and got.tolist() == want.tolist()

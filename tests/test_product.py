@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from monodual import catalog
-from monodual.algebra import validate_monoid, validate_semiring
+from monodual.algebra import Monoid, validate_monoid, validate_semiring
 from monodual.enumeration import enumerate_commutative_monoids
 from monodual.homdual import (
     Condition1Fail,
@@ -38,6 +38,7 @@ from monodual.product import (
     _module_maps,
     _sitewise_sums,
     dual_map,
+    dual_maps,
     global_hom_set_matrix_check,
     lattice_duality_function,
     lift_duality,
@@ -49,6 +50,9 @@ from monodual.product import (
     verify_module_duality,
 )
 from monodual.homdual import match_named_duality
+from monodual.reproduce import _brute_force_dual
+from monodual.tables import CayleyTable, relabel
+from oracles import product_monoid_reference
 
 
 def hom_values(label):
@@ -61,6 +65,17 @@ def test_product_monoid_catalog_classes():
     assert catalog.catalog_lookup(product_monoid(m1, 2))[0].label == "M11"
     assert catalog.catalog_lookup(product_monoid(m2, 2))[0].label == "M25"
     assert catalog.catalog_lookup(product_monoid_many([m1, m2]))[0].label == "M23"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_product_monoid_many_equals_the_cell_by_cell_product(data):
+    factors = []
+    for label in data.draw(st.lists(st.sampled_from(catalog.M_LABELS), max_size=3)):
+        m = catalog.monoid(label)
+        perm = data.draw(st.permutations(range(m.order)))  # moves the neutral element off 0
+        factors.append(Monoid(CayleyTable(relabel(m.rows, perm)), perm[m.neutral]))
+    assert product_monoid_many(factors) == product_monoid_reference(factors)
 
 
 def test_product_monoid_budget():
@@ -831,3 +846,77 @@ def test_module_maps_match_a_filter_over_all_functions(add_label, mult_label, si
         assert module_maps(s, "right") == found["right"]
     if mult_label == "N1":
         assert found["left"] != found["right"]
+
+
+ORIENTED_TABLES = [(name, transposed) for name in sorted(catalog.PSI_TABLES) for transposed in (False, True)]
+
+
+def _outcome(call):
+    """What `call` returns, or the type and message of the NoDual or AssertionError it raises."""
+    try:
+        return call()
+    except (NoDual, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_dual_maps_equal_one_map_calls(data):
+    name, transposed = data.draw(st.sampled_from(ORIENTED_TABLES))
+    psi = named_duality(name).transposed() if transposed else named_duality(name)
+    k = data.draw(st.integers(0, 3))
+    lifted = lift_duality(psi, k)
+    ssp, rsp = lifted.s_space, lifted.r_space
+    homs = hom_set(psi.s, psi.s).values()
+    entry = st.sampled_from(homs)
+    matrices = data.draw(st.lists(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k),
+                                  min_size=1, max_size=6))
+    # local duals corrupted as in test_corrupted_dual_raises_violation (that of one entry replaced by
+    # another's), or missing, so that one batch may hold maps that fail in either way
+    swapped, missing = (data.draw(st.dictionaries(entry, entry, max_size=2)),
+                        data.draw(st.sets(entry, max_size=1)))
+    true_dual = LiftedDuality.local_dual
+
+    def corrupted(self, values):
+        return None if values in missing else true_dual(self, swapped.get(values, values))
+
+    beyond = k > 0 and data.draw(st.booleans())  # below |S^k| |R^k|: each map's single-site route
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LiftedDuality, "local_dual", corrupted)
+        if beyond:
+            patch.setenv("MONODUAL_PAIR_BUDGET", str(ssp.n_configs * rsp.n_configs - 1))
+        singles = [_outcome(lambda m=m: dual_map(lifted, SiteMap.from_matrix(ssp, m))) for m in matrices]
+        maps = [SiteMap.from_matrix(ssp, m) for m in matrices]
+        batch = _outcome(lambda: dual_maps(lifted, maps))
+    failures = [single for single in singles if isinstance(single, tuple)]
+    if failures:
+        assert batch == failures[0]
+        return
+    assert [mhat.matrix for mhat in batch] == [mhat.matrix for mhat in singles]
+    assert all(("_index_table" in f.__dict__) != beyond for f in maps + batch)  # filled within the budget
+    brute_force_dual = _brute_force_dual(lifted)
+    for m, mhat in zip(maps, batch):
+        assert mhat.index_table().tolist() == brute_force_dual(m.index_table())
+        assert mhat.index_table().tolist() == [rsp.index_of(mhat.apply(y)) for y in rsp.configs()]
+
+
+def test_dual_maps_build_each_side_in_one_fold_and_compare_once(monkeypatch):
+    lifted = lift_duality(named_duality("psi5").transposed(), 2)
+    homs = hom_values("M6")
+    maps = [SiteMap.from_matrix(lifted.s_space, [[a, b], [c, d]]) for a, b, c, d in iproduct(homs, repeat=4)]
+    folds, compared = [], []
+
+    def fold(t, local):
+        table = _sitewise_sums(t, local)
+        folds.append(table.shape)  # (1, lines of the group, block cells)
+        return table
+
+    identity_holds = product.identity_holds
+    monkeypatch.setattr(product, "_sitewise_sums", fold)
+    monkeypatch.setattr(product, "identity_holds", lambda *args: compared.append(args) or identity_holds(*args))
+    mhats = dual_maps(lifted, maps)
+    # 81 maps of two output sites each: 162 lines of 9 cells, one group per side
+    assert folds == [(1, 162, 9)] * 2
+    assert len(compared) == 1 and compared[0][1].shape == compared[0][2].shape == (81, 9)
+    assert all("_index_table" in f.__dict__ for f in maps + mhats)
+    assert [mhat.matrix for mhat in mhats] == [dual_map(lifted, m).matrix for m in maps]

@@ -50,6 +50,7 @@ from .tables import (
     CayleyTable,
     Rows,
     absorbing_of,
+    as_int,
     associativity_holds_at,
     associativity_witness,
     class_group,
@@ -159,8 +160,17 @@ def _labels_for(reps, include_opposite: bool):
     return tuple(labels)
 
 
+def _checked_order(order) -> int:
+    """The order as an int (``as_int``); ValueError for anything else, booleans and floats included."""
+    try:
+        return as_int(order)
+    except TypeError:
+        raise ValueError(f"order must be an integer, got {order!r}") from None
+
+
 def enumerate_commutative_monoids(order: int) -> EnumerationReport:
     """All isomorphism classes of commutative monoids of the given order."""
+    order = _checked_order(order)
     if not 1 <= order <= MONOID_ORDER_CAP:
         raise OrderTooLarge(order, MONOID_ORDER_CAP)
     reps = list(_fill_monoid_tables(order, commutative=True))
@@ -175,6 +185,7 @@ def enumerate_monoids_with_absorbing(order: int, commutative=None) -> Enumeratio
     up to isomorphism *and* anti-isomorphism, matching the catalog convention
     under which N1 and N2 are the only non-commutative order-4 classes.
     """
+    order = _checked_order(order)
     if not 1 <= order <= 4:
         raise OrderTooLarge(order, 4)
     reps = [

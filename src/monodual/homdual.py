@@ -429,6 +429,10 @@ def find_all_duality_quadruples(max_order: int = 4) -> list[Quadruple]:
     quadruple recorded for the triple carries the lexicographically smallest
     candidate.
     """
+    try:
+        max_order = as_int(max_order)
+    except TypeError:
+        raise ValueError(f"max_order must be an integer, got {max_order!r}") from None
     if max_order not in QUADRUPLE_ORDERS:
         raise ValueError("max_order must be between 2 and 4")
     labels = [

@@ -33,8 +33,8 @@ are three kinds.  The event stream of a pathwise check uses key ``seed``: a
 Poisson jump count, then that many sorted uniform times and uniform marks.
 Its sampled configuration pairs use key ``(seed, 2)``, all x indices first,
 each side's indices stored in the narrowest unsigned dtype that holds them;
-``dual_maps`` draws nothing, as single-site pairs decide its bi-additive
-identity exactly.  A Monte-Carlo side splits its replicates into blocks of
+``dual_maps`` draws nothing, as the local entries decide its identity
+exactly.  A Monte-Carlo side splits its replicates into blocks of
 MC_BLOCK; block b of side `side` uses key ``(seed, side, b)``: first every
 replicate's jump count, then, step by step, one mark for each replicate still
 jumping.  A side counts each walked block's endpoints per configuration, so
@@ -54,6 +54,7 @@ side with more configurations than the pair budget.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
@@ -184,7 +185,14 @@ def _bounds(times: np.ndarray, window: tuple[float, float], convention: str) -> 
 
 
 def _checked_window(window) -> tuple[float, float]:
-    s, u = float(window[0]), float(window[1])
+    """The window (s, u) as floats; WindowViolation unless it is two real numbers, finite, with s <= u."""
+    try:
+        s, u = window
+    except (TypeError, ValueError):  # no pair: not iterable, or not two items
+        s = u = None
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (s, u)):
+        raise WindowViolation(f"a window must be two real numbers, got {window!r}")
+    s, u = float(s), float(u)
     if not math.isfinite(u - s):  # also when the ends are finite but their distance is not
         raise WindowViolation(f"non-finite window {window}")
     if s > u:

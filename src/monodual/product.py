@@ -32,24 +32,22 @@ uint8; the scalar ``SiteMap.apply`` and ``LiftedDuality.evaluate`` are the
 test oracles.  Product monoids are built by the same index arithmetic, on
 the digit arrays of ``np.indices``.
 
-Dual maps: ``dual_maps`` builds the duals of a batch of maps, each distinct
-local entry's dual found once per batch; ``dual_map`` is its one-map case.
-Within the pair budget the batch's index tables come from one fold per side
-and one ``identity_holds`` call compares them all; beyond it each map is
-checked on its single-site pairs.
+Dual maps: ``dual_maps`` builds the duals of a batch of maps and decides
+their identity from the local entries alone (its docstring gives the
+argument); ``dual_map`` is its one-map case.
 
 Pairs: ``identity_holds`` is the one place that compares Psi(X(x), y) with
-Psi(x, Y(y)), for ``dual_maps`` and for the pathwise checks alike.  It
-compares at most PAIR_BLOCK pairs at a time in row-major order (``_blocks``),
-so the memory a comparison holds no longer grows with the number of pairs
-compared; sampled pairs come as index arrays of any integer dtype, and their
-images are looked up one block at a time.
+Psi(x, Y(y)) on index tables, for the pathwise checks.  It compares at most
+PAIR_BLOCK pairs at a time in row-major order (``_blocks``), so the memory a
+comparison holds no longer grows with the number of pairs compared; sampled
+pairs come as index arrays of any integer dtype, and their images are looked
+up one block at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, partial, reduce
 from itertools import chain, product as iproduct
 from math import prod
 
@@ -184,9 +182,7 @@ class SiteMap:
     def apply_indices(self, idx: np.ndarray) -> np.ndarray:
         """The images of an array of configuration indices, as indices (``_map_images`` for this one map).
 
-        Only the given configurations are mapped, so any side size works:
-        beyond the pair budget ``dual_maps`` maps just the configurations with
-        at most one non-neutral site, which generate S^k, and draws nothing.
+        Only the given configurations are mapped, so any side size works.
         """
         return _map_images([self], idx)[0]
 
@@ -489,11 +485,6 @@ def _first_failure(shape, bad_at):
     return None
 
 
-def _images(f, rows: slice, idx: np.ndarray) -> np.ndarray:
-    """The images of idx under f: a SiteMap, or index tables whose ``rows`` match idx's."""
-    return f.apply_indices(idx) if isinstance(f, SiteMap) else np.take_along_axis(f[rows], idx, -1)
-
-
 def identity_holds(lifted: LiftedDuality, X, Y, pairs=None):
     """None if Psi(X(x), y) == Psi(x, Y(y)), else (position, x, y) for the first failing pair.
 
@@ -501,13 +492,11 @@ def identity_holds(lifted: LiftedDuality, X, Y, pairs=None):
     matching leading axes of rows if any.  Without ``pairs`` every pair of
     each row is compared through the cached Psi table, and ``position`` is
     (row..., x, y) with x, y indices.  With ``pairs=(xi, yi)``, index arrays
-    of shape (rows, pairs) broadcast together, only the pairs (xi[r, j],
-    yi[r, j]) are compared, their images looked up in X and Y (which may
-    also be SiteMaps, mapping any index) and Psi summed by ``values_at``;
-    ``position`` is (r, j).  The pairs are compared at most PAIR_BLOCK at a
-    time, in row-major order (``_blocks``), so the memory a comparison holds
-    does not grow with the number of pairs; an axis of length 1 in xi or yi
-    is broadcast only after the images of a block are looked up.  The first
+    of shape (rows, pairs), only the pairs (xi[r, j], yi[r, j]) are
+    compared, their images looked up in rows r of X and Y and Psi summed by
+    ``values_at``; ``position`` is (r, j).  The pairs are compared at most
+    PAIR_BLOCK at a time, in row-major order (``_blocks``), so the memory a
+    comparison holds does not grow with the number of pairs.  The first
     failure in that order is returned, x and y as configuration tuples.
     """
     if pairs is None:
@@ -524,22 +513,19 @@ def identity_holds(lifted: LiftedDuality, X, Y, pairs=None):
         row, xi, yi = hit
         position = (*np.unravel_index(row, lead), xi, yi)
     else:
-        shape = np.broadcast_shapes(*map(np.shape, pairs))
-
-        def own(p, rows, cols):  # p's part of a block, an axis of length 1 kept whole
-            return np.asarray(p[rows if p.shape[0] > 1 else slice(None), cols if p.shape[1] > 1 else slice(None)],
-                              dtype=np.intp)
+        xi, yi = pairs
 
         def bad_at(rows, _, cols):  # each row one line of pairs
-            xb, yb = (own(p, rows, cols) for p in pairs)
-            bad = lifted.values_at(_images(X, rows, xb), yb) != lifted.values_at(xb, _images(Y, rows, yb))
-            return np.broadcast_to(bad, (rows.stop - rows.start, cols.stop - cols.start))[:, None]
+            xb, yb = (np.asarray(p[rows, cols], dtype=np.intp) for p in pairs)
+            # one side's images at a time, each freed once its Psi values are summed
+            return (lifted.values_at(np.take_along_axis(X[rows], xb, -1), yb)
+                    != lifted.values_at(xb, np.take_along_axis(Y[rows], yb, -1)))[:, None]
 
-        hit = _first_failure((shape[0], 1, shape[1]), bad_at)
+        hit = _first_failure((xi.shape[0], 1, xi.shape[1]), bad_at)
         if hit is None:
             return None
         position = hit[0], hit[2]
-        xi, yi = (np.broadcast_to(p, shape)[position] for p in pairs)
+        xi, yi = xi[position], yi[position]
     return tuple(map(int, position)), lifted.s_space.config_of(xi), lifted.r_space.config_of(yi)
 
 
@@ -578,96 +564,70 @@ def _check_real_embedding(t: Monoid, emb) -> None:
                 raise NoRealEmbedding(f"embedding not multiplicative at ({a},{b})")
 
 
-def _single_site_indices(space: SiteSpace) -> np.ndarray:
-    """The indices of the configurations with at most one non-neutral site, the neutral one first."""
-    n, e, base = space.local.order, space.local.neutral, space.index_of(space.neutral_config())
-    steps = [(a - e) * n ** i for i in reversed(range(space.sites)) for a in range(n) if a != e]
-    return base + np.array([0, *steps], dtype=np.int64)
-
-
 def dual_map(lifted: LiftedDuality, m: SiteMap) -> SiteMap:
     """The unique site map with Psi(m(x), y) = Psi(x, mhat(y)) for all pairs: ``dual_maps`` of one map."""
     return dual_maps(lifted, [m])[0]
 
 
-def _transposed_duals(lifted: LiftedDuality, m: SiteMap, duals: dict, homs: dict) -> SiteMap:
-    """m's matrix of local duals, transposed, as a site map on R^k; ValueError (NoDual) if m has none.
-
-    ``duals`` and ``homs`` keep, across the maps of a batch, each distinct
-    entry's local dual and whether a dual entry is a homomorphism of R.
-    """
-    k = lifted.sites
-    if m.space.sites != k or m.space.local.op != lifted.local.s.op:
-        raise ValueError("site map does not act on the S side of this duality")
-    entries = list(chain.from_iterable(m.matrix))
-    for entry in dict.fromkeys(entries):  # each distinct entry once; a failure names its first position
-        if entry not in duals:
-            duals[entry] = lifted.local_dual(entry)
-        if duals[entry] is None:
-            raise NoDual("matrix entry ({},{}) admits no local dual".format(*divmod(entries.index(entry), k)))
-    rows = tuple(tuple(duals[m.matrix[i][j]] for i in range(k)) for j in range(k))
-    r = lifted.local.r
-    for entry in chain.from_iterable(rows):
-        if entry not in homs:
-            homs[entry] = is_homomorphism(r, r, entry)
-        if not homs[entry]:
-            return SiteMap.from_matrix(lifted.r_space, rows)  # raises the fault of its first such entry
-    return SiteMap(lifted.r_space, rows)
+def _refuse_first(matrix, holds, fault: str, error=ValueError) -> None:
+    """Raise error naming the first entry of matrix, in row-major order, for which ``holds`` is false."""
+    entries = list(chain.from_iterable(matrix))
+    for entry in dict.fromkeys(entries):  # each distinct entry once
+        if not holds(entry):
+            raise error("matrix entry ({},{}) {}".format(*divmod(entries.index(entry), len(matrix)), fault))
 
 
 def dual_maps(lifted: LiftedDuality, maps) -> list[SiteMap]:
     """The dual of each site map, in order: Psi(m(x), y) = Psi(x, mhat(y)) for all pairs.
 
-    Each dual is built from the local dual of each distinct entry, found once
-    per batch and placed at the transposed position; the identity is then
-    re-checked exactly, with no random draw.  Within the pair budget every
-    pair of every map is compared: the index tables of the maps, and of
-    their duals, come from one fold per side (``_tabulate``), and one
-    ``identity_holds`` call compares the stacked tables.  Beyond it, each
-    map is checked on its own: once m's entries and psi's rows and columns
-    are checked to be homomorphisms, both sides are additive in x and in y,
-    so the pairs of configurations with at most one non-neutral site, which
-    generate S^k and R^k, decide every pair: (1 + k(|S|-1)) (1 + k(|R|-1))
-    of them.  A failure raises what ``dual_map`` of the first failing map
-    raises: ValueError or NoDual for a map without a dual matrix,
-    SizeBudgetExceeded, or AssertionError naming the first failing pair.
+    mhat's entry (j, i) is the local dual of m's entry M[i][j], and the
+    identity is decided exactly from the entries, with no product-space work
+    and no random draw.  If psi's rows and columns and the entries of m and
+    mhat are homomorphisms, both sides are additive in x and in y, so the
+    pairs of single-site configurations, which generate S^k and R^k, decide
+    every pair.  For x = a at site i and y = b at site j the sides are
+    psi(M[i][j](a), b) and psi(a, Mhat[j][i](b)), as psi sends a neutral
+    value paired with anything to the neutral of T.  So the identity holds
+    exactly when each distinct entry E and its dual E' satisfy
+    psi(E(a), b) = psi(a, E'(b)) for all a, b; each distinct entry is
+    checked once per batch, its dual not taken on trust from ``local_dual``.
+
+    A map fails with the first of: ValueError for a row or column of psi
+    that is no homomorphism, for m not on S, or for an entry of m that is no
+    homomorphism; NoDual for an entry without a local dual; ValueError for a
+    dual entry that is no homomorphism; AssertionError naming the first
+    failing single-site pair in the order (site of x, value of x, site of y,
+    value of y).  A batch raises what ``dual_map`` raises on its first
+    failing map, and builds no index table.
     """
     maps = list(maps)
-    duals, homs, mhats, refusal = {}, {}, [], None
+    k, psi, s, r = lifted.sites, lifted.local, lifted.local.s, lifted.local.r
+    if maps:
+        psi_maps = [(f"row {x} of psi", r, row) for x, row in enumerate(psi.values)]
+        psi_maps += [(f"column {y} of psi", s, psi.column(y)) for y in range(r.order)]
+        for name, source, values in psi_maps:
+            if not is_homomorphism(source, psi.t, values):
+                raise ValueError(f"{name} is no homomorphism, so the entries of a map do not decide its dual")
+    s_hom, r_hom = (cache(partial(is_homomorphism, side, side)) for side in (s, r))
+    local_dual = cache(lifted.local_dual)
+    table = np.asarray(psi.values)
+    # [a, b] is true where psi(E(a), b) != psi(a, E'(b)) for an entry E and its local dual E'
+    fails = cache(lambda entry: table[list(entry)] != table[:, list(local_dual(entry))])
+    mhats = []
     for m in maps:
-        try:
-            mhats.append(_transposed_duals(lifted, m, duals, homs))
-        except ValueError as exc:  # raised once the maps before m are checked
-            refusal = exc
-            break
-    checked = maps[:len(mhats)]
-    n_pairs = lifted.s_space.n_configs * lifted.r_space.n_configs
-    hit = None
-    if mhats and n_pairs <= pair_budget():
-        _tabulate(checked)
-        _tabulate(mhats)
-        stacked = (np.stack([f.index_table() for f in side]) for side in (checked, mhats))
-        hit = identity_holds(lifted, *stacked)
-    elif mhats:
-        s, r, t = lifted.local.s, lifted.local.r, lifted.local.t
-        psi_maps = [(f"row {x} of psi", r, t, row) for x, row in enumerate(lifted.local.values)]
-        psi_maps += [(f"column {y} of psi", s, t, lifted.local.column(y)) for y in range(r.order)]
-        xs, ys = _single_site_indices(lifted.s_space)[:, None], _single_site_indices(lifted.r_space)[None, :]
-        for m, mhat in zip(checked, mhats):
-            entries = [(f"matrix entry {e}", s, s, e) for e in sorted(set(chain.from_iterable(m.matrix)))]
-            for name, source, target, values in entries + psi_maps:
-                if not is_homomorphism(source, target, values):
-                    raise SizeBudgetExceeded(
-                        f"{n_pairs} configuration pairs exceed the pair budget, and {name} is no homomorphism, "
-                        "so single-site pairs do not decide the identity"
-                    )
-            hit = identity_holds(lifted, m, mhat, pairs=(xs, ys))
-            if hit is not None:
-                break
-    if hit is not None:
-        raise AssertionError(f"dual-map identity fails at {hit[1]}, {hit[2]}")
-    if refusal is not None:
-        raise refusal
+        if m.space.sites != k or m.space.local.op != s.op:
+            raise ValueError("site map does not act on the S side of this duality")
+        _refuse_first(m.matrix, s_hom, "is not a local homomorphism")
+        _refuse_first(m.matrix, lambda entry: local_dual(entry) is not None, "admits no local dual", NoDual)
+        rows = tuple(tuple(local_dual(m.matrix[i][j]) for i in range(k)) for j in range(k))
+        _refuse_first(rows, r_hom, "is not a local homomorphism")
+        if any(fails(entry).any() for entry in set(chain.from_iterable(m.matrix))):
+            bad = np.array([[fails(entry) for entry in row] for row in m.matrix])  # [i, j, a, b]
+            i, a, j, b = map(int, np.argwhere(bad.transpose(0, 2, 1, 3))[0])
+            x, y = list(lifted.s_space.neutral_config()), list(lifted.r_space.neutral_config())
+            x[i], y[j] = a, b
+            raise AssertionError(f"dual-map identity fails at {tuple(x)}, {tuple(y)}")
+        mhats.append(SiteMap(lifted.r_space, rows))
     return mhats
 
 

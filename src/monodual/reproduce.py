@@ -39,6 +39,7 @@ from .ips import (
 from .product import (
     LiftedDuality,
     SiteMap,
+    _tabulate,
     dual_maps,
     lattice_duality_function,
     lift_duality,
@@ -321,10 +322,14 @@ def _dual_maps_agree(lifted: LiftedDuality) -> dict:
     space = lifted.s_space
     k = space.sites
     brute_force_dual = _brute_force_dual(lifted)
-    maps = [SiteMap.from_matrix(space, [entries[i * k:(i + 1) * k] for i in range(k)])
+    # every entry comes from hom_set, and dual_maps checks each distinct entry once
+    maps = [SiteMap(space, tuple(entries[i * k:(i + 1) * k] for i in range(k)))
             for entries in iproduct(_local_homs(lifted), repeat=k * k)]
+    mhats = dual_maps(lifted, maps)  # identity decided inside
+    _tabulate(maps)  # the oracle reads every index table: one fold per side
+    _tabulate(mhats)
     n_ok = 0
-    for m, mhat in zip(maps, dual_maps(lifted, maps)):  # identity re-checked inside
+    for m, mhat in zip(maps, mhats):
         if brute_force_dual(m.index_table()) != mhat.index_table().tolist():
             return {"matrices_verified": n_ok, "non_hom_has_dual": None}
         n_ok += 1

@@ -1,6 +1,7 @@
 import random
 from functools import partial
 
+import numpy as np
 import pytest
 
 from monodual import catalog
@@ -13,6 +14,7 @@ from monodual.enumeration import (
     enumerate_monoids_with_absorbing,
     enumerate_semiring_multiplications,
 )
+from monodual.homdual import find_all_duality_quadruples
 from monodual.tables import (
     absorbing_of,
     associativity_witness,
@@ -95,6 +97,17 @@ def test_order_cap():
         enumerate_commutative_monoids(0)
     with pytest.raises(OrderTooLarge):
         enumerate_monoids_with_absorbing(5)
+
+
+def test_orders_that_are_no_integers_are_refused():
+    for call in (enumerate_commutative_monoids, enumerate_monoids_with_absorbing, find_all_duality_quadruples):
+        for order in (2.0, 3.0, True, "2", None):
+            with pytest.raises(ValueError, match="order must be an integer"):
+                call(order)
+    report = enumerate_commutative_monoids(np.int64(3))
+    assert type(report.order) is int and report.count == 5
+    assert enumerate_monoids_with_absorbing(np.int64(2)).order == 2
+    assert len(find_all_duality_quadruples(np.int64(2))) == 2
 
 
 def test_absorbing_census_order_two():

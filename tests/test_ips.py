@@ -401,13 +401,19 @@ def test_mc_replicates_are_scheduling_independent():
     assert a == b
 
 
-@pytest.mark.parametrize("window", [(0.0, math.nan), (0.0, math.inf), (math.nan, 1.0), (-math.inf, 0.0)])
+@pytest.mark.parametrize("window", [
+    (0.0, math.nan), (0.0, math.inf), (math.nan, 1.0), (-math.inf, 0.0),
+    # anything but two real numbers
+    (0, 1, 2), (1,), None, 5, ("0", "1"), (False, True),
+])
 def test_non_finite_windows_are_rejected(window):
-    _, model = psi1_model(rates=(1.0,))
+    lifted, model = psi1_model(rates=(1.0,))
     with pytest.raises(WindowViolation):
         sample_event_stream(model, window, seed=1)
     with pytest.raises(WindowViolation):
         EventStream(window=window, ids=(), times=np.empty(0), marks=np.empty(0, dtype=np.intp))
+    with pytest.raises(WindowViolation):
+        check_pathwise_duality(model, lifted, window, seed=1)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])

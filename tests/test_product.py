@@ -2,7 +2,7 @@ import random
 import re
 import tracemalloc
 from functools import reduce
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 
 import numpy as np
 import pytest
@@ -267,29 +267,20 @@ def test_dual_maps_for_dualities_between_different_monoids():
                 assert all(e in r_homs for row in mhat.matrix for e in row), name
 
 
-def test_dual_map_sampled_verification_above_budget(monkeypatch):
-    # 3^7 x 3^7 configuration pairs exceed the default budget, so the
-    # identity is checked on the 15 x 15 pairs of single-site configurations
+def test_dual_map_sampled_verification_above_budget():
+    # 3^7 x 3^7 configuration pairs exceed the default budget; the entries decide the identity all the same
     psi = named_duality("psi5").transposed()
     lifted = lift_duality(psi, 7)
+    assert lifted.s_space.n_configs * lifted.r_space.n_configs > pair_budget()
     homs = hom_values("M6")
     m = SiteMap.from_matrix(
         lifted.s_space, [[homs[(i + j) % 3] for j in range(7)] for i in range(7)]
     )
-    seen, values_at = [], LiftedDuality.values_at
-
-    def spy(self, xi, yi):
-        seen.append(np.broadcast_arrays(xi, yi))
-        return values_at(self, xi, yi)
-
-    monkeypatch.setattr(LiftedDuality, "values_at", spy)
     mhat = dual_map(lifted, m)
-    # Psi(m(x), y) is looked up first and Psi(x, mhat(y)) second: x from the second call, y from the first
-    xi, yi = seen[1][0].ravel().tolist(), seen[0][1].ravel().tolist()
-    assert len(seen) == 2 and len(xi) == 15 * 15
-    single = [{c for c in sp.configs() if sum(v != 0 for v in c) <= 1} for sp in (lifted.s_space, lifted.r_space)]
-    pairs = {(lifted.s_space.config_of(x), lifted.r_space.config_of(y)) for x, y in zip(xi, yi)}
-    assert pairs == set(iproduct(*single))
+    rng = random.Random(7)
+    for _ in range(300):
+        xs, ys = (tuple(rng.randrange(3) for _ in range(7)) for _ in range(2))
+        assert lifted.evaluate(m.apply(xs), ys) == lifted.evaluate(xs, mhat.apply(ys))
     xs, ys = (1, 2, 0, 1, 2, 0, 1), (0, 1, 2, 0, 1, 2, 0)
     assert lifted.evaluate(m.apply(xs), ys) == lifted.evaluate(xs, mhat.apply(ys))
 
@@ -623,18 +614,22 @@ def test_dual_map_beyond_the_budget_refuses_a_table_that_is_not_bi_additive(monk
     two = catalog.monoid("M1")
     lifted = LiftedDuality(DualityFunction(two, two, catalog.monoid("M6"), ((0, 0), (0, 1))), 2)
     m = SiteMap.identity(lifted.s_space)
-    assert dual_map(lifted, m).matrix == m.matrix  # 16 pairs: every one compared
     # the unvalidated entry (0, 1, 1) is no homomorphism of M6, where 1 + 1 = 2, yet has a dual,
     # as rows 1 and 2 of psi agree
     six = catalog.monoid("M6")
     rows_agree = LiftedDuality(DualityFunction(six, two, two, ((0, 0), (0, 1), (0, 1))), 2)
     bad = SiteMap(rows_agree.s_space, (((0, 1, 1), (0, 0, 0)), ((0, 0, 0), (0, 1, 2))))
-    assert dual_map(rows_agree, bad).matrix == (((0, 1), (0, 0)), ((0, 0), (0, 1)))  # 36 pairs
-    monkeypatch.setenv("MONODUAL_PAIR_BUDGET", "15")
-    with pytest.raises(SizeBudgetExceeded, match="row 1 of psi is no homomorphism"):
-        dual_map(lifted, m)
-    with pytest.raises(SizeBudgetExceeded, match=re.escape("matrix entry (0, 1, 1) is no homomorphism")):
-        dual_map(rows_agree, bad)
+    assert rows_agree.local_dual((0, 1, 1)) == (0, 1)
+    # refused within the budget (16 and 36 pairs) and beyond it alike
+    for budget in (None, "15"):
+        if budget is not None:
+            monkeypatch.setenv("MONODUAL_PAIR_BUDGET", budget)
+        with pytest.raises(ValueError, match="row 1 of psi is no homomorphism") as refused:
+            dual_map(lifted, m)
+        assert refused.type is ValueError
+        with pytest.raises(ValueError, match=re.escape("matrix entry (0,0) is not a local homomorphism")) as refused:
+            dual_map(rows_agree, bad)
+        assert refused.type is ValueError
 
 
 def test_apply_indices_matches_scalar_apply_on_both_routes(monkeypatch):
@@ -681,7 +676,7 @@ def test_site_map_block_tables_follow_the_index_count(monkeypatch):
     monkeypatch.setattr(product, "_sitewise_sums", spy)
     space = SiteSpace(catalog.monoid("M2"), 63)
     m = SiteMap.identity(space)
-    idx = product._single_site_indices(space)
+    idx = np.array([0, *(2 ** p for p in reversed(range(63)))])  # at most one non-neutral site
     assert m.apply_indices(idx).tolist() == idx.tolist()
     assert max(cells for _, _, cells in shapes) <= len(idx) == 64
     # 11 blocks of 5 or 6 sites; each group of output sites is one call per block, and all the
@@ -880,7 +875,7 @@ def test_dual_maps_equal_one_map_calls(data):
     def corrupted(self, values):
         return None if values in missing else true_dual(self, swapped.get(values, values))
 
-    beyond = k > 0 and data.draw(st.booleans())  # below |S^k| |R^k|: each map's single-site route
+    beyond = k > 0 and data.draw(st.booleans())  # a pair budget below |S^k| |R^k| changes nothing
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(LiftedDuality, "local_dual", corrupted)
         if beyond:
@@ -893,30 +888,88 @@ def test_dual_maps_equal_one_map_calls(data):
         assert batch == failures[0]
         return
     assert [mhat.matrix for mhat in batch] == [mhat.matrix for mhat in singles]
-    assert all(("_index_table" in f.__dict__) != beyond for f in maps + batch)  # filled within the budget
+    assert not any("_index_table" in f.__dict__ for f in maps + batch)  # dual_maps builds no index table
     brute_force_dual = _brute_force_dual(lifted)
     for m, mhat in zip(maps, batch):
         assert mhat.index_table().tolist() == brute_force_dual(m.index_table())
         assert mhat.index_table().tolist() == [rsp.index_of(mhat.apply(y)) for y in rsp.configs()]
 
 
-def test_dual_maps_build_each_side_in_one_fold_and_compare_once(monkeypatch):
-    lifted = lift_duality(named_duality("psi5").transposed(), 2)
+def test_dual_maps_do_no_product_space_work(monkeypatch):
+    psi = named_duality("psi5").transposed()
     homs = hom_values("M6")
-    maps = [SiteMap.from_matrix(lifted.s_space, [[a, b], [c, d]]) for a, b, c, d in iproduct(homs, repeat=4)]
-    folds, compared = [], []
+    batches = []
+    for k in (2, 7, 39):
+        lifted = lift_duality(psi, k)  # at k = 2 its product-level re-check folds the Psi table
+        batches.append((lifted, [SiteMap.from_matrix(lifted.s_space, [[homs[(i * j + c) % 3] for j in range(k)]
+                                                                      for i in range(k)]) for c in range(3)]))
+    calls = []
+    for name in ("_sitewise_sums", "_map_images", "identity_holds"):
+        monkeypatch.setattr(product, name, lambda *args, name=name: calls.append(name))
+    for lifted, maps in batches:
+        k = lifted.sites
+        mhats = dual_maps(lifted, maps)
+        assert [mhat.matrix for mhat in mhats] == [
+            tuple(tuple(lifted.local_dual(m.matrix[i][j]) for i in range(k)) for j in range(k)) for m in maps
+        ]
+        assert not any("_index_table" in f.__dict__ for f in maps + mhats)
+    assert calls == []
 
-    def fold(t, local):
-        table = _sitewise_sums(t, local)
-        folds.append(table.shape)  # (1, lines of the group, block cells)
-        return table
 
-    identity_holds = product.identity_holds
-    monkeypatch.setattr(product, "_sitewise_sums", fold)
-    monkeypatch.setattr(product, "identity_holds", lambda *args: compared.append(args) or identity_holds(*args))
-    mhats = dual_maps(lifted, maps)
-    # 81 maps of two output sites each: 162 lines of 9 cells, one group per side
-    assert folds == [(1, 162, 9)] * 2
-    assert len(compared) == 1 and compared[0][1].shape == compared[0][2].shape == (81, 9)
-    assert all("_index_table" in f.__dict__ for f in maps + mhats)
-    assert [mhat.matrix for mhat in mhats] == [dual_map(lifted, m).matrix for m in maps]
+def _failing_pairs(lifted, m, mhat) -> set:
+    """Every (x, y) with Psi(m(x), y) != Psi(x, mhat(y)): scalar apply and evaluate over all pairs."""
+    images = {y: mhat.apply(y) for y in lifted.r_space.configs()}
+    return {(x, y) for x in lifted.s_space.configs() for mx in [m.apply(x)] for y, my in images.items()
+            if lifted.evaluate(mx, y) != lifted.evaluate(x, my)}
+
+
+def _single_site(space, site, value) -> tuple:
+    config = list(space.neutral_config())
+    config[site] = value
+    return tuple(config)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_dual_maps_fail_exactly_when_a_pair_fails(data):
+    name, transposed = data.draw(st.sampled_from(ORIENTED_TABLES))
+    psi = named_duality(name).transposed() if transposed else named_duality(name)
+    k = data.draw(st.integers(1, 3))
+    lifted = lift_duality(psi, k)
+    ssp, rsp = lifted.s_space, lifted.r_space
+    entry = st.sampled_from(hom_set(psi.s, psi.s).values())
+    matrices = data.draw(st.lists(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k),
+                                  min_size=1, max_size=3))
+    # local duals swapped (that of one entry replaced by another's), replaced by another homomorphism of R,
+    # or missing
+    swapped = data.draw(st.dictionaries(entry, entry, max_size=2))
+    replaced = data.draw(st.dictionaries(entry, st.sampled_from(hom_set(psi.r, psi.r).values()), max_size=1))
+    missing = data.draw(st.sets(entry, max_size=1))
+    true_dual = LiftedDuality.local_dual
+
+    def corrupted(self, values):
+        if values in missing:
+            return None
+        return replaced.get(values) or true_dual(self, swapped.get(values, values))
+
+    # the first failing single-site pair in the order (site of x, value of x, site of y, value of y)
+    singles = [(_single_site(ssp, i, a), _single_site(rsp, j, b))
+               for i in range(k) for a in range(psi.s.order) for j in range(k) for b in range(psi.r.order)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LiftedDuality, "local_dual", corrupted)
+        for matrix in matrices:
+            m = SiteMap.from_matrix(ssp, matrix)
+            if missing & set(chain.from_iterable(matrix)):
+                with pytest.raises(NoDual):
+                    dual_maps(lifted, [m])
+                continue
+            mhat = SiteMap(rsp, tuple(tuple(corrupted(lifted, matrix[i][j]) for i in range(k)) for j in range(k)))
+            failing = _failing_pairs(lifted, m, mhat)
+            first = next((pair for pair in singles if pair in failing), None)
+            assert (first is None) == (not failing)  # single-site pairs decide every pair
+            try:
+                got = dual_maps(lifted, [m])
+            except AssertionError as exc:
+                assert first is not None and str(exc) == f"dual-map identity fails at {first[0]}, {first[1]}"
+            else:
+                assert first is None and got[0].matrix == mhat.matrix

@@ -26,7 +26,9 @@ table of all the words of w maps, FLOW_CHUNK cells of index tables at a
 time, by pairwise tree reduction.  One ``identity_holds`` call then compares
 the pairs of all the rows, PAIR_BLOCK pairs at a time, so the memory of a
 comparison no longer grows with the pairs it compares.  The dual model's
-maps come from one ``dual_maps`` call.
+maps come from one ``dual_maps`` call.  Flows, Monte-Carlo walks and
+uniformisation read a model's index tables, each covering a whole side,
+and all the tables of one side come from one ``_tabulate`` fold.
 
 Randomness: every draw comes from ``np.random.default_rng(key)``, and there
 are three kinds.  The event stream of a pathwise check uses key ``seed``: a
@@ -61,7 +63,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .product import (
-    LiftedDuality, NoRealEmbedding, SiteMap, SiteSpace, SizeBudgetExceeded, dual_maps,
+    LiftedDuality, NoRealEmbedding, SiteMap, SiteSpace, SizeBudgetExceeded, _tabulate, dual_maps,
     identity_holds, pair_budget,
 )
 from .tables import as_int
@@ -346,7 +348,8 @@ def _table_stack(model: RateModel, ids) -> np.ndarray:
     """The index tables of the maps named by `ids`, in that order, then the identity: last in every
     stack, it pads the rows of marks and the last word of ``_compose``."""
     maps = {e.map_id: e.site_map for e in model.entries}
-    return np.stack([maps[i].index_table() for i in ids] + [np.arange(model.space.n_configs)])
+    tables = _tabulate(model.space, [maps[i] for i in ids])
+    return np.concatenate([tables, np.arange(model.space.n_configs)[None]])
 
 
 def flow_index_table(model: RateModel, stream: EventStream, s: float, u: float, convention: str = "+") -> np.ndarray:
@@ -540,7 +543,7 @@ def _mc_endpoints(model, start_idx, t, replicates, seed, side):
     """The final configuration index of every replicate, yielded one lockstep block at a time."""
     lam = _expected_jumps(model, t)
     active, lookup = _mark_lookup(model)
-    tables = np.array([e.site_map.index_table() for e in active])  # empty when no rate is positive, then lam is 0
+    tables = _tabulate(model.space, [e.site_map for e in active])  # empty when no rate is positive, then lam is 0
     for b, lo in enumerate(range(0, replicates, MC_BLOCK)):
         rng = np.random.default_rng((seed, side, b))
         n = rng.poisson(lam, size=min(MC_BLOCK, replicates - lo))
@@ -654,7 +657,9 @@ def exact_semigroup_expectation(
     below UNIFORMISATION_TOL.  With
     evolving="r", the model must act on the R side and the roles of x and y
     swap (the second argument evolves from y).  States times expected jumps
-    past the pair budget raise SizeBudgetExceeded before anything is built.
+    past the pair budget raise SizeBudgetExceeded before anything is built,
+    and more states than the pair budget raise it when the model's index
+    tables are built.
     """
     if evolving not in ("s", "r"):
         raise ValueError("evolving must be 's' or 'r'")
@@ -668,7 +673,7 @@ def exact_semigroup_expectation(
     values, start = _embedded_values(lifted, x, y, evolving)
     if lam == 0.0:
         return float(values[start])
-    arrs = [e.site_map.index_table() for e in model.entries]
+    arrs = _tabulate(model.space, [e.site_map for e in model.entries])
     weights = [e.rate / model.total_rate for e in model.entries]
     fmax = float(np.max(np.abs(values))) or 1.0
     steps = max(1, math.ceil(lam / MAX_STEP_MEAN))

@@ -11,7 +11,7 @@ significant digit (``SiteSpace.index_of``/``config_of``); a space whose
 indices would overflow int64 is refused when it is built.  Sums over sites
 go through two helpers.  ``_sitewise_sums`` folds one local table per site
 into the table of sums over a block of sites: Psi over a block, the module
-maps S^k -> S, and the output sites of a matrix map over a block of input
+maps S^k -> S, and the output sites of a matrix map over all its input
 sites.  It folds by halves: the table over w sites is the sum table of its
 two halves' tables, ceil(log2 w) levels, each written one row of the left
 half at a time as one gather from the sums of the right half's values.
@@ -19,15 +19,14 @@ half at a time as one gather from the sums of the right half's values.
 fit a cell cap and peels each block's digits off index arrays.
 ``LiftedDuality.values_at`` caches its Psi block tables per width, so its
 cap is the pair budget, and sums the block values in T;
-``_map_images``, behind ``SiteMap.apply_indices`` and ``index_table``,
-rebuilds its tables on every call, so the number of indices caps them too.
-It maps several maps of one space at once: their output sites form one run
-of lines, and it builds the block tables of a group of lines in one fold,
-sums them in S for each line and finishes each map's image index by
-Horner's rule in place; the group is sized so that its tables hold at most
-half the bytes of one map's int64 images (or one PAIR_BLOCK).
-``_tabulate`` fills the index tables of a batch of maps from one such
-call.  ``LiftedDuality.table`` is the one-block case.  All values stay
+``LiftedDuality.table`` is the one-block case.  ``_tabulate`` is the one
+builder of index tables: a table covers a whole side, |S|^k configurations
+within the pair budget (SizeBudgetExceeded past it), and the tables of a
+batch of maps come from one fold.  Their output sites form one run of
+lines; it builds the tables of a group of lines side by side and finishes
+each map's image index by Horner's rule in place, the group sized so that
+its tables hold at most half the bytes of one map's int64 table (or one
+PAIR_BLOCK).  ``SiteMap.index_table`` is its one-map case.  All values stay
 uint8; the scalar ``SiteMap.apply`` and ``LiftedDuality.evaluate`` are the
 test oracles.  Product monoids are built by the same index arithmetic, on
 the digit arrays of ``np.indices``.
@@ -47,7 +46,7 @@ up one block at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial, reduce
+from functools import cache, reduce
 from itertools import chain, product as iproduct
 from math import prod
 
@@ -144,15 +143,13 @@ class SiteMap:
             raise ValueError("matrix must be a list of rows of integer value tables") from None
         if len(rows) != k or any(len(row) != k for row in rows):
             raise ValueError(f"matrix must be {k}x{k}")
-        entries = list(chain.from_iterable(rows))
-        for entry in dict.fromkeys(entries):  # each distinct entry once, in row-major order of first sight
+
+        def fault(entry):
             if len(entry) != n or not all(0 <= v < n for v in entry):
-                fault = f"must list {n} values in 0..{n - 1}"
-            elif not is_homomorphism(space.local, space.local, entry):
-                fault = "is not a local homomorphism"
-            else:
-                continue
-            raise ValueError("matrix entry ({},{}) {}".format(*divmod(entries.index(entry), k), fault))
+                return f"must list {n} values in 0..{n - 1}"
+            return _hom_fault(space.local)(entry)
+
+        _refuse_first(rows, fault)
         return cls(space, rows)
 
     @classmethod
@@ -179,70 +176,48 @@ class SiteMap:
             out.append(acc)
         return tuple(out)
 
-    def apply_indices(self, idx: np.ndarray) -> np.ndarray:
-        """The images of an array of configuration indices, as indices (``_map_images`` for this one map).
-
-        Only the given configurations are mapped, so any side size works.
-        """
-        return _map_images([self], idx)[0]
-
     def index_table(self) -> np.ndarray:
-        """The map as a read-only table on configuration indices, built once per instance."""
+        """The map as a read-only table on configuration indices, built once per instance (``_tabulate``)."""
         if "_index_table" not in self.__dict__:
-            _tabulate([self])
+            _tabulate(self.space, [self])
         return self._index_table
 
 
-def _map_images(maps, idx) -> np.ndarray:
-    """The images of idx under each of maps on one space, as indices shaped (maps, *idx.shape).
+def _tabulate(space: SiteSpace, maps) -> np.ndarray:
+    """The index tables of maps on ``space``, stacked (maps, |S|^k); the only builder of index tables.
 
-    Output site j of map q is sum_i M_q[i][j](x_i) in S, summed over its
-    block tables at the peeled digits.  The output sites of all the maps
-    form one run of lines, map by map; one ``_sitewise_sums`` call builds the
-    block tables of a group of lines side by side, and each line finishes its
-    map's image index by Horner's rule in place.  Besides the pair budget, a
-    block table is held to max(|S|, number of indices) cells, and a group's
-    tables to max(4 x number of indices, PAIR_BLOCK) cells: half the bytes of
-    one map's int64 images, or one pair block.
+    Those maps without a table get theirs in one fold, kept read-only on
+    each map.  Output site j of map q is sum_i M_q[i][j](x_i) in S over all k
+    sites: the output sites of the maps form one run of lines, map by map,
+    and one ``_sitewise_sums`` call builds the tables of a group of lines
+    side by side, max(4 |S|^k, PAIR_BLOCK) cells at most (half the bytes of
+    one map's int64 table, or one pair block); each line finishes its map's
+    image index by Horner's rule in place.  SizeBudgetExceeded when |S|^k
+    exceeds the pair budget.
     """
-    space = maps[0].space
-    local, k = space.local, space.sites
-    n, lines = local.order, len(maps) * k
-    # entries[i, q k + j] is M_q[i][j]: input site i feeding line q k + j, output site j of map q
-    entries = np.asarray([m.matrix for m in maps], dtype=np.uint8).reshape(len(maps), k, k, n)
-    entries = entries.swapaxes(0, 1).reshape(k, lines, n)
-    add = np.asarray(local.rows, dtype=np.uint8)
-    size = max(n, np.size(idx))
-    blocks = list(_peel(k, (idx,), (n,), min(pair_budget(), size)))
-    group = max(1, max(4 * size, PAIR_BLOCK) // sum(n ** (hi - lo) for lo, hi, _ in blocks))
-
-    def images(c):  # lines c.. of one group at idx, one line at a time
-        tables = [(_sitewise_sums(local, entries[lo:hi, None, c:c + group])[0], digits)
-                  for lo, hi, digits in blocks]
-        for line in range(min(group, lines - c)):
-            acc = None
-            for table, digits in tables:
-                value = table[line][digits]
-                acc = value if acc is None else add[acc, value]
-            yield acc
-
-    out = np.zeros((len(maps), *np.shape(idx)), dtype=np.int64)
-    for c in range(0, lines, group):
-        for line, row in enumerate(images(c), c):  # a group's tables are freed before the next group's are built
-            image = out[line // k, ...]  # a view, also of a 0-d index
-            image *= n
-            image += row
-    return out
-
-
-def _tabulate(maps) -> None:
-    """Build and keep the read-only index tables of those of maps (on one space) that have none, in one pass."""
+    maps = list(maps)
+    n_configs, k, n = space.n_configs, space.sites, space.local.order
     todo = [m for m in maps if "_index_table" not in m.__dict__]
     if todo:
-        tables = _map_images(todo, np.arange(todo[0].space.n_configs))
+        if n_configs > pair_budget():
+            raise SizeBudgetExceeded(f"an index table of {n_configs} configurations exceeds the pair budget")
+        lines = len(todo) * k
+        # entries[i, 0, q k + j] is M_q[i][j]: input site i feeding line q k + j, output site j of map q
+        entries = np.asarray([m.matrix for m in todo], dtype=np.uint8).reshape(len(todo), k, k, n)
+        entries = entries.swapaxes(0, 1).reshape(k, 1, lines, n)
+        group = max(4 * n_configs, PAIR_BLOCK) // n_configs
+        tables = np.zeros((len(todo), n_configs), dtype=np.int64)
+        for c in range(0, lines, group):
+            for line, row in enumerate(_sitewise_sums(space.local, entries[:, :, c:c + group])[0], c):
+                image = tables[line // k]
+                image *= n
+                image += row
         tables.flags.writeable = False
         for m, table in zip(todo, tables):
             object.__setattr__(m, "_index_table", table)
+        if len(todo) == len(maps):
+            return tables
+    return np.array([m._index_table for m in maps], dtype=np.int64).reshape(len(maps), n_configs)
 
 
 def product_monoid(local: Monoid, k: int) -> Monoid:
@@ -569,12 +544,30 @@ def dual_map(lifted: LiftedDuality, m: SiteMap) -> SiteMap:
     return dual_maps(lifted, [m])[0]
 
 
-def _refuse_first(matrix, holds, fault: str, error=ValueError) -> None:
-    """Raise error naming the first entry of matrix, in row-major order, for which ``holds`` is false."""
+def _refuse_first(matrix, fault_of, error=ValueError) -> None:
+    """Raise error naming the first entry of a square matrix, in row-major order, with a fault:
+    ``fault_of(entry)`` describes it, or gives None for a sound entry, and sees each distinct entry once."""
     entries = list(chain.from_iterable(matrix))
-    for entry in dict.fromkeys(entries):  # each distinct entry once
-        if not holds(entry):
+    for entry in dict.fromkeys(entries):
+        fault = fault_of(entry)
+        if fault is not None:
             raise error("matrix entry ({},{}) {}".format(*divmod(entries.index(entry), len(matrix)), fault))
+
+
+def _hom_fault(side: Monoid):
+    """The fault ``_refuse_first`` names for an entry that is no homomorphism of side, as a function."""
+    return lambda entry: None if is_homomorphism(side, side, entry) else "is not a local homomorphism"
+
+
+@cache
+def _check_bi_additive(psi: DualityFunction) -> None:
+    """ValueError unless psi's rows and columns are homomorphisms into T: decided once per table, as
+    only a pass is cached, so a table that fails is refused on every call."""
+    psi_maps = [(f"row {x} of psi", psi.r, row) for x, row in enumerate(psi.values)]
+    psi_maps += [(f"column {y} of psi", psi.s, psi.column(y)) for y in range(psi.r.order)]
+    for name, source, values in psi_maps:
+        if not is_homomorphism(source, psi.t, values):
+            raise ValueError(f"{name} is no homomorphism, so the entries of a map do not decide its dual")
 
 
 def dual_maps(lifted: LiftedDuality, maps) -> list[SiteMap]:
@@ -603,12 +596,8 @@ def dual_maps(lifted: LiftedDuality, maps) -> list[SiteMap]:
     maps = list(maps)
     k, psi, s, r = lifted.sites, lifted.local, lifted.local.s, lifted.local.r
     if maps:
-        psi_maps = [(f"row {x} of psi", r, row) for x, row in enumerate(psi.values)]
-        psi_maps += [(f"column {y} of psi", s, psi.column(y)) for y in range(r.order)]
-        for name, source, values in psi_maps:
-            if not is_homomorphism(source, psi.t, values):
-                raise ValueError(f"{name} is no homomorphism, so the entries of a map do not decide its dual")
-    s_hom, r_hom = (cache(partial(is_homomorphism, side, side)) for side in (s, r))
+        _check_bi_additive(psi)
+    s_fault, r_fault = (cache(_hom_fault(side)) for side in (s, r))
     local_dual = cache(lifted.local_dual)
     table = np.asarray(psi.values)
     # [a, b] is true where psi(E(a), b) != psi(a, E'(b)) for an entry E and its local dual E'
@@ -617,10 +606,11 @@ def dual_maps(lifted: LiftedDuality, maps) -> list[SiteMap]:
     for m in maps:
         if m.space.sites != k or m.space.local.op != s.op:
             raise ValueError("site map does not act on the S side of this duality")
-        _refuse_first(m.matrix, s_hom, "is not a local homomorphism")
-        _refuse_first(m.matrix, lambda entry: local_dual(entry) is not None, "admits no local dual", NoDual)
+        _refuse_first(m.matrix, s_fault)
+        _refuse_first(m.matrix, lambda entry: "admits no local dual" if local_dual(entry) is None else None,
+                      NoDual)
         rows = tuple(tuple(local_dual(m.matrix[i][j]) for i in range(k)) for j in range(k))
-        _refuse_first(rows, r_hom, "is not a local homomorphism")
+        _refuse_first(rows, r_fault)
         if any(fails(entry).any() for entry in set(chain.from_iterable(m.matrix))):
             bad = np.array([[fails(entry) for entry in row] for row in m.matrix])  # [i, j, a, b]
             i, a, j, b = map(int, np.argwhere(bad.transpose(0, 2, 1, 3))[0])

@@ -326,11 +326,11 @@ def _dual_maps_agree(lifted: LiftedDuality) -> dict:
     maps = [SiteMap(space, tuple(entries[i * k:(i + 1) * k] for i in range(k)))
             for entries in iproduct(_local_homs(lifted), repeat=k * k)]
     mhats = dual_maps(lifted, maps)  # identity decided inside
-    _tabulate(maps)  # the oracle reads every index table: one fold per side
-    _tabulate(mhats)
+    # the oracle reads every index table: one fold per side
+    tables, dual_tables = _tabulate(space, maps), _tabulate(lifted.r_space, mhats)
     n_ok = 0
-    for m, mhat in zip(maps, mhats):
-        if brute_force_dual(m.index_table()) != mhat.index_table().tolist():
+    for table, dual_table in zip(tables, dual_tables):
+        if brute_force_dual(table) != dual_table.tolist():
             return {"matrices_verified": n_ok, "non_hom_has_dual": None}
         n_ok += 1
     # the constant map onto (1, ..., 1) violates f(0) = 0 (catalog carriers have neutral 0) and must admit no dual

@@ -633,6 +633,41 @@ def test_zero_rates_need_no_jump_budget():
     assert exact_semigroup_expectation(model, lifted, x, y, 1e300) == lifted.evaluate_embedded(x, y)
 
 
+def test_a_model_whose_every_rate_is_zero_never_moves():
+    lifted, model = psi1_model(3, rates=(0.0, 0.0))
+    for coverage in ("exhaustive", "sampled"):
+        report = check_pathwise_duality(model, lifted, (0.0, 5.0), seed=4, coverage=coverage, n_samples=40)
+        assert report.passed and report.n_events == 0
+    stream = sample_event_stream(model, (0.0, 5.0), seed=4)
+    assert flow_index_table(model, stream, 0.0, 5.0).tolist() == list(range(model.space.n_configs))
+    x, y = (1, 0, 1), (0, 1, 1)
+    want = lifted.evaluate_embedded(x, y)
+    assert exact_semigroup_expectation(model, lifted, x, y, 2.0) == want
+    assert exact_semigroup_expectation(dual_model(model, lifted), lifted, x, y, 2.0, evolving="r") == want
+
+
+def test_a_second_dual_model_does_not_recheck_psi(monkeypatch):
+    psi = named_duality("psi4")  # T has order 2, S and R order 3: only psi's own checks map into T
+    lifted = lift_duality(psi, 2)
+    homs = hom_set(psi.s, psi.s).values()
+    m = SiteMap.from_matrix(lifted.s_space, [[homs[1], homs[0]], [homs[-1], homs[1]]])
+    model = RateModel.build(lifted.s_space, {"m": m}, {"m": 1.0})
+    targets = []
+    is_homomorphism = product.is_homomorphism
+
+    def spy(source, target, values):
+        targets.append(target)
+        return is_homomorphism(source, target, values)
+
+    monkeypatch.setattr(product, "is_homomorphism", spy)
+    product._check_bi_additive.cache_clear()
+    first = dual_model(model, lifted)
+    assert targets.count(psi.t) == psi.s.order + psi.r.order  # each row and column of psi once
+    targets.clear()
+    assert dual_model(model, lifted) == first
+    assert targets and psi.t not in targets  # the entries are checked again, psi is not
+
+
 def test_a_total_rate_that_overflows_is_rejected():
     _, model = psi1_model(2, rates=(1.0, 1.0))
     maps = {e.map_id: e.site_map for e in model.entries}

@@ -37,6 +37,7 @@ from monodual.product import (
     _blocks,
     _module_maps,
     _sitewise_sums,
+    _tabulate,
     dual_map,
     dual_maps,
     global_hom_set_matrix_check,
@@ -632,35 +633,19 @@ def test_dual_map_beyond_the_budget_refuses_a_table_that_is_not_bi_additive(monk
         assert refused.type is ValueError
 
 
-def test_apply_indices_matches_scalar_apply_on_both_routes(monkeypatch):
-    space = SiteSpace(catalog.monoid("M6"), 4)
+def test_index_tables_cover_a_side_within_the_pair_budget_only(monkeypatch):
     homs = hom_values("M6")
-    m = SiteMap.from_matrix(space, [[homs[(i * j) % 3] for j in range(4)] for i in range(4)])
-    idx = np.random.default_rng(5).integers(space.n_configs, size=200)
-    want = [space.index_of(m.apply(space.config_of(i))) for i in idx.tolist()]
-    assert m.apply_indices(idx[:50]).tolist() == want[:50]
-    assert m.apply_indices(idx).tolist() == want
-    assert m.apply_indices(idx.reshape(10, 20)).tolist() == np.reshape(want, (10, 20)).tolist()
-    assert "_index_table" not in m.__dict__  # only index_table() tabulates
-    assert m.index_table()[idx].tolist() == want
-    # 2^63 configurations of psi2's side: 22 indices take blocks of at most 4 sites, digits up to the top index
-    space = lift_duality(named_duality("psi2"), 63).s_space
-    assert space.local == catalog.monoid("M2")
-    z2 = hom_values("M2")
-    m = SiteMap.from_matrix(space, [[z2[(i * j + i) % 2] for j in range(63)] for i in range(63)])
-    idx = np.array([0, 2 ** 63 - 1, *np.random.default_rng(6).integers(2 ** 63, size=20, dtype=np.int64)])
-    want = [space.index_of(m.apply(space.config_of(i))) for i in idx.tolist()]
-    assert m.apply_indices(idx).tolist() == want
-    # a budget of |S| fits 1-site blocks only; |S|^2 splits k = 3 into blocks of 2 and 1
-    for budget in (3, 9):
-        monkeypatch.setenv("MONODUAL_PAIR_BUDGET", str(budget))
-        for k in range(4):
-            space = SiteSpace(catalog.monoid("M6"), k)
-            m = SiteMap.from_matrix(space, [[homs[(i + 2 * j) % 3] for j in range(k)] for i in range(k)])
-            every = np.arange(space.n_configs)
-            want = [space.index_of(m.apply(c)) for c in space.configs()]
-            assert m.apply_indices(every[:-1]).tolist() == want[:-1], (budget, k)
-            assert m.index_table().tolist() == want, (budget, k)
+    for k in range(1, 5):
+        space = SiteSpace(catalog.monoid("M6"), k)
+        matrix = [[homs[(i + 2 * j) % 3] for j in range(k)] for i in range(k)]
+        want = [space.index_of(SiteMap.from_matrix(space, matrix).apply(c)) for c in space.configs()]
+        monkeypatch.setenv("MONODUAL_PAIR_BUDGET", str(space.n_configs))
+        assert SiteMap.from_matrix(space, matrix).index_table().tolist() == want, k
+        monkeypatch.setenv("MONODUAL_PAIR_BUDGET", str(space.n_configs - 1))
+        m = SiteMap.from_matrix(space, matrix)
+        with pytest.raises(SizeBudgetExceeded):
+            m.index_table()
+        assert "_index_table" not in m.__dict__
 
 
 def test_site_map_block_tables_follow_the_index_count(monkeypatch):
@@ -670,22 +655,11 @@ def test_site_map_block_tables_follow_the_index_count(monkeypatch):
 
     def spy(t, local):
         table = _sitewise_sums(t, local)
-        shapes.append(table.shape)  # (1, output sites of the group, block cells)
+        shapes.append(table.shape)  # (1, output sites of the group, |S|^k)
         return table
 
     monkeypatch.setattr(product, "_sitewise_sums", spy)
-    space = SiteSpace(catalog.monoid("M2"), 63)
-    m = SiteMap.identity(space)
-    idx = np.array([0, *(2 ** p for p in reversed(range(63)))])  # at most one non-neutral site
-    assert m.apply_indices(idx).tolist() == idx.tolist()
-    assert max(cells for _, _, cells in shapes) <= len(idx) == 64
-    # 11 blocks of 5 or 6 sites; each group of output sites is one call per block, and all the
-    # calls of a group hold at most max(4 x 64, PAIR_BLOCK) cells
-    assert len(shapes) == 11 * 3 and [g for _, g, _ in shapes] == [26] * 22 + [11] * 11
-    for lo in range(0, len(shapes), 11):
-        assert sum(g * cells for _, g, cells in shapes[lo:lo + 11]) <= max(4 * 64, product.PAIR_BLOCK)
-    # index_table() maps all |S|^k configurations, so each output site is one block
-    shapes.clear()
+    # an index table covers all |S|^k configurations; the group of M6^4 holds its four output sites
     space = SiteSpace(catalog.monoid("M6"), 4)
     assert SiteMap.identity(space).index_table().tolist() == list(range(81))
     assert shapes == [(1, 4, 81)]
@@ -724,18 +698,23 @@ def test_sitewise_sums_equal_site_by_site_sums(data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_apply_indices_equals_scalar_apply(data):
+def test_tabulate_equals_scalar_apply(data):
     label = data.draw(st.sampled_from(catalog.M_LABELS))
     local, homs = catalog.monoid(label), hom_values(label)
     k = data.draw(st.integers(0, max(w for w in range(8) if local.order ** w <= 4096)))
     space = SiteSpace(local, k)
-    m = SiteMap.from_matrix(space, [[data.draw(st.sampled_from(homs)) for _ in range(k)] for _ in range(k)])
-    shape = data.draw(st.sampled_from([(), (data.draw(st.integers(1, 40)),),
-                                       (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6)))]))
-    idx = data.draw(arrays(np.int64, shape, elements=st.integers(0, space.n_configs - 1)))
-    want = [space.index_of(m.apply(space.config_of(i))) for i in idx.ravel().tolist()]
-    got = m.apply_indices(idx)
-    assert np.shape(got) == shape and np.ravel(got).tolist() == want
+    entry = st.sampled_from(homs)
+    matrices = data.draw(st.lists(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k),
+                                  min_size=1, max_size=4))
+    maps = [SiteMap.from_matrix(space, matrix) for matrix in matrices]
+    built = [(m, m.index_table()) for m in maps if data.draw(st.booleans())]  # some tabulated beforehand
+    tables = _tabulate(space, maps)
+    assert tables.shape == (len(maps), space.n_configs) and tables.dtype == np.int64
+    for m, table in zip(maps, tables):
+        assert table.tolist() == [space.index_of(m.apply(c)) for c in space.configs()]
+        assert m.index_table().tolist() == table.tolist() and not m.index_table().flags.writeable
+    assert all(m.index_table() is table for m, table in built)  # kept, not rebuilt
+    assert _tabulate(space, []).shape == (0, space.n_configs)
 
 
 def _cycle_map(label, k):
@@ -904,7 +883,7 @@ def test_dual_maps_do_no_product_space_work(monkeypatch):
         batches.append((lifted, [SiteMap.from_matrix(lifted.s_space, [[homs[(i * j + c) % 3] for j in range(k)]
                                                                       for i in range(k)]) for c in range(3)]))
     calls = []
-    for name in ("_sitewise_sums", "_map_images", "identity_holds"):
+    for name in ("_sitewise_sums", "_tabulate", "identity_holds"):
         monkeypatch.setattr(product, name, lambda *args, name=name: calls.append(name))
     for lifted, maps in batches:
         k = lifted.sites

@@ -325,12 +325,18 @@ def check_pairing(rows, column_maps, row_maps) -> None:
 def verify_duality(psi: DualityFunction) -> None:
     """Exhaustively check the four duality conditions (``check_pairing``), raising on the first failure.
 
-    H(S, T) is built only after condition 1 passes, and H(R, T) only after
-    conditions 2 and 3 pass.
+    A table whose shape disagrees with the carriers, or with an entry outside
+    T's carrier, is refused first (DualityError naming the first such cell
+    in row-major order).  H(S, T) is searched only after condition 1 passes,
+    and H(R, T) only after conditions 2 and 3 pass.
     """
     if len(psi.values) != psi.s.order or any(len(row) != psi.r.order for row in psi.values):
         raise DualityError("table dimensions disagree with the carriers")
-    check_pairing(psi.values, lambda: hom_set(psi.s, psi.t).values(), lambda: hom_set(psi.r, psi.t).values())
+    for x, row in enumerate(psi.values):
+        for y, v in enumerate(row):
+            if not 0 <= v < psi.t.order:
+                raise DualityError(f"psi({x},{y}) = {v} lies outside T's carrier 0..{psi.t.order - 1}")
+    check_pairing(psi.values, lambda: _hom_values(psi.s, psi.t), lambda: _hom_values(psi.r, psi.t))
 
 
 def named_duality(name: str) -> DualityFunction:
@@ -364,7 +370,7 @@ def duality_from_dict(obj: dict) -> DualityFunction:
             raise DualityError("tables and values must be lists of lists of integers") from None
 
     def mono(d: dict) -> Monoid:
-        if not isinstance(d, dict):
+        if not isinstance(d, dict) or "table" not in d:
             raise DualityError("each carrier must be an object with a table")
         m = validate_monoid(grid(d["table"]))
         if d.get("neutral") not in (None, m.neutral) or isinstance(d.get("neutral"), bool):
@@ -373,6 +379,9 @@ def duality_from_dict(obj: dict) -> DualityFunction:
 
     if not isinstance(obj, dict):
         raise DualityError("a duality must be an object with keys s, r, t and values")
+    for key in ("s", "r", "t", "values"):
+        if key not in obj:
+            raise DualityError(f"a duality must have the key {key!r}")
     psi = DualityFunction(mono(obj["s"]), mono(obj["r"]), mono(obj["t"]), grid(obj["values"]))
     verify_duality(psi)
     return psi

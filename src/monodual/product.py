@@ -10,11 +10,11 @@ Indices: configurations of S^k are numbered in base |S|, site 0 the most
 significant digit (``SiteSpace.index_of``/``config_of``); a space whose
 indices would overflow int64 is refused when it is built.  Sums over sites
 go through two helpers.  ``_sitewise_sums`` folds one local table per site
-into the table of sums over a block of sites: Psi over a block, the module
-maps S^k -> S, and the output sites of a matrix map over all its input
-sites.  It folds by halves: the table over w sites is the sum table of its
-two halves' tables, ceil(log2 w) levels, each written one row of the left
-half at a time as one gather from the sums of the right half's values.
+into the table of sums over a block of sites: Psi over a block, and the
+output sites of a matrix map over all its input sites.  It folds by
+halves: the table over w sites is the sum table of its two halves' tables,
+ceil(log2 w) levels, each written one row of the left half at a time as
+one gather from the sums of the right half's values.
 ``_peel`` splits the sites into the fewest near-equal blocks whose tables
 fit a cell cap and peels each block's digits off index arrays.
 ``LiftedDuality.values_at`` caches its Psi block tables per width, so its
@@ -31,9 +31,22 @@ uint8; the scalar ``SiteMap.apply`` and ``LiftedDuality.evaluate`` are the
 test oracles.  Product monoids are built by the same index arithmetic, on
 the digit arrays of ``np.indices``.
 
+Lifts: Psi(x, y) = sum_i psi(x_i, y_i) in T.  For commutative T, H(S^k, T)
+is exactly the sitewise sums x -> sum_i h_i(x_i) of maps h_i in H(S, T)
+(S^k is the coproduct of k copies of S), h_i read off the configurations
+neutral off site i; over a semiring the module maps S^k -> S are likewise
+the sitewise sums of local ones.  So if psi meets the four conditions on
+S x R, Psi meets them on S^k x R^k, its columns and rows being the sitewise
+sums of psi's, distinct for distinct arguments.  For k >= 1 the converse
+holds for a table that sends a neutral argument to the neutral element of
+T, as every duality and every semiring multiplication does: the
+configurations neutral off one site carry psi and the local maps.  At
+k = 0 the lift is the one-point duality.  So ``lift_duality`` and
+``verify_module_duality`` check the local table only.
+
 Dual maps: ``dual_maps`` builds the duals of a batch of maps and decides
-their identity from the local entries alone (its docstring gives the
-argument); ``dual_map`` is its one-map case.
+their identity from the local entries alone, by the same additivity (its
+docstring gives the argument); ``dual_map`` is its one-map case.
 
 Pairs: ``identity_holds`` is the one place that compares Psi(X(x), y) with
 Psi(x, Y(y)) on index tables, for the pathwise checks.  It compares at most
@@ -54,7 +67,7 @@ import numpy as np
 
 from . import catalog
 from .algebra import Monoid, Semiring
-from .homdual import DualityFunction, check_pairing, hom_set, is_homomorphism, verify_duality
+from .homdual import DualityFunction, _hom_values, check_pairing, is_homomorphism, verify_duality
 from .tables import CayleyTable, SizeBudgetExceeded, as_int, pair_budget
 
 
@@ -463,10 +476,10 @@ def _first_failure(shape, bad_at):
 def identity_holds(lifted: LiftedDuality, X, Y, pairs=None):
     """None if Psi(X(x), y) == Psi(x, Y(y)), else (position, x, y) for the first failing pair.
 
-    X and Y are maps on S^k and R^k, as configuration index tables with
-    matching leading axes of rows if any.  Without ``pairs`` every pair of
-    each row is compared through the cached Psi table, and ``position`` is
-    (row..., x, y) with x, y indices.  With ``pairs=(xi, yi)``, index arrays
+    X and Y are rows of maps on S^k and R^k, as configuration index tables
+    shaped (rows, configurations).  Without ``pairs`` every pair of each row
+    is compared through the cached Psi table, and ``position`` is
+    (row, x, y) with x, y indices.  With ``pairs=(xi, yi)``, index arrays
     of shape (rows, pairs), only the pairs (xi[r, j], yi[r, j]) are
     compared, their images looked up in rows r of X and Y and Psi summed by
     ``values_at``; ``position`` is (r, j).  The pairs are compared at most
@@ -476,17 +489,14 @@ def identity_holds(lifted: LiftedDuality, X, Y, pairs=None):
     """
     if pairs is None:
         psi = lifted.table()
-        lead = X.shape[:-1]
-        X, Y = X.reshape(-1, psi.shape[0]), Y.reshape(-1, psi.shape[1])
 
         def bad_at(rows, xs, ys):  # (rows, x, y); psi[xs, Y] is (x, rows, y)
             return psi[X[rows, xs], ys] != psi[xs, Y[rows, ys]].swapaxes(0, 1)
 
-        hit = _first_failure((len(X), *psi.shape), bad_at)
-        if hit is None:
+        position = _first_failure((len(X), *psi.shape), bad_at)
+        if position is None:
             return None
-        row, xi, yi = hit
-        position = (*np.unravel_index(row, lead), xi, yi)
+        xi, yi = position[1:]
     else:
         xi, yi = pairs
 
@@ -511,23 +521,13 @@ def lift_duality(
 ) -> LiftedDuality:
     """Lift a local duality to S^k x R^k, verifying it first (``verify_duality`` raises the first failed condition).
 
-    Small instances (k <= 3 with carriers of order <= 3) are also re-checked
-    exhaustively at the product level instead of being taken on faith from
-    the local verification.
+    The local verification decides the lift at every k (module docstring),
+    so nothing is checked or built on the product space.
     """
     verify_duality(local)
     if real_embedding is not None:
         _check_real_embedding(local.t, real_embedding)
-    lifted = LiftedDuality(local, sites, real_embedding)
-    if sites <= 3 and max(local.s.order, local.r.order, local.t.order) <= 3:
-        big = DualityFunction(
-            product_monoid(local.s, sites),
-            product_monoid(local.r, sites),
-            local.t,
-            tuple(map(tuple, lifted.table().tolist())),
-        )
-        verify_duality(big)
-    return lifted
+    return LiftedDuality(local, sites, real_embedding)
 
 
 def _check_real_embedding(t: Monoid, emb) -> None:
@@ -621,63 +621,49 @@ def dual_maps(lifted: LiftedDuality, maps) -> list[SiteMap]:
     return mhats
 
 
-def semiring_inner_duality(
-    s: Semiring,
-    sites: int,
-    real_embedding: tuple[float, ...] | None = None,
-) -> LiftedDuality:
+def semiring_inner_duality(s: Semiring, sites: int) -> LiftedDuality:
     """The pairing Psi(x, y) = sum_i x_i * y_i of a semiring product space.
 
     This is generally not a monoid duality function (the dualizable maps are
     the left-module maps, which may be a proper subset of the additive
     homomorphisms).  Its four module-level separation and surjectivity
     properties are always checked against the module-map sets
-    (``verify_module_duality`` raises the first that fails), raising
-    SizeBudgetExceeded past the pair budget.
+    (``verify_module_duality`` raises the first that fails).  The Psi table
+    is built only when read, and ``table()`` raises SizeBudgetExceeded past
+    the pair budget.
     """
     add = s.add
-    local = DualityFunction(add, add, add, s.mul.rows)
-    if real_embedding is not None:
-        _check_real_embedding(add, real_embedding)
-    lifted = LiftedDuality(local, sites, real_embedding)
+    lifted = LiftedDuality(DualityFunction(add, add, add, s.mul.rows), sites)
     verify_module_duality(lifted, s)
     return lifted
 
 
-def _module_maps(s: Semiring, sites: int, side: str) -> list[tuple[int, ...]]:
-    """The additive maps S^k -> S commuting with scalars on one side, as sorted value tables.
+def module_maps(s: Semiring, side: str = "left") -> list[tuple[int, ...]]:
+    """The additive maps S -> S commuting with scalars on one side, as sorted value tables.
 
-    A value table is indexed like the configurations of S^k.  "left" keeps
-    f(a x) == a f(x), "right" keeps f(x a) == f(x) a, for every scalar a.  S^k
-    is the coproduct of k copies of S among such modules, so these maps are
-    the sitewise sums x -> sum_i h_i(x_i) of local ones, folded by halves.
+    "left" keeps f(a x) == a f(x), "right" keeps f(x a) == f(x) a, for every
+    scalar a.
     """
-    homs = np.array(hom_set(s.add, s.add).values(), dtype=np.uint8)
+    maps = _hom_values(s.add, s.add)
+    homs = np.array(maps, dtype=np.uint8)
     mul = np.asarray(s.mul.rows, dtype=np.uint8)
     keep = np.ones(len(homs), dtype=bool)
     for a in range(s.order):
         scale = mul[a] if side == "left" else mul[:, a]
         keep &= (homs[:, scale] == scale[homs]).all(axis=1)
-    return sorted(map(tuple, _sitewise_sums(s.add, np.repeat(homs[keep][None], sites, axis=0)).tolist()))
-
-
-def module_maps(s: Semiring, side: str = "left") -> list[tuple[int, ...]]:
-    """All maps S -> S that are additive and commute with scalars on one side."""
-    return _module_maps(s, 1, side)
+    return [h for h, kept in zip(maps, keep) if kept]
 
 
 def verify_module_duality(lifted: LiftedDuality, s: Semiring) -> None:
     """Exact check of the four module-level pairing properties over the semiring s, raising the first that fails.
 
-    The four duality conditions (``check_pairing``) on the Psi table, with
-    the left-module maps S^k -> S in place of H(S, T) for the columns and the
-    right-module maps in place of H(R, T) for the rows.
+    The four duality conditions (``check_pairing``) on the local table, with
+    the left-module maps S -> S in place of H(S, T) for the columns and the
+    right-module maps in place of H(R, T) for the rows; they decide the
+    conditions on S^k x R^k, with the module maps S^k -> S, at every k
+    (module docstring).
     """
-    check_pairing(
-        lifted.table().tolist(),
-        lambda: _module_maps(s, lifted.sites, "left"),
-        lambda: _module_maps(s, lifted.sites, "right"),
-    )
+    check_pairing(lifted.local.values, lambda: module_maps(s, "left"), lambda: module_maps(s, "right"))
 
 
 def lattice_duality_function(join: Monoid) -> DualityFunction:

@@ -23,8 +23,8 @@ from .enumeration import (
     enumerate_semiring_multiplications,
 )
 from .homdual import (
+    _hom_values,
     find_all_duality_quadruples,
-    hom_set,
     match_named_duality,
     named_duality,
     reduce_duality_quadruples,
@@ -251,7 +251,7 @@ def check_f4_nonlinear_count() -> CheckResult:
     def compute():
         add = catalog.monoid("M25")
         field = validate_semiring(catalog.MONOID_TABLES["M25"], catalog.MONOID_TABLES["F4-mult"])
-        homs = hom_set(add, add).values()
+        homs = _hom_values(add, add)
         linear = set(module_maps(field, side="left"))
         assert set(module_maps(field, side="right")) == linear
         return {
@@ -306,7 +306,7 @@ def _lifted(name: str, sites: int) -> LiftedDuality:
 
 
 def _local_homs(lifted: LiftedDuality) -> list:
-    return hom_set(lifted.s_space.local, lifted.s_space.local).values()
+    return _hom_values(lifted.s_space.local, lifted.s_space.local)
 
 
 def _brute_force_dual(lifted: LiftedDuality):
@@ -322,7 +322,7 @@ def _dual_maps_agree(lifted: LiftedDuality) -> dict:
     space = lifted.s_space
     k = space.sites
     brute_force_dual = _brute_force_dual(lifted)
-    # every entry comes from hom_set, and dual_maps checks each distinct entry once
+    # every entry comes from H(S, S), and dual_maps checks each distinct entry once
     maps = [SiteMap(space, tuple(entries[i * k:(i + 1) * k] for i in range(k)))
             for entries in iproduct(_local_homs(lifted), repeat=k * k)]
     mhats = dual_maps(lifted, maps)  # identity decided inside

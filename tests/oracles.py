@@ -1,5 +1,6 @@
 """Reference implementations the tests hold the library against; none of them is part of monodual."""
 
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -51,6 +52,16 @@ def product_monoid_reference(locals_) -> Monoid:
         for a in states
     )
     return Monoid(CayleyTable(rows), index[tuple(m.neutral for m in locals_)])
+
+
+def sitewise_sums_reference(order, t, maps, sites) -> list[tuple[int, ...]]:
+    """Every map x -> sum_i h_i(x_i) on the configurations of a k-fold product of a carrier of this order,
+    each h_i one of ``maps`` (value tables into T): sorted value tables, one sum in T per site and configuration."""
+    configs = list(product(range(order), repeat=sites))
+    return sorted(
+        tuple(reduce(t.add, (h[x] for h, x in zip(hs, c)), t.neutral) for c in configs)
+        for hs in product(maps, repeat=sites)
+    )
 
 
 def adjoint_embedding(source, target) -> Hom:

@@ -496,6 +496,31 @@ def test_malformed_input_files_are_computation_errors(tmp_path, capsys, flag, co
     assert json.loads(err)["error"] in ("ValueError", "DualityError")
 
 
+def _psi5t_with(key, value):
+    return {**{k: v for k, v in _PSI5T.items() if k != key}, **({} if value is None else {key: value})}
+
+
+MALFORMED_DUALITIES = {
+    **{f"psi-without-{key}": (_psi5t_with(key, None), f"a duality must have the key {key!r}")
+       for key in ("s", "r", "t", "values")},
+    "psi-carrier-without-table": (_psi5t_with("r", {"neutral": 0}), "each carrier must be an object with a table"),
+    "psi-value-outside-t": (_psi5t_with("values", [[0, 0, 0], [0, 1, 7], [0, 0, 2]]),
+                            "psi(1,2) = 7 lies outside T's carrier 0..2"),
+    "psi-value-negative": (_psi5t_with("values", [[0, 0, 0], [0, 1, 2], [-1, 0, 2]]),
+                           "psi(2,0) = -1 lies outside T's carrier 0..2"),
+}
+
+
+@pytest.mark.parametrize("content, message", MALFORMED_DUALITIES.values(), ids=MALFORMED_DUALITIES.keys())
+def test_malformed_duality_files_are_named(tmp_path, capsys, content, message):
+    psi, matrix = tmp_path / "psi.json", tmp_path / "map.json"
+    psi.write_text(json.dumps(content))
+    matrix.write_text(json.dumps([[[0, 1, 2]]]))
+    code, out, err = run(capsys, "dual-map", "--psi", str(psi), "--sites", "1", "--map", str(matrix))
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "DualityError", "message": message}
+
+
 @pytest.mark.parametrize("budget", ["abc", "1e6", "0", "-5"])
 def test_a_pair_budget_that_is_no_positive_integer_is_named(capsys, monkeypatch, budget):
     monkeypatch.setenv("MONODUAL_PAIR_BUDGET", budget)

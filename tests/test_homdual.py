@@ -575,7 +575,7 @@ def _counting(monkeypatch, name):
 
 
 def test_verify_duality_builds_each_hom_set_only_once_its_condition_is_reached(monkeypatch):
-    calls = _counting(monkeypatch, "hom_set")
+    calls = _counting(monkeypatch, "_hom_values")
     m1, m2 = catalog.monoid("M1"), catalog.monoid("M2")
     with pytest.raises(Condition1Fail):
         verify_duality(DualityFunction(m1, m1, m1, ((0, 0), (0, 0))))

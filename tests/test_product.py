@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from monodual import catalog
 from monodual.algebra import Monoid, validate_monoid, validate_semiring
-from monodual.enumeration import enumerate_commutative_monoids
+from monodual.enumeration import enumerate_commutative_monoids, enumerate_semiring_multiplications
 from monodual.homdual import (
     Condition1Fail,
     Condition2Fail,
@@ -35,7 +35,6 @@ from monodual.product import (
     SiteSpace,
     SizeBudgetExceeded,
     _blocks,
-    _module_maps,
     _sitewise_sums,
     _tabulate,
     dual_map,
@@ -50,10 +49,10 @@ from monodual.product import (
     semiring_inner_duality,
     verify_module_duality,
 )
-from monodual.homdual import match_named_duality
+from monodual.homdual import check_pairing, match_named_duality
 from monodual.reproduce import _brute_force_dual
 from monodual.tables import CayleyTable, relabel
-from oracles import product_monoid_reference
+from oracles import product_monoid_reference, sitewise_sums_reference
 
 
 def hom_values(label):
@@ -191,11 +190,90 @@ def test_lift_rejects_non_duality():
         lift_duality(bogus, 2)
 
 
-def test_lift_verifies_the_local_table_beyond_the_product_level_recheck():
-    # at k = 4 no product-level re-check runs, so only the local verification sees the coinciding rows
+def test_lift_verifies_the_local_table_at_every_k():
     m1 = catalog.monoid("M1")
-    with pytest.raises(Condition1Fail):
-        lift_duality(DualityFunction(m1, m1, m1, ((0, 0), (0, 0))), 4)
+    for k in range(5):
+        with pytest.raises(Condition1Fail):
+            lift_duality(DualityFunction(m1, m1, m1, ((0, 0), (0, 0))), k)
+
+
+def _lifted_cases():
+    """Every catalog table in both orientations at k = 1..3 whose product monoids fit the pair budget."""
+    for name, transposed in ORIENTED_TABLES:
+        psi = named_duality(name).transposed() if transposed else named_duality(name)
+        for k in range(1, 4):
+            if max(psi.s.order, psi.r.order) ** (2 * k) <= pair_budget():
+                yield psi, k
+
+
+def test_lifted_tables_are_dualities_of_the_product_monoids():
+    # the product-level check the lift no longer runs: each Psi table against the hom sets of S^k and R^k
+    cases = list(_lifted_cases())
+    assert len(cases) == 132
+    for psi, k in cases:
+        check_pairing(
+            lift_duality(psi, k).table().tolist(),
+            lambda: hom_set(product_monoid(psi.s, k), psi.t).values(),
+            lambda: hom_set(product_monoid(psi.r, k), psi.t).values(),
+        )
+
+
+def _census_semirings():
+    """Every semiring class that enumerate_semiring_multiplications finds on a catalog monoid of order 2..4."""
+    return [cls.semiring for lab in catalog.M_LABELS if 2 <= catalog.monoid(lab).order <= 4
+            for cls in enumerate_semiring_multiplications(catalog.monoid(lab))]
+
+
+def test_semiring_pairings_hold_against_the_module_maps_of_the_product():
+    semirings = _census_semirings()
+    assert len(semirings) == 46
+    for s in semirings:
+        for k in (1, 2):
+            check_pairing(
+                semiring_inner_duality(s, k).table().tolist(),
+                lambda: sitewise_sums_reference(s.order, s.add, module_maps(s, "left"), k),
+                lambda: sitewise_sums_reference(s.order, s.add, module_maps(s, "right"), k),
+            )
+
+
+def test_lifts_do_no_product_space_work(monkeypatch):
+    import monodual.homdual as homdual
+
+    homdual._hom_values.cache_clear()  # so that every hom set the lifts read is searched again
+    sources, calls = [], []
+    search = homdual._all_homs
+    monkeypatch.setattr(homdual, "_all_homs", lambda source, target: sources.append(source) or search(source, target))
+    for name in ("_sitewise_sums", "product_monoid_many"):
+        real = getattr(product, name)
+        monkeypatch.setattr(product, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    f4 = validate_semiring(catalog.MONOID_TABLES["M25"], catalog.MONOID_TABLES["F4-mult"])
+    locals_ = set()
+    for k in range(1, 4):
+        for name, transposed in ORIENTED_TABLES:
+            psi = named_duality(name).transposed() if transposed else named_duality(name)
+            lift_duality(psi, k)
+            locals_ |= {psi.s, psi.r}
+        for s in (f4, catalog.semiring("M15", "N1"), *_census_semirings()[:8]):
+            semiring_inner_duality(s, k)
+            locals_.add(s.add)
+    assert calls == [] and sources and set(sources) <= locals_
+
+
+def test_warm_lifts_and_local_hom_readers_build_no_hom(monkeypatch):
+    import monodual.homdual as homdual
+    from monodual.reproduce import _local_homs, check_f4_nonlinear_count
+
+    f4 = validate_semiring(catalog.MONOID_TABLES["M25"], catalog.MONOID_TABLES["F4-mult"])
+
+    def readers():
+        lifted = lift_duality(named_duality("psi5"), 3)
+        return _local_homs(lifted), module_maps(f4, "left"), check_f4_nonlinear_count().passed
+
+    warm = readers()
+    built, real = [], homdual.Hom
+    monkeypatch.setattr(homdual, "Hom", lambda *args: built.append(args) or real(*args))
+    assert readers() == warm and warm[2]
+    assert built == []
 
 
 @pytest.mark.parametrize("shape", [(5, 3, 4), (3, 1, 20), (2, 6, 5), (1, 2, 17), (4, 9, 9), (1, 1, 1)])
@@ -345,16 +423,18 @@ def test_semiring_inner_duality_verifies_f4_at_two_sites():
     f4 = validate_semiring(catalog.MONOID_TABLES["M25"], catalog.MONOID_TABLES["F4-mult"])
     lifted = semiring_inner_duality(f4, 2)
     assert verify_module_duality(lifted, f4) is None
-    assert len(_module_maps(f4, 2, "left")) == 16
+    assert len(sitewise_sums_reference(f4.order, f4.add, module_maps(f4, "left"), 2)) == 16
 
 
 def test_semiring_inner_duality_honours_the_pair_budget(monkeypatch):
+    # the pairing is checked on its local table, so the 16 x 16 Psi table at k=2 meets the budget when read
     f4 = validate_semiring(catalog.MONOID_TABLES["M25"], catalog.MONOID_TABLES["F4-mult"])
-    monkeypatch.setenv("MONODUAL_PAIR_BUDGET", "256")  # the 16 x 16 Psi table at k=2
-    semiring_inner_duality(f4, 2)
+    monkeypatch.setenv("MONODUAL_PAIR_BUDGET", "256")
+    assert semiring_inner_duality(f4, 2).table().shape == (16, 16)
     monkeypatch.setenv("MONODUAL_PAIR_BUDGET", "255")
+    lifted = semiring_inner_duality(f4, 2)
     with pytest.raises(SizeBudgetExceeded):
-        semiring_inner_duality(f4, 2)
+        lifted.table()
 
 
 def test_f4_inner_pairing_is_no_monoid_duality_and_nonlinear_maps_lack_duals():
@@ -510,7 +590,7 @@ def test_values_at_broadcasts_one_index_against_many():
 
 
 def test_zero_sites_lift_to_the_one_point_duality():
-    lifted = lift_duality(named_duality("psi5"), 0)  # re-verified on the one-point product
+    lifted = lift_duality(named_duality("psi5"), 0)  # the local table verified, the lift the one-point duality
     assert dual_map(lifted, SiteMap.identity(lifted.s_space)).matrix == ()
 
 
@@ -811,13 +891,11 @@ def _module_maps_by_filter(s, sites, side):
     ("M15", "N1", 1),  # non-commutative multiplication: the two sides differ
 ])
 def test_module_maps_match_a_filter_over_all_functions(add_label, mult_label, sites):
+    # at two sites the filter is the evidence that the module maps of S^k are the sitewise sums of local ones
     s = catalog.semiring(add_label, mult_label)
-    found = {side: _module_maps(s, sites, side) for side in ("left", "right")}
-    for side, got in found.items():
-        assert got == _module_maps_by_filter(s, sites, side), side
-    if sites == 1:
-        assert module_maps(s, "left") == found["left"]
-        assert module_maps(s, "right") == found["right"]
+    found = {side: module_maps(s, side) for side in ("left", "right")}
+    for side, local in found.items():
+        assert sitewise_sums_reference(s.order, s.add, local, sites) == _module_maps_by_filter(s, sites, side), side
     if mult_label == "N1":
         assert found["left"] != found["right"]
 
@@ -879,7 +957,7 @@ def test_dual_maps_do_no_product_space_work(monkeypatch):
     homs = hom_values("M6")
     batches = []
     for k in (2, 7, 39):
-        lifted = lift_duality(psi, k)  # at k = 2 its product-level re-check folds the Psi table
+        lifted = lift_duality(psi, k)
         batches.append((lifted, [SiteMap.from_matrix(lifted.s_space, [[homs[(i * j + c) % 3] for j in range(k)]
                                                                       for i in range(k)]) for c in range(3)]))
     calls = []
